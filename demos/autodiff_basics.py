@@ -20,7 +20,7 @@ print("recorded nodes without a tape:", y.node_id)
 # replays them in reverse and fills .grad.
 with Tape() as tape:
     z = ops.reduce_sum(ops.mul(ops.sigmoid(x), ops.sigmoid(x)))
-print("ops on tape:", tape.ops())
+print("nodes on tape:", len(tape))
 backward(tape, z)
 print("dz/dx:", np.round(x.grad, 4))
 

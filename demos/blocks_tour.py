@@ -9,6 +9,7 @@ Run from the repository root:  python3 demos/blocks_tour.py
 
 import numpy as np
 
+from mcads import ops
 from mcads.blocks import (AttentionFusion, BlockConfig, ChannelAttention,
                           ConvBlock, DepthToSpaceUpsample, DualAttentionBlock,
                           BilinearUpsampleBlock, ResidualConvChain,
@@ -35,14 +36,14 @@ print("EUB     ", x.shape, "->", eub(x, train=False).shape)
 print("DSUB params", store.count("dsub"), "vs EUB params", store.count("eub"))
 
 # CAM gates channels from pooled statistics; SAM gates pixels from
-# channel-pooled maps. Both gates are sigmoids, so strictly inside (0,1).
+# channel-pooled maps. Both gates are sigmoids, so strictly inside (0,1);
+# calling a block multiplies its input by gate(input).
 cam = ChannelAttention(store, "cam", 4, cfg)
 sam = SpatialAttention(store, "sam", cfg)
-cam(x, train=False)
-sam(x, train=False)
-print("CAM gate range", (round(float(cam.last_gate.min()), 4),
-                         round(float(cam.last_gate.max()), 4)))
-print("SAM gate shape", sam.last_gate.shape)
+cam_gate = cam.gate(x).data
+print("CAM gate range", (round(float(cam_gate.min()), 4),
+                         round(float(cam_gate.max()), 4)))
+print("SAM gate shape", sam.gate(x).shape)
 
 # CASAB refines once, then adds the channel-gated and pixel-gated copies.
 casab = DualAttentionBlock(store, "casab", 4, 8, cfg)
@@ -54,13 +55,16 @@ print("RB x3   ", x.shape, "->", rb(x, train=False).shape)
 
 # RLAB fuses an encoder skip with the upsampled deeper feature: residual
 # chain on the skip, concat, then single-head QKV attention over pixel
-# tokens, added back. Rows of the attention matrix are a softmax.
+# tokens, added back. Rows of the attention matrix are a softmax; attend()
+# returns it along with the map that gets added.
 rlab = AttentionFusion(store, "rlab", 4, 6, 2, cfg)
 up = Tensor(rng.normal(size=(1, 8, 8, 6)).astype(np.float32))
 fused = rlab(x, up, train=False)
 print("RLAB    ", x.shape, "+", up.shape, "->", fused.shape)
-print("attention", rlab.last_attention.shape,
-      "row sums ~", np.round(rlab.last_attention.sum(-1)[0, :3], 6))
+xbar = ops.concat((rlab.chain(x, train=False), up), axis=3)
+att, _ = rlab.attend(xbar, train=False)
+print("attention", att.shape,
+      "row sums ~", np.round(att.data.sum(-1)[0, :3], 6))
 
 # A head is a 1x1 conv, a sigmoid, and a bilinear climb to the requested
 # resolution; probabilities stay strictly inside (0,1).

@@ -41,12 +41,12 @@ print("coverage counts:", sorted(np.unique(cover).astype(int)))
 
 # -- with a real model ------------------------------------------------------
 # Tiny widths and a 96x96 image keep this instant; the call is the same one
-# the command-line `predict` uses, including optional threading.
+# the command-line `predict` uses.
 cfg = RunConfig.desk()
 cfg.model.encoder.stage_filters = (4, 4, 8, 8, 8, 8)
 cfg.model.encoder.rsu_depths = (4, 4, 3, 3, 3, 3)
 model = SegmentationModel(cfg.model)
 rgb = np.random.default_rng(1).uniform(0, 1, (96, 96, 3)).astype(np.float32)
-prob = predict_probabilities(model, rgb, patch=32, stride=16, threads=2)
+prob = predict_probabilities(model, rgb, patch=32, stride=16)
 print("prediction:", prob.shape, prob.dtype,
       "range", (round(float(prob.min()), 4), round(float(prob.max()), 4)))

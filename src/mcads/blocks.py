@@ -51,9 +51,9 @@ class Conv2d:
         self.groups = groups
         self.dilation = dilation
 
-    def __call__(self, x, *, stride: int = 1, padding: str = "same"):
-        return ops.conv2d(x, self.w, self.b, stride=stride, padding=padding,
-                          dilation=self.dilation, groups=self.groups)
+    def __call__(self, x):
+        return ops.conv2d(x, self.w, self.b, dilation=self.dilation,
+                          groups=self.groups)
 
 
 class BatchNorm:
@@ -126,16 +126,6 @@ class TransposeConvUpsample:
         return ops.conv2d_transpose(x, self.w, self.b, stride=2)
 
 
-class BilinearUpsample:
-    """Parameter-free x2 upsampler (ablation stand-in for DSUB/EUB)."""
-
-    def __init__(self, store, prefix, cin: int, cout: int, cfg: BlockConfig):
-        self.cout = cin  # channels pass through untouched
-
-    def __call__(self, x, train: bool):
-        return ops.bilinear_upsample(x, 2)
-
-
 class ChannelAttention:
     """CAM: gate = sigmoid(FC(swish(FC(GAP(x) + GMP(x))))), output = x * gate.
 
@@ -148,14 +138,15 @@ class ChannelAttention:
         self.b1 = store.create(f"{prefix}.fc1.b", (hidden,), "zeros")
         self.w2 = store.create(f"{prefix}.fc2.w", (hidden, c), "he", fan_in=hidden)
         self.b2 = store.create(f"{prefix}.fc2.b", (c,), "zeros")
-        self.last_gate = None
 
-    def __call__(self, x, train: bool):
+    def gate(self, x):
+        """Per-channel gate, shape (N, 1, 1, C), strictly inside (0, 1)."""
         g = ops.add(ops.pool_global(x, "avg"), ops.pool_global(x, "max"))
         g = ops.swish(ops.dense(g, self.w1, self.b1))
-        gate = ops.sigmoid(ops.dense(g, self.w2, self.b2))
-        self.last_gate = gate.data
-        return ops.mul(x, gate)
+        return ops.sigmoid(ops.dense(g, self.w2, self.b2))
+
+    def __call__(self, x, train: bool):
+        return ops.mul(x, self.gate(x))
 
 
 class SpatialAttention:
@@ -166,15 +157,15 @@ class SpatialAttention:
     def __init__(self, store, prefix, cfg: BlockConfig):
         self.dwc7 = Conv2d(store, f"{prefix}.dwc7", 7, 4, 4, groups=4)
         self.pwc = Conv2d(store, f"{prefix}.pwc", 1, 4, 1)
-        self.last_gate = None
 
-    def __call__(self, x, train: bool):
+    def gate(self, x):
+        """Per-pixel gate, shape (N, H, W, 1), strictly inside (0, 1)."""
         pooled = ops.concat([ops.pool_channel(x, k)
                              for k in ("mean", "max", "min", "sum")], axis=3)
-        y = ops.swish(self.dwc7(pooled))
-        gate = ops.sigmoid(self.pwc(y))
-        self.last_gate = gate.data
-        return ops.mul(x, gate)
+        return ops.sigmoid(self.pwc(ops.swish(self.dwc7(pooled))))
+
+    def __call__(self, x, train: bool):
+        return ops.mul(x, self.gate(x))
 
 
 class DualAttentionBlock:
@@ -249,7 +240,6 @@ class AttentionFusion:
         self.bv = store.create(f"{prefix}.v.b", (c,), "zeros")
         self.dk = dk
         self.cap = cfg.attention_token_cap
-        self.last_attention = None  # numpy copy of the latest attention matrix
 
     def __call__(self, skip, up, train: bool):
         if skip.shape[1:3] != up.shape[1:3]:
@@ -257,6 +247,14 @@ class AttentionFusion:
                 f"attention fusion: skip extent {skip.shape[1:3]} != "
                 f"up extent {up.shape[1:3]}")
         xbar = ops.concat((self.chain(skip, train), up), axis=3)
+        return ops.add(xbar, self.attend(xbar, train)[1])
+
+    def attend(self, xbar, train: bool):
+        """Attention over the CB-refined pixel tokens of xbar.
+
+        Returns (attention matrix (N, T, T), attended map shaped like xbar);
+        T is the token count after any cap pooling.
+        """
         t = self.cb(xbar, train)
         n, h, w, c = t.shape
         factor = _cap_factor(h, w, self.cap)
@@ -269,11 +267,10 @@ class AttentionFusion:
         v = ops.dense(tokens, self.wv, self.bv)
         att = ops.softmax(ops.scale(ops.matmul(q, ops.swap_last2(k)),
                                     1.0 / np.sqrt(self.dk)), axis=-1)
-        self.last_attention = att.data
         o = ops.reshape(ops.matmul(att, v), (n, th, tw, c))
         if factor > 1:
             o = ops.bilinear_upsample(o, factor)
-        return ops.add(xbar, o)
+        return att, o
 
 
 class SegmentationHead:
@@ -299,5 +296,4 @@ UPSAMPLERS = {
     "dsub": DepthToSpaceUpsample,
     "eub": BilinearUpsampleBlock,
     "convtp": TransposeConvUpsample,
-    "bilinear": BilinearUpsample,
 }

@@ -46,7 +46,6 @@ def _add_common(p):
     p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                    help="dotted config override, value parsed as JSON")
     p.add_argument("--seed", type=int, help="override model and train seeds")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--f64", action="store_true",
                    help="run the model in float64")
 
@@ -87,7 +86,7 @@ def cmd_predict(args) -> int:
     image = netpbm.read_image(args.image)
     mask, prob = infer.predict_mask(
         model, image, patch=cfg.data.patch, stride=cfg.data.stride,
-        threshold=cfg.eval.threshold, threads=args.threads)
+        threshold=cfg.eval.threshold)
     netpbm.write_mask(args.out, mask)
     if args.prob:
         netpbm.write_image(args.prob, prob)

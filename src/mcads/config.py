@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
-from .blocks import BlockConfig
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig
 from .network import ModelConfig
 
 
 class ConfigError(ValueError):
-    """Unparseable config, unknown key, or malformed override."""
+    """Unparseable config, unknown key, wrong-kind value, or malformed
+    override."""
 
 
 @dataclass
@@ -47,7 +46,6 @@ class DataSettings:
 @dataclass
 class EvalSettings:
     threshold: float = 0.5
-    out_dir: str = "predictions"
 
 
 @dataclass
@@ -76,33 +74,41 @@ class RunConfig:
         return cfg
 
 
-_NESTED = {
-    RunConfig: {"model": ModelConfig, "train": TrainSettings,
-                "data": DataSettings, "eval": EvalSettings},
-    ModelConfig: {"encoder": EncoderConfig, "decoder": DecoderConfig,
-                  "block": BlockConfig},
-}
-
-
 def _apply_dict(obj, data: dict, path: str):
-    """Assign `data` onto dataclass `obj`, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(obj)}
+    """Assign `data` onto dataclass `obj`, rejecting unknown keys and values
+    of the wrong kind for the field's declared type: non-booleans for a
+    bool, non-numbers for a number (an int is fine for a float), and lists
+    that change a tuple's length."""
+    hints = typing.get_type_hints(type(obj))
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in names:
+        if key not in hints:
             raise ConfigError(f"unknown config key '{where}'")
-        nested = _NESTED.get(type(obj), {}).get(key)
-        if nested is not None:
+        if dataclasses.is_dataclass(hints[key]):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{where}' must be an object")
             _apply_dict(getattr(obj, key), value, where)
             continue
         current = getattr(obj, key)
-        if isinstance(current, tuple) and isinstance(value, (list, tuple)):
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if value is None and type(None) in kinds:
+            pass
+        elif bool in kinds:
+            if not isinstance(value, bool):
+                raise ConfigError(f"'{where}' must be true/false")
+        elif int in kinds or float in kinds:
+            want = "a number" if float in kinds else "an integer"
+            numbers = (int, float) if float in kinds else int
+            if isinstance(value, bool) or not isinstance(value, numbers):
+                raise ConfigError(f"'{where}' must be {want}, got {value!r}")
+        elif tuple in kinds:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"'{where}' must be a list")
+            if isinstance(current, tuple) and len(value) != len(current):
+                raise ConfigError(f"'{where}' needs {len(current)} values, "
+                                  f"got {len(value)}")
             value = tuple(value)
-        if isinstance(current, bool) and not isinstance(value, bool):
-            raise ConfigError(f"'{where}' must be true/false")
-        if isinstance(current, dict) and isinstance(value, dict):
+        elif isinstance(current, dict) and isinstance(value, dict):
             bad = set(value) - set(current)
             if bad:
                 raise ConfigError(f"unknown config key "
@@ -147,4 +153,8 @@ def load_config(path: str | None = None, overrides=(),
             node = node.setdefault(part, {})
         node[parts[-1]] = value
         _apply_dict(cfg, tree, "")
+    try:
+        cfg.model.decoder.kinds()
+    except ValueError as e:
+        raise ConfigError(f"model.decoder.upsampler: {e}") from None
     return cfg

@@ -25,7 +25,6 @@ class PatchGrid:
     patch: int
     stride: int
     offsets: tuple  # (row, col) of every patch's top-left corner
-    pad_mode: str = "reflect"
 
 
 @dataclass

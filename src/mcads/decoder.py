@@ -37,7 +37,7 @@ class DecoderConfig:
         if missing:
             raise ValueError(f"upsampler map missing stages {sorted(missing)}")
         for key, kind in self.upsampler.items():
-            if kind not in UPSAMPLERS or kind == "bilinear":
+            if kind not in UPSAMPLERS:
                 raise ValueError(f"unknown upsampler kind {kind!r} at {key!r}")
         return [self.upsampler[k] for k in STAGE_KEYS]
 

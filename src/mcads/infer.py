@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import data as data_mod
@@ -11,40 +9,26 @@ from . import metrics
 from .network import SegmentationModel
 
 
-def _predict_batch(model: SegmentationModel, images: np.ndarray):
-    out = model.forward(images, train=False)
-    return np.asarray(out.final.data, dtype=np.float32)
-
-
 def predict_probabilities(model: SegmentationModel, image: np.ndarray, *,
-                          patch: int, stride: int, batch: int = 4,
-                          threads: int = 1) -> np.ndarray:
-    """Full-image probability map via overlapping patches.
-
-    Threaded mode fans out per-batch forward passes over read-only model
-    state; the averaged reassembly is order-independent, so results match
-    the single-threaded run.
-    """
+                          patch: int, stride: int,
+                          batch: int = 4) -> np.ndarray:
+    """Full-image probability map via overlapping patches."""
     if image.ndim != 3:
         raise ValueError(f"image must be (H,W,C), got {image.shape}")
     grid = data_mod.plan_patches(image.shape[:2], patch, stride)
     padded = data_mod.reflect_pad(image, grid.padded_hw)
     tiles = [padded[r:r + patch, c:c + patch] for r, c in grid.offsets]
-    batches = [np.stack(tiles[i:i + batch])
-               for i in range(0, len(tiles), batch)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda b: _predict_batch(model, b), batches))
-    else:
-        outs = [_predict_batch(model, b) for b in batches]
-    preds = [p for out in outs for p in out]
+    preds = []
+    for i in range(0, len(tiles), batch):
+        final = model.forward(np.stack(tiles[i:i + batch]), train=False).final
+        preds.extend(np.asarray(final.data, dtype=np.float32))
     return data_mod.reassemble(preds, grid)
 
 
 def predict_mask(model: SegmentationModel, image: np.ndarray, *,
                  patch: int, stride: int, threshold: float = 0.5,
-                 batch: int = 4, threads: int = 1):
+                 batch: int = 4):
     """(binary mask, probability map) for one image."""
     prob = predict_probabilities(model, image, patch=patch, stride=stride,
-                                 batch=batch, threads=threads)
+                                 batch=batch)
     return metrics.threshold(prob, threshold), prob

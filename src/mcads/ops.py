@@ -83,21 +83,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            padding: str = "same", dilation: int = 1, groups: int = 1) -> Tensor:
     """2D convolution, NHWC input, (kh, kw, C_in/groups, C_out) weights.
 
-    Output channels are grouped contiguously: group g owns input slice
-    [g*cg:(g+1)*cg] and output slice [g*cog:(g+1)*cog]. groups == C_in with a
-    single-channel kernel axis is the depthwise case and takes a fused path.
+    groups is 1 (dense) or C_in (depthwise: a single-channel kernel axis and
+    C_out == C_in); the model uses no other grouping.
     """
     _require(x.ndim == 4, "conv2d", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d", f"weights must be rank 4, got {w.ndim}")
     _same_dtype("conv2d", *((x, w) if b is None else (x, w, b)))
     n, h, wdt, cin = x.shape
     kh, kw, cg, cout = w.shape
-    _require(cin % groups == 0, "conv2d",
-             f"input channels {cin} not divisible by groups {groups}")
-    _require(cout % groups == 0, "conv2d",
-             f"output channels {cout} not divisible by groups {groups}")
-    _require(cg == cin // groups, "conv2d",
-             f"weight channel axis {cg} != C_in/groups {cin // groups}")
+    depthwise = groups != 1
+    _require(groups == cin and cg == 1 and cout == cin if depthwise else cg == cin,
+             "conv2d", f"groups {groups}, C_in {cin}, weights {w.shape}: need "
+             "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
+             "C_in with weights (kh, kw, 1, C_in)")
     if b is not None:
         _require(b.shape == (cout,), "conv2d", f"bias shape {b.shape} != ({cout},)")
 
@@ -110,19 +108,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         xp = xd
     patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
     wd = w.data
-    depthwise = groups == cin and cg == 1 and cout == cin
 
-    if groups == 1:
-        y = np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
-    elif depthwise:
+    if depthwise:
         y = np.einsum("nhwuvc,uvc->nhwc", patches, wd[:, :, 0, :])
     else:
-        cog = cout // groups
-        y = np.empty((n, oh, ow, cout), dtype=xd.dtype)
-        for gi in range(groups):
-            y[..., gi * cog:(gi + 1) * cog] = np.tensordot(
-                patches[..., gi * cg:(gi + 1) * cg],
-                wd[..., gi * cog:(gi + 1) * cog], axes=([3, 4, 5], [0, 1, 2]))
+        y = np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cg * cout)
@@ -131,23 +121,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        if groups == 1:
-            dw = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
-            dpatch = np.tensordot(g, wd, axes=([3], [3]))
-        elif depthwise:
+        if depthwise:
             dw = np.einsum("nhwuvc,nhwc->uvc", patches, g)[:, :, None, :]
             dpatch = g[:, :, :, None, None, :] * wd[None, None, None, :, :, 0, :]
         else:
-            cog = cout // groups
-            dw = np.empty_like(wd)
-            dpatch = np.empty((n, oh, ow, kh, kw, cin), dtype=g.dtype)
-            for gi in range(groups):
-                gsl = g[..., gi * cog:(gi + 1) * cog]
-                dw[..., gi * cog:(gi + 1) * cog] = np.tensordot(
-                    patches[..., gi * cg:(gi + 1) * cg], gsl,
-                    axes=([0, 1, 2], [0, 1, 2]))
-                dpatch[..., gi * cg:(gi + 1) * cg] = np.tensordot(
-                    gsl, wd[..., gi * cog:(gi + 1) * cog], axes=([3], [3]))
+            dw = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
+            dpatch = np.tensordot(g, wd, axes=([3], [3]))
         gxp = _scatter_windows(dpatch, xp.shape, stride, dilation)
         dx = gxp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wdt, :]
         if b is None:
@@ -287,16 +266,22 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
                   lambda g: (g * np.where(xd > 0, 1.0, alpha).astype(xd.dtype),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign so exp never overflows. Saturated outputs are pulled one
-    # ulp inside (0,1): downstream contracts treat the interval as open, and
-    # y*(1-y) then stays a truthful (tiny) slope instead of exactly zero.
-    xd = x.data
-    y = np.empty_like(xd)
+def _logistic(xd: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), split by sign so exp never overflows."""
+    s = np.empty_like(xd)
     pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+    s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    # Saturated outputs are pulled one ulp inside (0,1): downstream contracts
+    # treat the interval as open, and y*(1-y) then stays a truthful (tiny)
+    # slope instead of exactly zero.
+    xd = x.data
+    y = _logistic(xd)
     one = xd.dtype.type(1.0)
     np.clip(y, np.finfo(xd.dtype).tiny, np.nextafter(one, one * 0), out=y)
     guard_finite("sigmoid", y)
@@ -307,11 +292,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     xd = x.data
-    s = np.empty_like(xd)
-    pos = xd >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    s = _logistic(xd)
     y = xd * s
     guard_finite("swish", y)
     out = Tensor(y)
@@ -336,6 +317,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # pooling and resampling
 
 
+def _tie_split(x: np.ndarray, extreme: np.ndarray, axis):
+    """Backward of a max or min over `axis`, `extreme` kept with its reduced
+    axes: the gradient is split evenly among the inputs that tie for the
+    extreme, which on distinct values is plain argmax routing."""
+    mask = x == extreme
+    counts = mask.sum(axis=axis, keepdims=True).astype(x.dtype)
+    return lambda g: mask * (g / counts)
+
+
 def pool_global(x: Tensor, kind: str) -> Tensor:
     """Whole-image pooling per channel: (N, H, W, C) -> (N, 1, 1, C)."""
     _require(x.ndim == 4, "pool_global", f"input must be NHWC, got ndim {x.ndim}")
@@ -349,12 +339,10 @@ def pool_global(x: Tensor, kind: str) -> Tensor:
         return record("pool_global", out, (x,),
                       lambda g: (np.broadcast_to(g / (h * w), xd.shape),))
     y = xd.max(axis=(1, 2), keepdims=True)
-    mask = xd == y
-    counts = mask.sum(axis=(1, 2), keepdims=True).astype(xd.dtype)
+    route = _tie_split(xd, y, (1, 2))
     guard_finite("pool_global", y)
     out = Tensor(y)
-    # Ties split the gradient; on distinct values this is plain argmax routing.
-    return record("pool_global", out, (x,), lambda g: (mask * (g / counts),))
+    return record("pool_global", out, (x,), lambda g: (route(g),))
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
@@ -372,9 +360,8 @@ def pool_channel(x: Tensor, kind: str) -> Tensor:
         bwd = lambda g: (np.broadcast_to(g, xd.shape),)
     else:
         y = xd.max(axis=3, keepdims=True) if kind == "max" else xd.min(axis=3, keepdims=True)
-        mask = xd == y
-        counts = mask.sum(axis=3, keepdims=True).astype(xd.dtype)
-        bwd = lambda g: (mask * (g / counts),)
+        route = _tie_split(xd, y, 3)
+        bwd = lambda g: (route(g),)
     guard_finite("pool_channel", y)
     out = Tensor(y)
     return record("pool_channel", out, (x,), bwd)
@@ -388,16 +375,11 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
              f"extent ({h}, {w}) not divisible by window {size}")
     xr = x.data.reshape(n, h // size, size, w // size, size, c)
     y = xr.max(axis=(2, 4))
-    mask = xr == y[:, :, None, :, None, :]
-    counts = mask.sum(axis=(2, 4), keepdims=True).astype(xr.dtype)
+    route = _tie_split(xr, y[:, :, None, :, None, :], (2, 4))
     guard_finite("max_pool2d", y)
     out = Tensor(y)
-
-    def bwd(g):
-        spread = mask * (g[:, :, None, :, None, :] / counts)
-        return (spread.reshape(n, h, w, c),)
-
-    return record("max_pool2d", out, (x,), bwd)
+    return record("max_pool2d", out, (x,),
+                  lambda g: (route(g[:, :, None, :, None, :]).reshape(n, h, w, c),))
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
@@ -622,14 +604,6 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(y, dtype=x.dtype))
     return record("reduce_sum", out, (x,),
                   lambda g: (np.broadcast_to(g, x.shape),))
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    y = x.data.mean()
-    guard_finite("reduce_mean", y)
-    out = Tensor(np.asarray(y, dtype=x.dtype))
-    return record("reduce_mean", out, (x,),
-                  lambda g: (np.broadcast_to(g / x.size, x.shape),))
 
 
 # ---------------------------------------------------------------------------

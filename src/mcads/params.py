@@ -24,12 +24,6 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def he_uniform_init(shape, fan_in: int, rng_seed: int) -> Tensor:
-    """He-uniform sample on [-sqrt(6/fan_in), +sqrt(6/fan_in)], seeded."""
-    rng = np.random.default_rng(rng_seed)
-    return Tensor(he_uniform(shape, fan_in, rng))
-
-
 class Parameter(Tensor):
     """A named tensor with Adam state. Non-trainable parameters (BN running
     stats) are carried for checkpointing but never receive gradients."""

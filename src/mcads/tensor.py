@@ -101,9 +101,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         flags = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flags})"
@@ -131,9 +128,6 @@ class Tape:
 
     def __len__(self):
         return len(self._nodes)
-
-    def ops(self):
-        return [node.op for node in self._nodes]
 
     def clear(self):
         self._nodes.clear()

@@ -276,20 +276,18 @@ def test_09_attention_invariants():
     rng = np.random.default_rng(91)
     skip = Tensor(rng.normal(size=(2, 8, 8, 3)).astype(np.float32))
     up = Tensor(rng.normal(size=(2, 8, 8, 4)).astype(np.float32))
-    fusion(skip, up, False)
-    rows = fusion.last_attention.sum(axis=-1)
+    xbar = ops.concat((fusion.chain(skip, False), up), axis=3)
+    att, _ = fusion.attend(xbar, False)
+    rows = att.data.sum(axis=-1)
     assert np.max(np.abs(rows - 1.0)) < 1e-6
 
     store["rlab.v.w"].data[...] = 0.0
     store["rlab.v.b"].data[...] = 0.0
     got = fusion(skip, up, False)
-    xbar = ops.concat((fusion.chain(skip, False), up), axis=3)
     assert np.array_equal(got.data, xbar.data)
 
     cam = ChannelAttention(store, "cam", 6, BlockConfig())
     sam = SpatialAttention(store, "sam", BlockConfig())
     x = Tensor(rng.normal(size=(2, 7, 7, 6)).astype(np.float32))
-    cam(x, False)
-    sam(x, False)
-    for gate in (cam.last_gate, sam.last_gate):
+    for gate in (cam.gate(x).data, sam.gate(x).data):
         assert np.all(gate > 0.0) and np.all(gate < 1.0)

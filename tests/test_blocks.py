@@ -42,9 +42,11 @@ def test_conv_block_shape():
 def test_channel_attention_gate_range_and_shape():
     store = ParameterStore(seed=2)
     cam = ChannelAttention(store, "cam", 12, CFG)
-    y = cam(t((2, 6, 6, 12), 11), train=True)
+    x = t((2, 6, 6, 12), 11)
+    y = cam(x, train=True)
     assert y.shape == (2, 6, 6, 12)
-    assert np.all(cam.last_gate > 0) and np.all(cam.last_gate < 1)
+    gate = cam.gate(x).data
+    assert np.all(gate > 0) and np.all(gate < 1)
 
 
 def test_channel_attention_zero_fc_halves_input():
@@ -59,10 +61,12 @@ def test_channel_attention_zero_fc_halves_input():
 def test_spatial_attention_gate_range():
     store = ParameterStore(seed=4)
     sam = SpatialAttention(store, "sam", CFG)
-    y = sam(t((2, 7, 7, 5), 13), train=True)
+    x = t((2, 7, 7, 5), 13)
+    y = sam(x, train=True)
     assert y.shape == (2, 7, 7, 5)
-    assert np.all(sam.last_gate > 0) and np.all(sam.last_gate < 1)
-    assert sam.last_gate.shape == (2, 7, 7, 1)  # one gate per pixel
+    gate = sam.gate(x).data
+    assert np.all(gate > 0) and np.all(gate < 1)
+    assert gate.shape == (2, 7, 7, 1)  # one gate per pixel
 
 
 def test_spatial_attention_zero_collapse_halves_input():
@@ -111,9 +115,12 @@ def test_residual_chain_parameters_independent_per_iteration():
 def test_attention_fusion_rows_sum_to_one():
     store = ParameterStore(seed=9)
     rlab = AttentionFusion(store, "rlab", 3, 4, 2, CFG)
-    y = rlab(t((2, 5, 5, 3), 17), t((2, 5, 5, 4), 18), train=True)
+    skip, up = t((2, 5, 5, 3), 17), t((2, 5, 5, 4), 18)
+    y = rlab(skip, up, train=True)
     assert y.shape == (2, 5, 5, 7)
-    rows = rlab.last_attention.sum(axis=-1)
+    xbar = ops.concat((rlab.chain(skip, train=True), up), axis=3)
+    att, _ = rlab.attend(xbar, train=True)
+    rows = att.data.sum(axis=-1)
     np.testing.assert_allclose(rows, np.ones_like(rows), atol=1e-6)
 
 
@@ -131,10 +138,13 @@ def test_attention_fusion_token_cap_pools_tokens():
     cfg = BlockConfig(attention_token_cap=16)
     store = ParameterStore(seed=11)
     rlab = AttentionFusion(store, "rlab", 2, 2, 1, cfg)
-    y = rlab(t((1, 8, 8, 2), 21), t((1, 8, 8, 2), 22), train=True)
+    skip, up = t((1, 8, 8, 2), 21), t((1, 8, 8, 2), 22)
+    y = rlab(skip, up, train=True)
     assert y.shape == (1, 8, 8, 4)
-    assert rlab.last_attention.shape == (1, 16, 16)  # 64 tokens pooled 2x2
-    rows = rlab.last_attention.sum(axis=-1)
+    xbar = ops.concat((rlab.chain(skip, train=True), up), axis=3)
+    att, _ = rlab.attend(xbar, train=True)
+    assert att.shape == (1, 16, 16)  # 64 tokens pooled 2x2
+    rows = att.data.sum(axis=-1)
     np.testing.assert_allclose(rows, np.ones_like(rows), atol=1e-6)
 
 

@@ -53,6 +53,29 @@ def test_bad_set_override_exits_1(desk_json, capsys):
     assert code == 1
 
 
+def test_non_numeric_value_exits_1_before_training(desk_json, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, err = run(["train", "--config", desk_json, "--set", "train.lr=abc",
+                        "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert "train.lr" in err
+    assert not out_dir.exists()
+
+
+def test_tuple_length_change_exits_1(capsys):
+    code, _, err = run(["summary", "--no-macs",
+                        "--set", "model.decoder.rlab_iterations=[1,1]"], capsys)
+    assert code == 1
+    assert "model.decoder.rlab_iterations" in err
+
+
+def test_unknown_upsampler_kind_exits_1(capsys):
+    code, _, err = run(["summary", "--no-macs",
+                        "--set", "model.decoder.upsampler.s1=foo"], capsys)
+    assert code == 1
+    assert "upsampler" in err and "'s1'" in err
+
+
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     code, _, _ = run(["predict", "--config", desk_json,
                       "--checkpoint", str(tmp_path / "nope.mct"),

@@ -71,6 +71,41 @@ def test_loss_backward_reaches_all_trainables():
     assert missing == []
 
 
+def _model_objects(root):
+    """Every mcads object with attributes reachable from `root`: the model,
+    its encoder and decoder, every block, configs and the store."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("mcads.") and hasattr(obj, "__dict__"):
+            found.append(obj)
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_forward_leaves_blocks_unchanged():
+    # blocks are pure functions of (input, train flag): a forward pass may
+    # update parameter arrays (BN running stats) but binds no attribute
+    model = small_model()
+    objects = _model_objects(model)
+    assert any(type(o).__name__ == "AttentionFusion" for o in objects)
+    for train in (True, False):
+        before = [dict(vars(o)) for o in objects]
+        model.forward(image_batch(), train=train)
+        for obj, attrs in zip(objects, before):
+            now = vars(obj)
+            assert now.keys() == attrs.keys(), type(obj).__name__
+            changed = [k for k, v in attrs.items() if now[k] is not v]
+            assert changed == [], (type(obj).__name__, changed)
+
+
 def test_upsampler_map_validation():
     with pytest.raises(ValueError, match="missing stages"):
         DecoderConfig(upsampler={"bridge": "dsub"}).kinds()

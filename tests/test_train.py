@@ -194,17 +194,6 @@ def test_predict_shape_and_open_range(tmp_path):
     assert np.all(prob > 0.0) and np.all(prob < 1.0)
 
 
-def test_predict_threading_matches_serial(tmp_path):
-    cfg = tiny_run(tmp_path)
-    model = tiny_model(cfg)
-    image = np.random.default_rng(1).uniform(0, 1, (96, 96, 3)).astype(np.float32)
-    serial = predict_probabilities(model, image, patch=32, stride=32,
-                                   batch=2, threads=1)
-    threaded = predict_probabilities(model, image, patch=32, stride=32,
-                                     batch=2, threads=3)
-    assert np.array_equal(serial, threaded)
-
-
 def test_predict_batch_size_does_not_change_result(tmp_path):
     cfg = tiny_run(tmp_path)
     model = tiny_model(cfg)
