@@ -14,7 +14,7 @@ from mcads.tensor import Tape, Tensor, backward
 x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 y = ops.sigmoid(x)
 print("sigmoid:", np.round(y.data, 4))
-print("recorded nodes without a tape:", y.node_id)
+print("tape that recorded y:", y.tape)
 
 # With a tape, every primitive appends a backward closure. backward()
 # replays them in reverse and fills .grad.

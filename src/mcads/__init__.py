@@ -1,7 +1,6 @@
 """Encoder-decoder segmentation network on a minimal numpy autodiff core."""
 
-from .tensor import (NumericError, Tape, Tensor, backward, count_macs,
-                     set_finite_guard)
+from .tensor import NumericError, Tape, Tensor, backward, count_macs
 from .params import (CheckpointMismatch, Parameter, ParameterStore, adam_step,
                      load_checkpoint, save_checkpoint)
 from .blocks import BlockConfig
@@ -13,8 +12,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericError", "Tape", "Tensor", "backward", "count_macs",
-    "set_finite_guard", "CheckpointMismatch", "Parameter", "ParameterStore",
-    "adam_step", "load_checkpoint", "save_checkpoint", "BlockConfig",
-    "Encoder", "EncoderConfig", "Decoder", "DecoderConfig",
-    "SegmentationOutput", "ModelConfig", "SegmentationModel", "__version__",
+    "CheckpointMismatch", "Parameter", "ParameterStore", "adam_step",
+    "load_checkpoint", "save_checkpoint", "BlockConfig", "Encoder",
+    "EncoderConfig", "Decoder", "DecoderConfig", "SegmentationOutput",
+    "ModelConfig", "SegmentationModel", "__version__",
 ]

@@ -78,7 +78,8 @@ def _apply_dict(obj, data: dict, path: str):
     """Assign `data` onto dataclass `obj`, rejecting unknown keys and values
     of the wrong kind for the field's declared type: non-booleans for a
     bool, non-numbers for a number (an int is fine for a float), and lists
-    that change a tuple's length."""
+    that change a tuple's length or hold anything but integers (every
+    tuple in the tree is per-stage counts or widths)."""
     hints = typing.get_type_hints(type(obj))
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
@@ -107,6 +108,9 @@ def _apply_dict(obj, data: dict, path: str):
             if isinstance(current, tuple) and len(value) != len(current):
                 raise ConfigError(f"'{where}' needs {len(current)} values, "
                                   f"got {len(value)}")
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+                raise ConfigError(f"'{where}' must hold integers, "
+                                  f"got {json.dumps(value)}")
             value = tuple(value)
         elif isinstance(current, dict) and isinstance(value, dict):
             bad = set(value) - set(current)
@@ -153,8 +157,23 @@ def load_config(path: str | None = None, overrides=(),
             node = node.setdefault(part, {})
         node[parts[-1]] = value
         _apply_dict(cfg, tree, "")
-    try:
-        cfg.model.decoder.kinds()
-    except ValueError as e:
-        raise ConfigError(f"model.decoder.upsampler: {e}") from None
+    for key, check in (("model.encoder", cfg.model.encoder.mids),
+                       ("model.decoder.upsampler", cfg.model.decoder.kinds)):
+        try:
+            check()
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
+    _check_data(cfg.data)
     return cfg
+
+
+def _check_data(d: DataSettings) -> None:
+    """Patch and synthetic-image extents must survive the encoder's five 2x
+    pools, and the patch lattice needs a stride in 1..patch."""
+    for key, extent in (("data.patch", d.patch), ("data.synth_hw", d.synth_hw)):
+        if extent <= 0 or extent % 32:
+            raise ConfigError(f"'{key}' must be a positive multiple of 32, "
+                              f"got {extent}")
+    if not 1 <= d.stride <= d.patch:
+        raise ConfigError(f"'data.stride' must be in 1..data.patch "
+                          f"({d.patch}), got {d.stride}")

@@ -32,9 +32,18 @@ class EncoderConfig:
     input_channels: int = 3
 
     def mids(self):
+        """Per-stage mid widths, after checking every per-stage tuple has
+        six entries (raises ValueError otherwise)."""
         if self.stage_mid_filters is not None:
-            return tuple(self.stage_mid_filters)
-        return tuple(max(f // 2, 1) for f in self.stage_filters)
+            mids = tuple(self.stage_mid_filters)
+        else:
+            mids = tuple(max(f // 2, 1) for f in self.stage_filters)
+        if not (len(self.stage_filters) == len(self.rsu_depths) == len(mids) == 6):
+            raise ValueError("encoder config needs six stages, got "
+                             f"{len(self.stage_filters)} stage_filters, "
+                             f"{len(self.rsu_depths)} rsu_depths and "
+                             f"{len(mids)} mid widths")
+        return mids
 
 
 class _ConvUnit:
@@ -144,8 +153,6 @@ class Encoder:
         filters = tuple(cfg.stage_filters)
         depths = tuple(cfg.rsu_depths)
         mids = cfg.mids()
-        if not (len(filters) == len(depths) == len(mids) == 6):
-            raise ValueError("encoder config needs six stages")
         names = ["s1", "s2", "s3", "s4", "s5", "bridge"]
         self.stages = []
         cin = cfg.input_channels

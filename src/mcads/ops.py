@@ -1,10 +1,11 @@
 """Differentiable primitives over channels-last numpy tensors.
 
-Each op computes eagerly, checks the result for non-finite values, and (when
-a Tape is active and an input is tracked) records a closure that maps the
-output gradient to per-input gradients. Convolutions go through an
-im2col-style strided window view feeding one BLAS contraction; their input
-gradients scatter back with a kh*kw loop over strided slices.
+Each op computes eagerly and returns through _emit, which checks the result
+for non-finite values and (when a Tape is active and an input is tracked)
+records a closure that maps the output gradient to per-input gradients.
+Convolutions go through an im2col-style strided window view feeding one
+BLAS contraction; their input gradients scatter back with a kh*kw loop over
+strided slices.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _emit(op: str, y: np.ndarray, inputs, backward) -> Tensor:
+    """The one exit of every op that computes values: guard, wrap, record.
+
+    Layout ops (reshape and friends) only move values an earlier op already
+    checked, so they call record directly. `record` is looked up in this
+    module's globals at call time, so a wrapper swapped in for ops.record
+    sees every op.
+    """
+    guard_finite(op, y)
+    return record(op, Tensor(y), inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +129,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cg * cout)
-    guard_finite("conv2d", y)
-    out = Tensor(y)
-    inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         if depthwise:
@@ -133,7 +143,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))
 
-    return record("conv2d", out, inputs, bwd)
+    return _emit("conv2d", y, (x, w) if b is None else (x, w, b), bwd)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
@@ -174,9 +184,6 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cin * cout)
-    guard_finite("conv2d_transpose", y)
-    out = Tensor(y)
-    inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         dwf = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
@@ -188,7 +195,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
             return dx, dw
         return dx, dw, g.sum(axis=(0, 1, 2))
 
-    return record("conv2d_transpose", out, inputs, bwd)
+    return _emit("conv2d_transpose", y, (x, w) if b is None else (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +227,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         ivar = 1.0 / np.sqrt(var + eps)
         xhat = (xd - mu) * ivar
         y = gamma.data * xhat + beta.data
-        guard_finite("batch_norm", y)
-        out = Tensor(y)
 
         def bwd(g):
             dbeta = g.sum(axis=axes)
@@ -232,18 +237,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                          - xhat * (dxhat * xhat).mean(axis=axes))
             return dx, dgamma, dbeta
 
-        return record("batch_norm", out, (x, gamma, beta), bwd)
+        return _emit("batch_norm", y, (x, gamma, beta), bwd)
 
     ivar = 1.0 / np.sqrt(running_var.data + eps)
     xhat = (xd - running_mean.data) * ivar
     y = gamma.data * xhat + beta.data
-    guard_finite("batch_norm", y)
-    out = Tensor(y)
 
     def bwd_infer(g):
         return g * (gamma.data * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return record("batch_norm", out, (x, gamma, beta), bwd_infer)
+    return _emit("batch_norm", y, (x, gamma, beta), bwd_infer)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +255,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0)
-    guard_finite("relu", y)
-    out = Tensor(y)
-    return record("relu", out, (x,), lambda g: (g * (x.data > 0),))
+    return _emit("relu", y, (x,), lambda g: (g * (x.data > 0),))
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     xd = x.data
     y = np.where(xd > 0, xd, alpha * xd)
-    guard_finite("leaky_relu", y)
-    out = Tensor(y)
-    return record("leaky_relu", out, (x,),
-                  lambda g: (g * np.where(xd > 0, 1.0, alpha).astype(xd.dtype),))
+    return _emit("leaky_relu", y, (x,),
+                 lambda g: (g * np.where(xd > 0, 1.0, alpha).astype(xd.dtype),))
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -284,9 +283,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y = _logistic(xd)
     one = xd.dtype.type(1.0)
     np.clip(y, np.finfo(xd.dtype).tiny, np.nextafter(one, one * 0), out=y)
-    guard_finite("sigmoid", y)
-    out = Tensor(y)
-    return record("sigmoid", out, (x,), lambda g: (g * y * (1.0 - y),))
+    return _emit("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def swish(x: Tensor) -> Tensor:
@@ -294,23 +291,18 @@ def swish(x: Tensor) -> Tensor:
     xd = x.data
     s = _logistic(xd)
     y = xd * s
-    guard_finite("swish", y)
-    out = Tensor(y)
-    return record("swish", out, (x,),
-                  lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
+    return _emit("swish", y, (x,), lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    guard_finite("softmax", y)
-    out = Tensor(y)
 
     def bwd(g):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    return record("softmax", out, (x,), bwd)
+    return _emit("softmax", y, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +326,11 @@ def pool_global(x: Tensor, kind: str) -> Tensor:
     n, h, w, c = xd.shape
     if kind == "avg":
         y = xd.mean(axis=(1, 2), keepdims=True)
-        guard_finite("pool_global", y)
-        out = Tensor(y)
-        return record("pool_global", out, (x,),
-                      lambda g: (np.broadcast_to(g / (h * w), xd.shape),))
+        return _emit("pool_global", y, (x,),
+                     lambda g: (np.broadcast_to(g / (h * w), xd.shape),))
     y = xd.max(axis=(1, 2), keepdims=True)
     route = _tie_split(xd, y, (1, 2))
-    guard_finite("pool_global", y)
-    out = Tensor(y)
-    return record("pool_global", out, (x,), lambda g: (route(g),))
+    return _emit("pool_global", y, (x,), lambda g: (route(g),))
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
@@ -362,9 +350,7 @@ def pool_channel(x: Tensor, kind: str) -> Tensor:
         y = xd.max(axis=3, keepdims=True) if kind == "max" else xd.min(axis=3, keepdims=True)
         route = _tie_split(xd, y, 3)
         bwd = lambda g: (route(g),)
-    guard_finite("pool_channel", y)
-    out = Tensor(y)
-    return record("pool_channel", out, (x,), bwd)
+    return _emit("pool_channel", y, (x,), bwd)
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -376,10 +362,8 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     xr = x.data.reshape(n, h // size, size, w // size, size, c)
     y = xr.max(axis=(2, 4))
     route = _tie_split(xr, y[:, :, None, :, None, :], (2, 4))
-    guard_finite("max_pool2d", y)
-    out = Tensor(y)
-    return record("max_pool2d", out, (x,),
-                  lambda g: (route(g[:, :, None, :, None, :]).reshape(n, h, w, c),))
+    return _emit("max_pool2d", y, (x,),
+                 lambda g: (route(g[:, :, None, :, None, :]).reshape(n, h, w, c),))
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
@@ -390,8 +374,6 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
              f"extent ({h}, {w}) not divisible by factor {factor}")
     xr = x.data.reshape(n, h // factor, factor, w // factor, factor, c)
     y = xr.mean(axis=(2, 4))
-    guard_finite("avg_pool2d", y)
-    out = Tensor(y)
     scale_ = 1.0 / (factor * factor)
 
     def bwd(g):
@@ -399,7 +381,7 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
                                (n, h // factor, factor, w // factor, factor, c))
         return (gexp.reshape(n, h, w, c),)
 
-    return record("avg_pool2d", out, (x,), bwd)
+    return _emit("avg_pool2d", y, (x,), bwd)
 
 
 def _bilinear_axis(out_len: int, in_len: int, factor: int, dtype):
@@ -429,8 +411,6 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     wx1 = fx[None, None, :, None]
     rows = xd[:, i0, :, :] * wy0 + xd[:, i1, :, :] * wy1
     y = rows[:, :, j0, :] * wx0 + rows[:, :, j1, :] * wx1
-    guard_finite("bilinear_upsample", y)
-    out = Tensor(y)
 
     def bwd(g):
         drows = np.zeros((n, oh, w, c), dtype=g.dtype)
@@ -441,7 +421,7 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
         np.add.at(dx, (slice(None), i1), drows * wy1)
         return (dx,)
 
-    return record("bilinear_upsample", out, (x,), bwd)
+    return _emit("bilinear_upsample", y, (x,), bwd)
 
 
 def _d2s(arr: np.ndarray, block: int) -> np.ndarray:
@@ -464,9 +444,8 @@ def depth_to_space(x: Tensor, block: int) -> Tensor:
     _require(x.ndim == 4, "depth_to_space", f"input must be NHWC, got ndim {x.ndim}")
     _require(x.shape[3] % (block * block) == 0, "depth_to_space",
              f"channels {x.shape[3]} not divisible by block^2 {block * block}")
-    y = _d2s(x.data, block)
-    out = Tensor(y)
-    return record("depth_to_space", out, (x,), lambda g: (_s2d(g, block),))
+    return record("depth_to_space", Tensor(_d2s(x.data, block)), (x,),
+                  lambda g: (_s2d(g, block),))
 
 
 def space_to_depth(x: Tensor, block: int) -> Tensor:
@@ -474,9 +453,8 @@ def space_to_depth(x: Tensor, block: int) -> Tensor:
     _require(x.ndim == 4, "space_to_depth", f"input must be NHWC, got ndim {x.ndim}")
     _require(x.shape[1] % block == 0 and x.shape[2] % block == 0, "space_to_depth",
              f"extent {x.shape[1:3]} not divisible by block {block}")
-    y = _s2d(x.data, block)
-    out = Tensor(y)
-    return record("space_to_depth", out, (x,), lambda g: (_d2s(g, block),))
+    return record("space_to_depth", Tensor(_s2d(x.data, block)), (x,),
+                  lambda g: (_d2s(g, block),))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +474,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         y = y + b.data
     add_macs(x.size // x.shape[-1] * w.shape[0] * w.shape[1])
-    guard_finite("dense", y)
-    out = Tensor(y)
-    inputs = (x, w) if b is None else (x, w, b)
     lead = tuple(range(x.ndim - 1))
 
     def bwd(g):
@@ -508,7 +483,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             return dx, dw
         return dx, dw, g.sum(axis=lead)
 
-    return record("dense", out, inputs, bwd)
+    return _emit("dense", y, (x, w) if b is None else (x, w, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -526,53 +501,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     for s in a.shape[:-2]:
         batch *= s
     add_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
-    guard_finite("matmul", y)
-    out = Tensor(y)
 
     def bwd(g):
         da = g @ np.swapaxes(b.data, -1, -2)
         db = np.swapaxes(a.data, -1, -2) @ g
         return da, db
 
-    return record("matmul", out, (a, b), bwd)
+    return _emit("matmul", y, (a, b), bwd)
 
 
 def swap_last2(x: Tensor) -> Tensor:
     """Transpose the trailing two axes (key transpose in attention)."""
     _require(x.ndim >= 2, "swap_last2", "operand must be rank >= 2")
-    y = np.swapaxes(x.data, -1, -2)
-    out = Tensor(y)
-    return record("swap_last2", out, (x,),
+    return record("swap_last2", Tensor(np.swapaxes(x.data, -1, -2)), (x,),
                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("add", a, b)
-    y = a.data + b.data
-    guard_finite("add", y)
-    out = Tensor(y)
-    return record("add", out, (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _emit("add", a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with broadcasting; covers (N,1,1,C) channel gates
     and (N,H,W,1) spatial gates."""
     _same_dtype("mul", a, b)
-    y = a.data * b.data
-    guard_finite("mul", y)
-    out = Tensor(y)
-    return record("mul", out, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.shape),
-                             _unbroadcast(g * a.data, b.shape)))
+    return _emit("mul", a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.shape),
+                            _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar (attention's 1/sqrt(d_k) and friends)."""
-    y = x.data * x.dtype.type(s)
-    guard_finite("scale", y)
-    out = Tensor(y)
-    return record("scale", out, (x,), lambda g: (g * x.dtype.type(s),))
+    return _emit("scale", x.data * x.dtype.type(s), (x,),
+                 lambda g: (g * x.dtype.type(s),))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -580,30 +543,23 @@ def concat(tensors, axis: int) -> Tensor:
     _require(len(tensors) >= 1, "concat", "needs at least one tensor")
     _same_dtype("concat", *tensors)
     y = np.concatenate([t.data for t in tensors], axis=axis)
-    guard_finite("concat", y)
-    out = Tensor(y)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return record("concat", out, tensors, bwd)
+    return _emit("concat", y, tensors, bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    y = x.data.reshape(shape)
-    out = Tensor(y)
-    return record("reshape", out, (x,), lambda g: (g.reshape(x.shape),))
+    return record("reshape", Tensor(x.data.reshape(tuple(shape))), (x,),
+                  lambda g: (g.reshape(x.shape),))
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    y = x.data.sum()
-    guard_finite("reduce_sum", y)
-    out = Tensor(np.asarray(y, dtype=x.dtype))
-    return record("reduce_sum", out, (x,),
-                  lambda g: (np.broadcast_to(g, x.shape),))
+    return _emit("reduce_sum", np.asarray(x.data.sum(), dtype=x.dtype), (x,),
+                 lambda g: (np.broadcast_to(g, x.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +578,6 @@ def bce_loss(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
     p = np.clip(pred.data, eps, 1.0 - eps)
     t = target.data
     y = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean()
-    guard_finite("bce_loss", y)
-    out = Tensor(np.asarray(y, dtype=pred.dtype))
     m = pred.size
     inside = (pred.data > eps) & (pred.data < 1.0 - eps)
 
@@ -631,4 +585,4 @@ def bce_loss(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
         dp = g * inside * (p - t) / (p * (1.0 - p)) / m
         return dp.astype(pred.dtype, copy=False), None
 
-    return record("bce_loss", out, (pred, target), bwd)
+    return _emit("bce_loss", np.asarray(y, dtype=pred.dtype), (pred, target), bwd)

@@ -6,11 +6,16 @@ float32 for training and float64 when checking gradients. Primitive ops
 backward closure per executed op. backward() replays those closures in
 exact reverse execution order, accumulating into .grad across fan-out, and
 clears the tape when done.
+
+The active tape and the MAC counter are context-local: ops see only the
+tape and counter opened in their own thread (or context), and a new thread
+starts with neither.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
@@ -21,24 +26,14 @@ class NumericError(ArithmeticError):
     """A primitive produced (or was handed) a non-finite value."""
 
 
-# Finiteness guard: every primitive output is checked while this is on, so a
-# NaN/Inf aborts at the op that produced it instead of surfacing later.
-_GUARD = True
-
+_TAPE = contextvars.ContextVar("mcads_tape", default=None)
 # Multiply-accumulate tally for summary reports; None when not counting.
-_MACS = None
-
-
-def set_finite_guard(enabled: bool) -> bool:
-    """Toggle per-op finiteness checking. Returns the previous setting."""
-    global _GUARD
-    previous = _GUARD
-    _GUARD = bool(enabled)
-    return previous
+_MACS = contextvars.ContextVar("mcads_macs", default=None)
 
 
 def guard_finite(op: str, arr: np.ndarray) -> None:
-    if _GUARD and not np.all(np.isfinite(arr)):
+    """Abort at the op that produced a NaN/Inf instead of surfacing later."""
+    if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -46,18 +41,18 @@ def guard_finite(op: str, arr: np.ndarray) -> None:
 def count_macs():
     """Context manager yielding a dict whose 'macs' entry accumulates
     multiply-accumulate counts from conv/dense/matmul ops executed inside."""
-    global _MACS
-    previous = _MACS
-    _MACS = {"macs": 0}
+    counter = {"macs": 0}
+    token = _MACS.set(counter)
     try:
-        yield _MACS
+        yield counter
     finally:
-        _MACS = previous
+        _MACS.reset(token)
 
 
 def add_macs(n: int) -> None:
-    if _MACS is not None:
-        _MACS["macs"] += int(n)
+    counter = _MACS.get()
+    if counter is not None:
+        counter["macs"] += int(n)
 
 
 def as_float_array(data, dtype=None) -> np.ndarray:
@@ -70,17 +65,15 @@ def as_float_array(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy array plus a gradient slot and bookkeeping for the tape."""
+    """A numpy array plus a gradient slot and the tape that recorded it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "tape_id")
+    __slots__ = ("data", "grad", "requires_grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = as_float_array(data, dtype)
         self.grad = None
         self.requires_grad = requires_grad
-        # Handle into the recording that produced this tensor, if any.
-        self.node_id = None
-        self.tape_id = None
+        self.tape = None
 
     @property
     def shape(self):
@@ -106,18 +99,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flags})"
 
 
-class _Node:
-    __slots__ = ("op", "out", "inputs", "backward")
-
-    def __init__(self, op, out, inputs, backward):
-        self.op = op
-        self.out = out
-        self.inputs = inputs
-        self.backward = backward
-
-
 class Tape:
-    """Ordered record of executed primitives.
+    """Ordered record of executed primitives as (out, inputs, backward).
 
     Use as a context manager; ops executed inside record themselves when any
     input requires a gradient. A tape is single-use: backward() consumes it.
@@ -125,6 +108,7 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
+        self._tokens = []
 
     def __len__(self):
         return len(self._nodes)
@@ -133,38 +117,27 @@ class Tape:
         self._nodes.clear()
 
     def __enter__(self):
-        _TAPES.append(self)
+        self._tokens.append(_TAPE.set(self))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
-        assert popped is self
+        _TAPE.reset(self._tokens.pop())
         return False
 
 
-_TAPES: list[Tape] = []
-
-
-def active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
-
-
 def record(op: str, out: Tensor, inputs, backward) -> Tensor:
-    """Register one executed primitive on the active tape.
+    """Register one executed primitive `op` on the active tape.
 
     `backward` maps the output gradient to a tuple of per-input gradients
     (None for inputs that get nothing). No-op unless a tape is active and
     some input is tracked.
     """
-    tape = active_tape()
-    if tape is None:
-        return out
-    if not any(t.requires_grad for t in inputs):
+    tape = _TAPE.get()
+    if tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
-    out.tape_id = id(tape)
-    out.node_id = len(tape._nodes)
-    tape._nodes.append(_Node(op, out, tuple(inputs), backward))
+    out.tape = tape
+    tape._nodes.append((out, tuple(inputs), backward))
     return out
 
 
@@ -176,15 +149,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.tape_id != id(tape) or loss.node_id is None:
+    if loss.tape is not tape:
         raise ValueError("loss is not attached to this tape (detached graph)")
     loss.grad = np.ones((), dtype=loss.dtype)
-    for node in reversed(tape._nodes):
-        gout = node.out.grad
+    for out, inputs, node_backward in reversed(tape._nodes):
+        gout = out.grad
         if gout is None:
             continue
-        grads = node.backward(gout)
-        for tensor, g in zip(node.inputs, grads):
+        grads = node_backward(gout)
+        for tensor, g in zip(inputs, grads):
             if g is None or not tensor.requires_grad:
                 continue
             if tensor.grad is None:

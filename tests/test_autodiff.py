@@ -1,5 +1,7 @@
 """Tape mechanics, parameter store, Adam, checkpoints, and gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mcads.gradcheck import PRIMITIVE_TOL, check_gradients, primitive_cases
 from mcads.params import (CheckpointMismatch, Parameter, ParameterStore,
                           adam_step, he_uniform, load_checkpoint,
                           save_checkpoint)
-from mcads.tensor import Tape, Tensor, backward
+from mcads.tensor import Tape, Tensor, backward, count_macs
 
 
 def t(arr, grad=True, dtype=np.float64):
@@ -71,7 +73,28 @@ def test_tape_is_single_use():
 def test_no_tape_means_no_graph():
     x = t([1.0])
     y = ops.mul(x, x)
-    assert y.node_id is None and y.grad is None
+    assert y.tape is None and y.grad is None
+
+
+def test_tape_and_mac_counter_are_per_thread():
+    # A tape and a MAC counter opened on one thread see nothing of the ops
+    # another thread runs; the worker's own tape and counter do.
+    a = t(np.ones((2, 2)))
+    seen = {}
+
+    def worker():
+        ops.matmul(a, a)
+        with count_macs() as own_macs, Tape() as own_tape:
+            ops.matmul(a, a)
+        seen["own"] = (len(own_tape), own_macs["macs"])
+
+    with count_macs() as macs, Tape() as tape:
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert (len(tape), macs["macs"]) == (0, 0)
+    assert seen["own"] == (1, 8)
 
 
 def test_untracked_inputs_not_recorded():

@@ -76,6 +76,42 @@ def test_unknown_upsampler_kind_exits_1(capsys):
     assert "upsampler" in err and "'s1'" in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ('model.encoder.stage_filters=[1,2,3,4,5,"x"]', "model.encoder.stage_filters"),
+    ("model.decoder.rlab_iterations=[1,1,1,1,true]",
+     "model.decoder.rlab_iterations"),
+])
+def test_non_integer_tuple_element_exits_1(override, key, capsys):
+    code, _, err = run(["summary", "--no-macs", "--set", override], capsys)
+    assert code == 1
+    assert key in err
+
+
+def test_wrong_encoder_stage_count_exits_1(capsys):
+    code, _, err = run(["summary", "--no-macs",
+                        "--set", "model.encoder.stage_mid_filters=[4,4]"], capsys)
+    assert code == 1
+    assert "model.encoder" in err and "six stages" in err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["data.patch=48", "data.stride=16"], "data.patch"),
+    (["data.stride=0"], "data.stride"),
+    (["data.stride=65"], "data.stride"),
+    (["data.synth_hw=48"], "data.synth_hw"),
+])
+def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
+                                                  tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--config", desk_json, "--out", str(out_dir)]
+    for item in overrides:
+        argv += ["--set", item]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert key in err
+    assert not out_dir.exists()
+
+
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     code, _, _ = run(["predict", "--config", desk_json,
                       "--checkpoint", str(tmp_path / "nope.mct"),
