@@ -31,14 +31,15 @@ cfg.data.synth_hw = 32
 cfg.data.patch = 32
 cfg.data.stride = 32
 
-out_dir = tempfile.mkdtemp(prefix="tiny-run-")
-result = run_training(cfg, out_dir)
-print(f"ran {result.steps} steps; loss {result.final_loss:.4f}")
-print("checkpoints:", result.best_path, "and", result.last_path)
+# The run directory (two checkpoints and the CSV log) is removed on exit.
+with tempfile.TemporaryDirectory(prefix="tiny-run-") as out_dir:
+    result = run_training(cfg, out_dir)
+    print(f"ran {result.steps} steps; loss {result.final_loss:.4f}")
+    print("checkpoints:", result.best_path, "and", result.last_path)
 
-# The CSV log has one row per step: total loss plus the six head losses.
-with open(result.csv_path) as f:
-    rows = list(csv.reader(f))
+    # The CSV log has one row per step: total loss plus the six head losses.
+    with open(result.csv_path) as f:
+        rows = list(csv.reader(f))
 print("log columns:", ", ".join(rows[0]))
 for row in rows[1::5]:
     print(f"  step {row[0]:>3}  total {float(row[1]):.4f}")

@@ -19,6 +19,10 @@ import numpy as np
 from . import ops
 from .params import ParameterStore
 
+LEAKY_SLOPE = 0.01
+CAM_REDUCTION = 8  # CAM bottleneck: C -> max(C // 8, 1) -> C
+BN_EPS = 1e-3
+
 
 @dataclass
 class BlockConfig:
@@ -30,11 +34,7 @@ class BlockConfig:
     on large inputs. None disables the cap.
     """
 
-    leaky_slope: float = 0.01
-    cam_reduction: int = 8
-    rlab_key_dim: int | None = None  # None: key width = post-CB channel width
     attention_token_cap: int | None = 1024
-    bn_eps: float = 1e-3
     bn_momentum: float = 0.99
 
 
@@ -63,12 +63,11 @@ class BatchNorm:
         self.beta = store.create(f"{prefix}.beta", (c,), "zeros")
         self.mean = store.create(f"{prefix}.mean", (c,), "zeros", trainable=False)
         self.var = store.create(f"{prefix}.var", (c,), "ones", trainable=False)
-        self.eps = cfg.bn_eps
         self.momentum = cfg.bn_momentum
 
     def __call__(self, x, train: bool):
         return ops.batch_norm(x, self.gamma, self.beta, self.mean, self.var,
-                              train=train, eps=self.eps, momentum=self.momentum)
+                              train=train, eps=BN_EPS, momentum=self.momentum)
 
 
 class ConvBlock:
@@ -79,12 +78,10 @@ class ConvBlock:
         self.bn1 = BatchNorm(store, f"{prefix}.bn1", cin, cfg)
         self.pwc = Conv2d(store, f"{prefix}.pwc", 1, cin, cout)
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", cout, cfg)
-        self.slope = cfg.leaky_slope
 
     def __call__(self, x, train: bool):
-        y = ops.leaky_relu(self.bn1(self.dwc(x), train), self.slope)
-        y = ops.leaky_relu(self.bn2(self.pwc(y), train), self.slope)
-        return y
+        y = ops.leaky_relu(self.bn1(self.dwc(x), train), LEAKY_SLOPE)
+        return ops.leaky_relu(self.bn2(self.pwc(y), train), LEAKY_SLOPE)
 
 
 class DepthToSpaceUpsample:
@@ -129,11 +126,11 @@ class TransposeConvUpsample:
 class ChannelAttention:
     """CAM: gate = sigmoid(FC(swish(FC(GAP(x) + GMP(x))))), output = x * gate.
 
-    The bottleneck width is max(C // reduction, 1); both FCs carry biases.
+    The bottleneck width is max(C // CAM_REDUCTION, 1); both FCs carry biases.
     """
 
     def __init__(self, store, prefix, c: int, cfg: BlockConfig):
-        hidden = max(c // cfg.cam_reduction, 1)
+        hidden = max(c // CAM_REDUCTION, 1)
         self.w1 = store.create(f"{prefix}.fc1.w", (c, hidden), "he", fan_in=c)
         self.b1 = store.create(f"{prefix}.fc1.b", (hidden,), "zeros")
         self.w2 = store.create(f"{prefix}.fc2.w", (hidden, c), "he", fan_in=hidden)
@@ -194,12 +191,11 @@ class ResidualConvChain:
                 Conv2d(store, f"{prefix}.rb{i}.conv1", 1, c, c),
                 BatchNorm(store, f"{prefix}.rb{i}.bn", c, cfg),
             ))
-        self.slope = cfg.leaky_slope
 
     def __call__(self, x, train: bool):
         for conv3, conv1, bn in self.steps:
             y = ops.add(x, conv1(conv3(x)))
-            x = bn(ops.leaky_relu(y, self.slope), train)
+            x = bn(ops.leaky_relu(y, LEAKY_SLOPE), train)
         return x
 
 
@@ -221,7 +217,7 @@ class AttentionFusion:
 
     x_bar = concat(RB_chain(skip), up); a CB refines x_bar at constant width;
     per-pixel tokens of the refined map go through single-head scaled
-    dot-product attention (key width d_k, value width = channel width); the
+    dot-product attention (query, key and value width = channel width); the
     attention output is added back onto x_bar. Output width is therefore
     always skip_channels + up_channels.
     """
@@ -231,14 +227,12 @@ class AttentionFusion:
         self.chain = ResidualConvChain(store, prefix, skip_c, iterations, cfg)
         c = skip_c + up_c
         self.cb = ConvBlock(store, f"{prefix}.cb", c, c, cfg)
-        dk = cfg.rlab_key_dim or c
-        self.wq = store.create(f"{prefix}.q.w", (c, dk), "he", fan_in=c)
-        self.bq = store.create(f"{prefix}.q.b", (dk,), "zeros")
-        self.wk = store.create(f"{prefix}.k.w", (c, dk), "he", fan_in=c)
-        self.bk = store.create(f"{prefix}.k.b", (dk,), "zeros")
+        self.wq = store.create(f"{prefix}.q.w", (c, c), "he", fan_in=c)
+        self.bq = store.create(f"{prefix}.q.b", (c,), "zeros")
+        self.wk = store.create(f"{prefix}.k.w", (c, c), "he", fan_in=c)
+        self.bk = store.create(f"{prefix}.k.b", (c,), "zeros")
         self.wv = store.create(f"{prefix}.v.w", (c, c), "he", fan_in=c)
         self.bv = store.create(f"{prefix}.v.b", (c,), "zeros")
-        self.dk = dk
         self.cap = cfg.attention_token_cap
 
     def __call__(self, skip, up, train: bool):
@@ -266,7 +260,7 @@ class AttentionFusion:
         k = ops.dense(tokens, self.wk, self.bk)
         v = ops.dense(tokens, self.wv, self.bv)
         att = ops.softmax(ops.scale(ops.matmul(q, ops.swap_last2(k)),
-                                    1.0 / np.sqrt(self.dk)), axis=-1)
+                                    1.0 / np.sqrt(c)), axis=-1)
         o = ops.reshape(ops.matmul(att, v), (n, th, tw, c))
         if factor > 1:
             o = ops.bilinear_upsample(o, factor)

@@ -21,9 +21,8 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from . import infer, metrics, netpbm, summary
 from .config import ConfigError, load_config
-from .netpbm import NetpbmError
 from .network import SegmentationModel
-from .params import CheckpointMismatch, load_checkpoint
+from .params import load_checkpoint
 from .tensor import NumericError
 from .train import run_training
 
@@ -204,8 +203,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NetpbmError, CheckpointMismatch, FileNotFoundError, NotADirectoryError,
-            PermissionError, ValueError) as e:
+    except (OSError, ValueError) as e:  # NetpbmError, CheckpointMismatch too
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

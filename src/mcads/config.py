@@ -157,19 +157,23 @@ def load_config(path: str | None = None, overrides=(),
             node = node.setdefault(part, {})
         node[parts[-1]] = value
         _apply_dict(cfg, tree, "")
-    for key, check in (("model.encoder", cfg.model.encoder.mids),
-                       ("model.decoder.upsampler", cfg.model.decoder.kinds)):
-        try:
-            check()
-        except ValueError as e:
-            raise ConfigError(f"{key}: {e}") from None
-    _check_data(cfg.data)
+    try:
+        cfg.model.decoder.kinds()
+    except ValueError as e:
+        raise ConfigError(f"model.decoder.upsampler: {e}") from None
+    _check_ranges(cfg.train, cfg.data)
     return cfg
 
 
-def _check_data(d: DataSettings) -> None:
-    """Patch and synthetic-image extents must survive the encoder's five 2x
+def _check_ranges(t: TrainSettings, d: DataSettings) -> None:
+    """A batch needs a sample and the validation share must leave one;
+    patch and synthetic-image extents must survive the encoder's five 2x
     pools, and the patch lattice needs a stride in 1..patch."""
+    if t.batch < 1:
+        raise ConfigError(f"'train.batch' must be at least 1, got {t.batch}")
+    if not 0 <= t.val_fraction < 1:
+        raise ConfigError(f"'train.val_fraction' must be in [0, 1), "
+                          f"got {t.val_fraction}")
     for key, extent in (("data.patch", d.patch), ("data.synth_hw", d.synth_hw)):
         if extent <= 0 or extent % 32:
             raise ConfigError(f"'{key}' must be a positive multiple of 32, "

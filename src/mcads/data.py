@@ -71,19 +71,12 @@ def plan_patches(hw, patch: int = 256, stride: int = 128) -> PatchGrid:
 
 
 def reflect_pad(arr: np.ndarray, padded_hw) -> np.ndarray:
-    """Reflect-pad the two leading axes up to padded_hw.
-
-    numpy's reflect mode caps a single pad at extent-1, so ask repeatedly;
-    each pass mirrors what has accumulated so far.
-    """
-    while arr.shape[:2] != tuple(padded_hw):
-        dh = padded_hw[0] - arr.shape[0]
-        dw = padded_hw[1] - arr.shape[1]
-        th = min(dh, arr.shape[0] - 1) if arr.shape[0] > 1 else dh
-        tw = min(dw, arr.shape[1] - 1) if arr.shape[1] > 1 else dw
-        mode = "reflect" if min(arr.shape[:2]) > 1 else "edge"
-        arr = np.pad(arr, ((0, th), (0, tw), (0, 0)), mode=mode)
-    return arr
+    """Reflect-pad the two leading axes at the bottom and right up to
+    padded_hw (numpy repeats the mirror for pads beyond the extent and
+    edge-pads a 1-pixel axis)."""
+    dh = padded_hw[0] - arr.shape[0]
+    dw = padded_hw[1] - arr.shape[1]
+    return np.pad(arr, ((0, dh), (0, dw), (0, 0)), mode="reflect")
 
 
 def extract_patches(sample: Sample, grid: PatchGrid):

@@ -14,7 +14,7 @@ entry is the bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ops
 from .blocks import AttentionFusion, BatchNorm, BlockConfig, Conv2d, DualAttentionBlock
@@ -24,26 +24,18 @@ from .blocks import AttentionFusion, BatchNorm, BlockConfig, Conv2d, DualAttenti
 class EncoderConfig:
     stage_filters: tuple = (64, 128, 256, 512, 512, 512)
     rsu_depths: tuple = (7, 6, 5, 4, 4, 4)
-    # None derives mid widths as max(out // 2, 1) per stage.
-    stage_mid_filters: tuple | None = None
-    dilated_last_two: bool = True
     inner_attention: bool = True
     casab_per_stage: bool = True
     input_channels: int = 3
 
     def mids(self):
-        """Per-stage mid widths, after checking every per-stage tuple has
-        six entries (raises ValueError otherwise)."""
-        if self.stage_mid_filters is not None:
-            mids = tuple(self.stage_mid_filters)
-        else:
-            mids = tuple(max(f // 2, 1) for f in self.stage_filters)
-        if not (len(self.stage_filters) == len(self.rsu_depths) == len(mids) == 6):
+        """Per-stage mid widths max(out // 2, 1), after checking both
+        per-stage tuples have six entries (raises ValueError otherwise)."""
+        if not len(self.stage_filters) == len(self.rsu_depths) == 6:
             raise ValueError("encoder config needs six stages, got "
-                             f"{len(self.stage_filters)} stage_filters, "
-                             f"{len(self.rsu_depths)} rsu_depths and "
-                             f"{len(mids)} mid widths")
-        return mids
+                             f"{len(self.stage_filters)} stage_filters and "
+                             f"{len(self.rsu_depths)} rsu_depths")
+        return tuple(max(f // 2, 1) for f in self.stage_filters)
 
 
 class _ConvUnit:
@@ -157,10 +149,9 @@ class Encoder:
         self.stages = []
         cin = cfg.input_channels
         for i, name in enumerate(names):
-            dilated = cfg.dilated_last_two and i >= 4
             self.stages.append(EncoderStage(
                 store, f"encoder.{name}", cin, filters[i], mids[i], depths[i],
-                dilated=dilated, inner_attention=cfg.inner_attention,
+                dilated=i >= 4, inner_attention=cfg.inner_attention,
                 casab=cfg.casab_per_stage, cfg=block_cfg))
             cin = filters[i]
         self.input_channels = cfg.input_channels

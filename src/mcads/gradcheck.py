@@ -15,6 +15,8 @@ rejects wrong gradients.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import ops
@@ -98,278 +100,151 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _t(arr, grad=True):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+def _t(arr):
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
 
-def _signed(rng, shape, lo=0.1, hi=1.2):
+# Input draws: each maps a generator to an array (a differentiable input)
+# or to a Tensor (a constant input such as running stats or a target).
+
+def _normal(*shape, scale=1.0):
+    return lambda rng: rng.normal(size=shape) * scale
+
+
+def _signed(*shape):
     """Values bounded away from zero: safe for relu-family kinks."""
-    mag = rng.uniform(lo, hi, size=shape)
-    return mag * rng.choice([-1.0, 1.0], size=shape)
+    def draw(rng):
+        mag = rng.uniform(0.1, 1.2, size=shape)
+        return mag * rng.choice([-1.0, 1.0], size=shape)
+    return draw
 
 
-def _distinct(rng, shape):
+def _distinct(*shape):
     """All-distinct values: safe for max/min pooling argmax routing."""
-    n = int(np.prod(shape))
-    vals = rng.permutation(n).astype(np.float64) / n + rng.uniform(0, 1e-4)
-    return vals.reshape(shape)
+    def draw(rng):
+        n = int(np.prod(shape))
+        vals = rng.permutation(n).astype(np.float64) / n + rng.uniform(0, 1e-4)
+        return vals.reshape(shape)
+    return draw
 
 
-def _probe_loss(y, probe):
-    return ops.reduce_sum(ops.mul(y, probe))
+def _fixed(draw):
+    return lambda rng: Tensor(draw(rng), dtype=np.float64)
 
 
-def _probe_for(shape, seed):
-    return Tensor(_rng(seed).normal(size=shape), requires_grad=False,
-                  dtype=np.float64)
-
-
-def _unary_case(shape, op, seed, signed=False, distinct=False):
-    rng = _rng(seed)
-    if distinct:
-        data = _distinct(rng, shape)
-    elif signed:
-        data = _signed(rng, shape)
-    else:
-        data = rng.normal(size=shape)
-    x = _t(data)
-    probe = {}
+def _probed(forward, seed):
+    """Loss builder: the output of forward() dotted with a fixed normal
+    probe drawn from `seed`; an output that is already a scalar loss is
+    returned as is."""
+    probe = []
 
     def build():
-        y = op(x)
-        if y.shape not in probe:
-            probe[y.shape] = _probe_for(y.shape, seed + 1)
-        return _probe_loss(y, probe[y.shape])
+        y = forward()
+        if y.ndim == 0:
+            return y
+        if not probe:
+            probe.append(Tensor(_rng(seed).normal(size=y.shape), dtype=np.float64))
+        return ops.reduce_sum(ops.mul(y, probe[0]))
 
-    return build, [x]
-
-
-def _case_conv2d():
-    rng = _rng(10)
-    x = _t(rng.normal(size=(2, 5, 5, 3)))
-    w = _t(rng.normal(size=(3, 3, 3, 4)) * 0.5)
-    b = _t(rng.normal(size=(4,)) * 0.2)
-    probe = _probe_for((2, 5, 5, 4), 11)
-    return (lambda: _probe_loss(ops.conv2d(x, w, b), probe)), [x, w, b]
+    return build
 
 
-def _case_conv2d_strided():
-    rng = _rng(12)
-    x = _t(rng.normal(size=(1, 7, 6, 2)))
-    w = _t(rng.normal(size=(3, 3, 2, 3)) * 0.5)
-    probe = _probe_for((1, 3, 2, 3), 13)
-    return (lambda: _probe_loss(
-        ops.conv2d(x, w, stride=2, padding="valid"), probe)), [x, w]
-
-
-def _case_conv2d_dilated():
-    rng = _rng(14)
-    x = _t(rng.normal(size=(1, 8, 8, 2)))
-    w = _t(rng.normal(size=(3, 3, 2, 2)) * 0.5)
-    b = _t(rng.normal(size=(2,)) * 0.2)
-    probe = _probe_for((1, 8, 8, 2), 15)
-    return (lambda: _probe_loss(ops.conv2d(x, w, b, dilation=2), probe)), [x, w, b]
-
-
-def _case_conv2d_depthwise():
-    rng = _rng(16)
-    x = _t(rng.normal(size=(2, 5, 5, 4)))
-    w = _t(rng.normal(size=(3, 3, 1, 4)) * 0.5)
-    b = _t(rng.normal(size=(4,)) * 0.2)
-    probe = _probe_for((2, 5, 5, 4), 17)
-    return (lambda: _probe_loss(ops.conv2d(x, w, b, groups=4), probe)), [x, w, b]
-
-
-def _case_conv2d_transpose():
-    rng = _rng(20)
-    x = _t(rng.normal(size=(1, 3, 4, 3)))
-    w = _t(rng.normal(size=(3, 3, 2, 3)) * 0.5)
-    b = _t(rng.normal(size=(2,)) * 0.2)
-    probe = _probe_for((1, 6, 8, 2), 21)
-    return (lambda: _probe_loss(
-        ops.conv2d_transpose(x, w, b, stride=2), probe)), [x, w, b]
-
-
-def _case_batch_norm(train):
-    rng = _rng(22)
-    x = _t(rng.normal(size=(2, 4, 4, 3)) * 2.0 + 0.5)
-    gamma = _t(rng.uniform(0.5, 1.5, size=(3,)))
-    beta = _t(rng.normal(size=(3,)) * 0.3)
-    mean = Tensor(rng.normal(size=(3,)) * 0.2, dtype=np.float64)
-    var = Tensor(rng.uniform(0.5, 2.0, size=(3,)), dtype=np.float64)
-    probe = _probe_for((2, 4, 4, 3), 23)
-    return (lambda: _probe_loss(
-        ops.batch_norm(x, gamma, beta, mean, var, train=train), probe)), \
-        [x, gamma, beta]
-
-
-def _case_softmax():
-    rng = _rng(24)
-    x = _t(rng.normal(size=(3, 6)) * 2.0)
-    probe = _probe_for((3, 6), 25)
-    return (lambda: _probe_loss(ops.softmax(x, axis=-1), probe)), [x]
-
-
-def _case_bilinear(factor):
-    rng = _rng(26 + factor)
-    x = _t(rng.normal(size=(2, 3, 4, 3)))
-    probe = _probe_for((2, 3 * factor, 4 * factor, 3), 27 + factor)
-    return (lambda: _probe_loss(ops.bilinear_upsample(x, factor), probe)), [x]
-
-
-def _case_dense():
-    rng = _rng(30)
-    x = _t(rng.normal(size=(2, 3, 5)))
-    w = _t(rng.normal(size=(5, 4)) * 0.5)
-    b = _t(rng.normal(size=(4,)) * 0.2)
-    probe = _probe_for((2, 3, 4), 31)
-    return (lambda: _probe_loss(ops.dense(x, w, b), probe)), [x, w, b]
-
-
-def _case_matmul():
-    rng = _rng(32)
-    a = _t(rng.normal(size=(2, 3, 4)))
-    b = _t(rng.normal(size=(2, 4, 5)))
-    probe = _probe_for((2, 3, 5), 33)
-    return (lambda: _probe_loss(ops.matmul(a, b), probe)), [a, b]
-
-
-def _case_add_mul(which):
-    rng = _rng(34)
-    a = _t(rng.normal(size=(2, 3, 4, 5)))
-    b = _t(rng.normal(size=(2, 1, 1, 5)))
-    c = _t(rng.normal(size=(2, 3, 4, 1)))
-    probe = _probe_for((2, 3, 4, 5), 35)
-    op = ops.add if which == "add" else ops.mul
-    return (lambda: _probe_loss(op(op(a, b), c), probe)), [a, b, c]
-
-
-def _case_concat():
-    rng = _rng(36)
-    a = _t(rng.normal(size=(1, 3, 3, 2)))
-    b = _t(rng.normal(size=(1, 3, 3, 4)))
-    probe = _probe_for((1, 3, 3, 6), 37)
-    return (lambda: _probe_loss(ops.concat((a, b), axis=3), probe)), [a, b]
-
-
-def _case_bce():
-    rng = _rng(38)
-    pred = _t(rng.uniform(0.05, 0.95, size=(2, 4, 4, 1)))
-    target = Tensor(rng.integers(0, 2, size=(2, 4, 4, 1)).astype(np.float64))
-    return (lambda: ops.bce_loss(pred, target)), [pred]
+def _op_case(seed, op, *draws):
+    """op over inputs drawn in order from default_rng(seed), probed with
+    seed + 1; returns (build, differentiable inputs)."""
+    rng = _rng(seed)
+    inputs = [draw(rng) for draw in draws]
+    inputs = [x if isinstance(x, Tensor) else _t(x) for x in inputs]
+    return (_probed(lambda: op(*inputs), seed + 1),
+            [x for x in inputs if x.requires_grad])
 
 
 def primitive_cases():
     """(name, case constructor) for every differentiable primitive."""
-    return [
-        ("conv2d", _case_conv2d),
-        ("conv2d_strided_valid", _case_conv2d_strided),
-        ("conv2d_dilated", _case_conv2d_dilated),
-        ("conv2d_depthwise", _case_conv2d_depthwise),
-        ("conv2d_transpose", _case_conv2d_transpose),
-        ("batch_norm_train", lambda: _case_batch_norm(True)),
-        ("batch_norm_infer", lambda: _case_batch_norm(False)),
-        ("relu", lambda: _unary_case((2, 4, 4, 3), ops.relu, 40, signed=True)),
-        ("leaky_relu", lambda: _unary_case(
-            (2, 4, 4, 3), lambda x: ops.leaky_relu(x, 0.01), 41, signed=True)),
-        ("sigmoid", lambda: _unary_case((2, 4, 4, 3), ops.sigmoid, 42)),
-        ("swish", lambda: _unary_case((2, 4, 4, 3), ops.swish, 43)),
-        ("softmax", _case_softmax),
-        ("pool_global_avg", lambda: _unary_case(
-            (2, 4, 4, 3), lambda x: ops.pool_global(x, "avg"), 44)),
-        ("pool_global_max", lambda: _unary_case(
-            (2, 4, 4, 3), lambda x: ops.pool_global(x, "max"), 45, distinct=True)),
-        ("pool_channel_mean", lambda: _unary_case(
-            (2, 3, 3, 4), lambda x: ops.pool_channel(x, "mean"), 46)),
-        ("pool_channel_max", lambda: _unary_case(
-            (2, 3, 3, 4), lambda x: ops.pool_channel(x, "max"), 47, distinct=True)),
-        ("pool_channel_min", lambda: _unary_case(
-            (2, 3, 3, 4), lambda x: ops.pool_channel(x, "min"), 48, distinct=True)),
-        ("pool_channel_sum", lambda: _unary_case(
-            (2, 3, 3, 4), lambda x: ops.pool_channel(x, "sum"), 49)),
-        ("max_pool2d", lambda: _unary_case(
-            (2, 4, 6, 3), lambda x: ops.max_pool2d(x, 2), 50, distinct=True)),
-        ("avg_pool2d", lambda: _unary_case(
-            (2, 4, 6, 3), lambda x: ops.avg_pool2d(x, 2), 51)),
-        ("bilinear_upsample_x2", lambda: _case_bilinear(2)),
-        ("bilinear_upsample_x3", lambda: _case_bilinear(3)),
-        ("depth_to_space", lambda: _unary_case(
-            (1, 3, 3, 8), lambda x: ops.depth_to_space(x, 2), 52)),
-        ("space_to_depth", lambda: _unary_case(
-            (1, 4, 6, 3), lambda x: ops.space_to_depth(x, 2), 53)),
-        ("dense", _case_dense),
-        ("matmul", _case_matmul),
-        ("swap_last2", lambda: _unary_case((2, 3, 4), ops.swap_last2, 54)),
-        ("add_broadcast", lambda: _case_add_mul("add")),
-        ("mul_broadcast", lambda: _case_add_mul("mul")),
-        ("scale", lambda: _unary_case((2, 3, 4), lambda x: ops.scale(x, 0.37), 55)),
-        ("concat", _case_concat),
-        ("reshape", lambda: _unary_case(
-            (2, 3, 4), lambda x: ops.reshape(x, (2, 12)), 56)),
-        ("reduce_sum", lambda: (_reduce_case(ops.reduce_sum, 57))),
-        ("bce_loss", _case_bce),
+    x = _normal(2, 4, 4, 3)
+    xs = _signed(2, 4, 4, 3)
+    bn = (lambda rng: rng.normal(size=(2, 4, 4, 3)) * 2.0 + 0.5,
+          lambda rng: rng.uniform(0.5, 1.5, size=(3,)), _normal(3, scale=0.3),
+          _fixed(_normal(3, scale=0.2)),
+          _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(3,))))
+    broadcast = (_normal(2, 3, 4, 5), _normal(2, 1, 1, 5), _normal(2, 3, 4, 1))
+    rows = [
+        ("conv2d", 10, ops.conv2d, _normal(2, 5, 5, 3),
+         _normal(3, 3, 3, 4, scale=0.5), _normal(4, scale=0.2)),
+        ("conv2d_strided_valid", 12,
+         partial(ops.conv2d, stride=2, padding="valid"),
+         _normal(1, 7, 6, 2), _normal(3, 3, 2, 3, scale=0.5)),
+        ("conv2d_dilated", 14, partial(ops.conv2d, dilation=2),
+         _normal(1, 8, 8, 2), _normal(3, 3, 2, 2, scale=0.5),
+         _normal(2, scale=0.2)),
+        ("conv2d_depthwise", 16, partial(ops.conv2d, groups=4),
+         _normal(2, 5, 5, 4), _normal(3, 3, 1, 4, scale=0.5),
+         _normal(4, scale=0.2)),
+        ("conv2d_transpose", 20, partial(ops.conv2d_transpose, stride=2),
+         _normal(1, 3, 4, 3), _normal(3, 3, 2, 3, scale=0.5),
+         _normal(2, scale=0.2)),
+        ("batch_norm_train", 22, partial(ops.batch_norm, train=True), *bn),
+        ("batch_norm_infer", 22, partial(ops.batch_norm, train=False), *bn),
+        ("relu", 40, ops.relu, xs),
+        ("leaky_relu", 41, partial(ops.leaky_relu, alpha=0.01), xs),
+        ("sigmoid", 42, ops.sigmoid, x),
+        ("swish", 43, ops.swish, x),
+        ("softmax", 24, partial(ops.softmax, axis=-1), _normal(3, 6, scale=2.0)),
+        ("pool_global_avg", 44, partial(ops.pool_global, kind="avg"), x),
+        ("pool_global_max", 45, partial(ops.pool_global, kind="max"),
+         _distinct(2, 4, 4, 3)),
+        ("pool_channel_mean", 46, partial(ops.pool_channel, kind="mean"),
+         _normal(2, 3, 3, 4)),
+        ("pool_channel_max", 47, partial(ops.pool_channel, kind="max"),
+         _distinct(2, 3, 3, 4)),
+        ("pool_channel_min", 48, partial(ops.pool_channel, kind="min"),
+         _distinct(2, 3, 3, 4)),
+        ("pool_channel_sum", 49, partial(ops.pool_channel, kind="sum"),
+         _normal(2, 3, 3, 4)),
+        ("max_pool2d", 50, partial(ops.max_pool2d, size=2), _distinct(2, 4, 6, 3)),
+        ("avg_pool2d", 51, partial(ops.avg_pool2d, factor=2), _normal(2, 4, 6, 3)),
+        ("bilinear_upsample_x2", 28, partial(ops.bilinear_upsample, factor=2),
+         _normal(2, 3, 4, 3)),
+        ("bilinear_upsample_x3", 29, partial(ops.bilinear_upsample, factor=3),
+         _normal(2, 3, 4, 3)),
+        ("depth_to_space", 52, partial(ops.depth_to_space, block=2),
+         _normal(1, 3, 3, 8)),
+        ("space_to_depth", 53, partial(ops.space_to_depth, block=2),
+         _normal(1, 4, 6, 3)),
+        ("dense", 30, ops.dense, _normal(2, 3, 5), _normal(5, 4, scale=0.5),
+         _normal(4, scale=0.2)),
+        ("matmul", 32, ops.matmul, _normal(2, 3, 4), _normal(2, 4, 5)),
+        ("swap_last2", 54, ops.swap_last2, _normal(2, 3, 4)),
+        ("add_broadcast", 34, lambda a, b, c: ops.add(ops.add(a, b), c),
+         *broadcast),
+        ("mul_broadcast", 34, lambda a, b, c: ops.mul(ops.mul(a, b), c),
+         *broadcast),
+        ("scale", 55, partial(ops.scale, s=0.37), _normal(2, 3, 4)),
+        ("concat", 36, lambda a, b: ops.concat((a, b), axis=3),
+         _normal(1, 3, 3, 2), _normal(1, 3, 3, 4)),
+        ("reshape", 56, partial(ops.reshape, shape=(2, 12)), _normal(2, 3, 4)),
+        ("reduce_sum", 57, ops.reduce_sum, _normal(2, 3, 4)),
+        ("bce_loss", 38, ops.bce_loss,
+         lambda rng: rng.uniform(0.05, 0.95, size=(2, 4, 4, 1)),
+         _fixed(lambda rng: rng.integers(0, 2, size=(2, 4, 4, 1)))),
     ]
-
-
-def _reduce_case(op, seed):
-    x = _t(_rng(seed).normal(size=(2, 3, 4)))
-    return (lambda: op(x)), [x]
+    return [(name, partial(_op_case, seed, op, *draws))
+            for name, seed, op, *draws in rows]
 
 
 # ---------------------------------------------------------------------------
 # block cases
 
 
-def _block_case(make_block, in_shape, seed, *, two_inputs=False, cfg=None):
-    cfg = cfg or BlockConfig()
+def _block_case(make, seed, *shapes, args=(), cfg=None):
+    """make(store, cfg) with the store seeded by `seed`, one normal input
+    per shape from seed + 1, output probed with seed + 2."""
     store = ParameterStore(seed, np.float64)
-    block = make_block(store, cfg)
+    block = make(store, cfg or BlockConfig())
     rng = _rng(seed + 1)
-    if two_inputs:
-        skip = _t(rng.normal(size=in_shape[0]))
-        up = _t(rng.normal(size=in_shape[1]))
-        probe = {}
-
-        def build():
-            y = block(skip, up, True)
-            if y.shape not in probe:
-                probe[y.shape] = _probe_for(y.shape, seed + 2)
-            return _probe_loss(y, probe[y.shape])
-
-        tensors = [skip, up] + store.trainable_parameters()
-    else:
-        x = _t(rng.normal(size=in_shape))
-        probe = {}
-
-        def build():
-            y = block(x, True)
-            if y.shape not in probe:
-                probe[y.shape] = _probe_for(y.shape, seed + 2)
-            return _probe_loss(y, probe[y.shape])
-
-        tensors = [x] + store.trainable_parameters()
-    return build, tensors
-
-
-def _case_head():
-    store = ParameterStore(70, np.float64)
-    head = SegmentationHead(store, "head", 5, BlockConfig())
-    x = _t(_rng(71).normal(size=(1, 4, 4, 5)))
-    probe = _probe_for((1, 8, 8, 1), 72)
-    return (lambda: _probe_loss(head(x, (8, 8), True), probe)), \
-        [x] + store.trainable_parameters()
-
-
-def _case_decoder_stage():
-    store = ParameterStore(73, np.float64)
-    stage = DecoderStage(store, "d", 8, 6, 6, "dsub", 2, DecoderConfig(),
-                         BlockConfig())
-    rng = _rng(74)
-    deeper = _t(rng.normal(size=(1, 4, 4, 8)))
-    skip = _t(rng.normal(size=(1, 8, 8, 6)))
-    probe = _probe_for((1, 8, 8, 6), 75)
-    return (lambda: _probe_loss(stage(deeper, skip, True), probe)), \
-        [deeper, skip] + store.trainable_parameters()
+    inputs = [_t(rng.normal(size=shape)) for shape in shapes]
+    build = _probed(lambda: block(*inputs, *args, True), seed + 2)
+    return build, inputs + store.trainable_parameters()
 
 
 def _smooth_operating_point(store):
@@ -420,43 +295,47 @@ def _case_micro_model():
 
 
 def block_cases(include_model: bool = True):
-    cfg_small_cap = BlockConfig(attention_token_cap=16)
     cases = [
         ("conv_block", lambda: _block_case(
-            lambda s, c: ConvBlock(s, "cb", 3, 5, c), (2, 4, 4, 3), 100)),
+            lambda s, c: ConvBlock(s, "cb", 3, 5, c), 100, (2, 4, 4, 3))),
         ("dsub", lambda: _block_case(
             lambda s, c: DepthToSpaceUpsample(s, "dsub", 4, 3, c),
-            (1, 3, 3, 4), 101)),
+            101, (1, 3, 3, 4))),
         ("eub", lambda: _block_case(
             lambda s, c: BilinearUpsampleBlock(s, "eub", 4, 3, c),
-            (1, 3, 3, 4), 102)),
+            102, (1, 3, 3, 4))),
         ("convtp_upsample", lambda: _block_case(
             lambda s, c: TransposeConvUpsample(s, "tp", 4, 3, c),
-            (1, 3, 3, 4), 103)),
+            103, (1, 3, 3, 4))),
         ("cam", lambda: _block_case(
-            lambda s, c: ChannelAttention(s, "cam", 6, c), (2, 4, 4, 6), 104)),
+            lambda s, c: ChannelAttention(s, "cam", 6, c), 104, (2, 4, 4, 6))),
         ("sam", lambda: _block_case(
-            lambda s, c: SpatialAttention(s, "sam", c), (2, 5, 5, 3), 105)),
+            lambda s, c: SpatialAttention(s, "sam", c), 105, (2, 5, 5, 3))),
         ("casab", lambda: _block_case(
             lambda s, c: DualAttentionBlock(s, "casab", 4, 6, c),
-            (1, 4, 4, 4), 106)),
+            106, (1, 4, 4, 4))),
         ("residual_chain", lambda: _block_case(
-            lambda s, c: ResidualConvChain(s, "rb", 3, 2, c), (1, 4, 4, 3), 107)),
+            lambda s, c: ResidualConvChain(s, "rb", 3, 2, c), 107, (1, 4, 4, 3))),
         ("attention_fusion", lambda: _block_case(
             lambda s, c: AttentionFusion(s, "rlab", 3, 4, 1, c),
-            ((1, 4, 4, 3), (1, 4, 4, 4)), 108, two_inputs=True)),
+            108, (1, 4, 4, 3), (1, 4, 4, 4))),
         ("attention_fusion_capped", lambda: _block_case(
             lambda s, c: AttentionFusion(s, "rlabc", 2, 2, 1, c),
-            ((1, 8, 8, 2), (1, 8, 8, 2)), 109, two_inputs=True,
-            cfg=cfg_small_cap)),
-        ("segmentation_head", _case_head),
+            109, (1, 8, 8, 2), (1, 8, 8, 2),
+            cfg=BlockConfig(attention_token_cap=16))),
+        ("segmentation_head", lambda: _block_case(
+            lambda s, c: SegmentationHead(s, "head", 5, c), 70, (1, 4, 4, 5),
+            args=((8, 8),))),
         ("rsu_shallow", lambda: _block_case(
             lambda s, c: RSU(s, "rsu", 3, 6, 4, 3, dilated=False,
-                             inner_attention=True, cfg=c), (1, 8, 8, 3), 110)),
+                             inner_attention=True, cfg=c), 110, (1, 8, 8, 3))),
         ("rsu_dilated", lambda: _block_case(
             lambda s, c: RSU(s, "rsud", 3, 4, 2, 3, dilated=True,
-                             inner_attention=True, cfg=c), (1, 6, 6, 3), 111)),
-        ("decoder_stage", _case_decoder_stage),
+                             inner_attention=True, cfg=c), 111, (1, 6, 6, 3))),
+        ("decoder_stage", lambda: _block_case(
+            lambda s, c: DecoderStage(s, "d", 8, 6, 6, "dsub", 2,
+                                      DecoderConfig(), c),
+            73, (1, 4, 4, 8), (1, 8, 8, 6))),
     ]
     if include_model:
         cases.append(("micro_model", _case_micro_model))

@@ -9,6 +9,7 @@ which is how they reach checkpoints.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -174,51 +175,65 @@ class CheckpointMismatch(ValueError):
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named tensors: magic 'MCT1', u32 count, then per tensor a u16
     name length + UTF-8 name, u8 rank, u32 extents, u8 dtype code (0=f32,
-    1=f64) and the row-major little-endian payload."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr)
-            code = _CODES_BY_KIND.get(arr.dtype.newbyteorder("="))
-            if code is None:
-                raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for {name!r}")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(struct.pack("<B", code))
-            f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+    1=f64) and the row-major little-endian payload.
+
+    The bytes go to a temp file beside `path` that replaces it only once
+    complete, so a failed save leaves any earlier file intact."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                code = _CODES_BY_KIND.get(arr.dtype.newbyteorder("="))
+                if code is None:
+                    raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for {name!r}")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(struct.pack("<B", code))
+                f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the write or the rename failed
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != MAGIC:
-        raise ValueError(f"checkpoint {path}: bad magic {blob[:4]!r}")
-    off = 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"checkpoint {path}: truncated ({len(blob)} bytes, "
+                             f"needs at least {off + n})")
+        off += n
+        return blob[off - n:off]
+
+    def unpack(fmt: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    magic = take(4)
+    if magic != MAGIC:
+        raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
+    (count,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        (code,) = struct.unpack_from("<B", blob, off)
-        off += 1
+        (name_len,) = unpack("<H")
+        name = take(name_len).decode("utf-8")
+        (rank,) = unpack("<B")
+        shape = unpack(f"<{rank}I")
+        (code,) = unpack("<B")
         if code not in _DTYPE_CODES:
             raise ValueError(f"checkpoint {path}: unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]
         n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(blob[off:off + n_bytes], dtype=dtype).reshape(shape)
-        off += n_bytes
-        tensors[name] = arr.copy()
+        tensors[name] = np.frombuffer(take(n_bytes), dtype=dtype).reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"checkpoint {path}: {len(blob) - off} trailing bytes")
     return tensors

@@ -1,5 +1,7 @@
 """Tape mechanics, parameter store, Adam, checkpoints, and gradient checks."""
 
+import inspect
+import os
 import threading
 
 import numpy as np
@@ -214,12 +216,29 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
+    # cut anywhere, from inside the magic to the last payload byte
     path = tmp_path / "model.mct"
-    save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
+    save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32),
+                           "b": np.zeros(3, dtype=np.float64)})
     blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(Exception):
-        load_checkpoint(path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.mct"
+    good = {"w": np.arange(4, dtype=np.float32)}
+    save_checkpoint(path, good)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="dtype"):
+        save_checkpoint(path, {"w": np.ones(4, dtype=np.float32),
+                               "steps": np.arange(3)})  # int64: unsupported
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.mct"]
+    np.testing.assert_array_equal(load_checkpoint(path)["w"], good["w"])
 
 
 def test_load_state_mismatch_is_exhaustive(tmp_path):
@@ -255,6 +274,18 @@ def test_primitive_gradients(name, make):
     build, tensors = make()
     err = check_gradients(build, tensors, per_tensor=6, seed=0)
     assert err < PRIMITIVE_TOL, f"{name}: rel err {err:.3e}"
+
+
+def test_every_public_primitive_has_a_gradient_case():
+    # a case named after the op, or after the op plus "_<variant>"
+    names = [name for name, _ in primitive_cases()]
+    public = [name for name, fn in vars(ops).items()
+              if inspect.isfunction(fn) and fn.__module__ == ops.__name__
+              and not name.startswith("_")]
+    assert len(public) >= 25
+    missing = [op for op in public
+               if not any(n == op or n.startswith(op + "_") for n in names)]
+    assert missing == []
 
 
 def test_gradcheck_catches_corruption():

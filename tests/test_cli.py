@@ -87,11 +87,18 @@ def test_non_integer_tuple_element_exits_1(override, key, capsys):
     assert key in err
 
 
-def test_wrong_encoder_stage_count_exits_1(capsys):
-    code, _, err = run(["summary", "--no-macs",
-                        "--set", "model.encoder.stage_mid_filters=[4,4]"], capsys)
+@pytest.mark.parametrize("override", [
+    "model.block.leaky_slope=0.01",
+    "model.block.cam_reduction=8",
+    "model.block.bn_eps=0.001",
+    "model.block.rlab_key_dim=4",
+    "model.encoder.dilated_last_two=true",
+    "model.encoder.stage_mid_filters=[4,4,4,4,4,4]",
+])
+def test_removed_model_keys_exit_1(override, capsys):
+    code, _, err = run(["summary", "--no-macs", "--set", override], capsys)
     assert code == 1
-    assert "model.encoder" in err and "six stages" in err
+    assert f"unknown config key '{override.split('=')[0]}'" in err
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -99,6 +106,9 @@ def test_wrong_encoder_stage_count_exits_1(capsys):
     (["data.stride=0"], "data.stride"),
     (["data.stride=65"], "data.stride"),
     (["data.synth_hw=48"], "data.synth_hw"),
+    (["train.batch=0"], "train.batch"),
+    (["train.val_fraction=-0.5"], "train.val_fraction"),
+    (["train.val_fraction=1"], "train.val_fraction"),
 ])
 def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
                                                   tmp_path, capsys):
@@ -122,6 +132,28 @@ def test_missing_files_exit_2(desk_json, tmp_path, capsys):
                       "--pred", str(tmp_path / "void"),
                       "--gt", str(tmp_path / "void")], capsys)
     assert code == 2
+
+
+def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code, _, err = run(["train", "--config", desk_json,
+                        "--set", "train.epochs=0", "--out", str(taken)], capsys)
+    assert code == 2
+    assert err.startswith("data error:") and str(taken) in err
+
+
+def test_eval_out_is_a_directory_exits_2(desk_json, tmp_path, capsys):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    box = np.zeros((8, 8, 1), np.float32)
+    box[2:6, 2:6] = 1.0
+    netpbm.write_mask(pred_dir / "a.pgm", box)
+    netpbm.write_mask(gt_dir / "a.pgm", box)
+    code, _, err = run(["eval", "--config", desk_json, "--pred", str(pred_dir),
+                        "--gt", str(gt_dir), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("data error:") and str(tmp_path) in err
 
 
 def test_train_epoch_zero_checkpoint_is_init(desk_json, tmp_path, capsys):

@@ -101,6 +101,12 @@ def test_reflect_pad_mirrors_content():
     np.testing.assert_array_equal(out[:2, :3], arr)
     assert out[2, 0, 0] == arr[0, 0, 0]  # row 2 mirrors row 0
     assert out[0, 3, 0] == arr[0, 1, 0]  # col 3 mirrors col 1
+    # a 1-pixel axis is edge-padded while the other axis still reflects
+    row = np.array([[[1.0], [2.0]]], dtype=np.float32)
+    np.testing.assert_array_equal(reflect_pad(row, (1, 4))[0, :, 0],
+                                  [1.0, 2.0, 1.0, 2.0])
+    np.testing.assert_array_equal(reflect_pad(row, (3, 4))[:, :, 0],
+                                  [[1.0, 2.0, 1.0, 2.0]] * 3)
 
 
 def test_sample_validation():
