@@ -161,14 +161,40 @@ def load_config(path: str | None = None, overrides=(),
         cfg.model.decoder.kinds()
     except ValueError as e:
         raise ConfigError(f"model.decoder.upsampler: {e}") from None
-    _check_ranges(cfg.train, cfg.data)
+    _check_ranges(cfg)
     return cfg
 
 
-def _check_ranges(t: TrainSettings, d: DataSettings) -> None:
-    """A batch needs a sample and the validation share must leave one;
-    patch and synthetic-image extents must survive the encoder's five 2x
-    pools, and the patch lattice needs a stride in 1..patch."""
+def _check_ranges(cfg: RunConfig) -> None:
+    """Reject values the network cannot be built or trained from before any
+    compute. RSU blocks need depth >= 3 and every stage a channel; the
+    attention token cap is a positive count (or None). Epochs may be 0 (an
+    initial checkpoint only), the learning rate must be positive, and BN
+    momentum and the eval threshold are shares. A batch needs a sample and
+    the validation share must leave one; patch and synthetic-image extents
+    must survive the encoder's five 2x pools, and the patch lattice needs a
+    stride in 1..patch."""
+    enc, blk = cfg.model.encoder, cfg.model.block
+    t, d = cfg.train, cfg.data
+    for key, values, least in (("model.encoder.rsu_depths", enc.rsu_depths, 3),
+                               ("model.encoder.stage_filters", enc.stage_filters, 1)):
+        if min(values) < least:
+            raise ConfigError(f"'{key}' entries must be at least {least}, "
+                              f"got {json.dumps(list(values))}")
+    if enc.input_channels < 1:
+        raise ConfigError(f"'model.encoder.input_channels' must be at least 1, "
+                          f"got {enc.input_channels}")
+    if blk.attention_token_cap is not None and blk.attention_token_cap < 1:
+        raise ConfigError(f"'model.block.attention_token_cap' must be at least 1 "
+                          f"or null, got {blk.attention_token_cap}")
+    for key, value in (("model.block.bn_momentum", blk.bn_momentum),
+                       ("eval.threshold", cfg.eval.threshold)):
+        if not 0 <= value <= 1:
+            raise ConfigError(f"'{key}' must be in [0, 1], got {value}")
+    if t.epochs < 0:
+        raise ConfigError(f"'train.epochs' must be at least 0, got {t.epochs}")
+    if not t.lr > 0:
+        raise ConfigError(f"'train.lr' must be positive, got {t.lr}")
     if t.batch < 1:
         raise ConfigError(f"'train.batch' must be at least 1, got {t.batch}")
     if not 0 <= t.val_fraction < 1:

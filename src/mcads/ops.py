@@ -4,8 +4,12 @@ Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
 Convolutions go through an im2col-style strided window view feeding one
-BLAS contraction; their input gradients scatter back with a kh*kw loop over
-strided slices.
+BLAS contraction (an einsum for depthwise). Their input gradients are the
+same contraction run over the zero-stuffed, padded output gradient with the
+spatially flipped kernel. Bilinear upsampling differentiates through two
+interpolation-matrix products, and train-mode batch norm uses the closed
+form of its gradient. Every op returns a C-contiguous array: a strided
+result changes the summation order of the BLAS calls downstream.
 """
 
 from __future__ import annotations
@@ -78,18 +82,35 @@ def _window_view(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
     return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
 
 
-def _scatter_windows(dpatch: np.ndarray, padded_shape: tuple,
-                     stride: int, dilation: int) -> np.ndarray:
-    """Adjoint of _window_view: accumulate window gradients onto the canvas."""
-    _, oh, ow, kh, kw, _ = dpatch.shape
-    gxp = np.zeros(padded_shape, dtype=dpatch.dtype)
-    for u in range(kh):
-        hu = u * dilation
-        for v in range(kw):
-            wv = v * dilation
-            gxp[:, hu:hu + oh * stride:stride,
-                wv:wv + ow * stride:stride, :] += dpatch[:, :, :, u, v, :]
-    return gxp
+def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple, stuff: int = 1) -> np.ndarray:
+    """Zero-pad the spatial axes of `a` by (lo, hi) each, after spacing its
+    pixels `stuff` apart (zero-stuffing); `a` itself when that is a no-op."""
+    n, h, w, c = a.shape
+    if stuff == 1 and not any(pad_h + pad_w):
+        return a
+    hs = (h - 1) * stuff + 1
+    ws = (w - 1) * stuff + 1
+    out = np.zeros((n, pad_h[0] + hs + pad_h[1], pad_w[0] + ws + pad_w[1], c),
+                   dtype=a.dtype)
+    out[:, pad_h[0]:pad_h[0] + hs:stuff, pad_w[0]:pad_w[0] + ws:stuff, :] = a
+    return out
+
+
+def _correlate(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
+               dilation: int, depthwise: bool):
+    """Slide (kh, kw, C_in, C_out) weights (depthwise: (kh, kw, 1, C)) over a
+    padded canvas; returns the window view and the NHWC result."""
+    patches = _window_view(xp, wd.shape[0], wd.shape[1], oh, ow, stride, dilation)
+    if depthwise:
+        return patches, np.einsum("nhwuvc,uvc->nhwc", patches, wd[:, :, 0, :])
+    return patches, np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Sum an NHWC array over N, H, W: one matrix-vector product, several
+    times faster than a ufunc reduction over the leading axes."""
+    c = a.shape[-1]
+    return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -114,34 +135,31 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 
     ph_lo, ph_hi, oh = _conv_axis(h, kh, stride, dilation, padding)
     pw_lo, pw_hi, ow = _conv_axis(wdt, kw, stride, dilation, padding)
-    xd = x.data
-    if ph_lo or ph_hi or pw_lo or pw_hi:
-        xp = np.pad(xd, ((0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi), (0, 0)))
-    else:
-        xp = xd
-    patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
     wd = w.data
-
-    if depthwise:
-        y = np.einsum("nhwuvc,uvc->nhwc", patches, wd[:, :, 0, :])
-    else:
-        y = np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
+    patches, y = _correlate(_canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi)), wd,
+                            oh, ow, stride, dilation, depthwise)
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cg * cout)
 
     def bwd(g):
+        # Tap u carries output pixel i to input pixel i*stride + u*dilation
+        # - pad_lo. So the input gradient is a stride-1 correlation of the
+        # zero-stuffed output gradient with the spatially flipped kernel (in
+        # and out channel axes swapped when dense); the low pad lines the
+        # flipped taps up, the high pad fills out to the input extent.
+        reach_h, reach_w = dilation * (kh - 1), dilation * (kw - 1)
+        gp = _canvas(g, (reach_h - ph_lo, h + ph_lo - (oh - 1) * stride - 1),
+                     (reach_w - pw_lo, wdt + pw_lo - (ow - 1) * stride - 1), stride)
+        wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
+        dx = _correlate(gp, wf, h, wdt, 1, dilation, depthwise)[1]
         if depthwise:
             dw = np.einsum("nhwuvc,nhwc->uvc", patches, g)[:, :, None, :]
-            dpatch = g[:, :, :, None, None, :] * wd[None, None, None, :, :, 0, :]
         else:
             dw = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
-            dpatch = np.tensordot(g, wd, axes=([3], [3]))
-        gxp = _scatter_windows(dpatch, xp.shape, stride, dilation)
-        dx = gxp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wdt, :]
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 1, 2))
+        return dx, dw, _channel_sum(g)
 
     return _emit("conv2d", y, (x, w) if b is None else (x, w, b), bwd)
 
@@ -152,9 +170,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
 
     Weights are (kh, kw, C_out, C_in): the same array a forward conv mapping
     C_out -> C_in with 'same' padding and this stride would use, so the
-    forward here equals that conv's gradient w.r.t. its input. Implemented
-    independently by zero-stuffing the input and correlating with the
-    spatially flipped kernel at stride 1.
+    forward here equals that conv's gradient w.r.t. its input, and the input
+    gradient here is that conv's forward. Implemented by zero-stuffing the
+    input and correlating with the spatially flipped kernel at stride 1.
     """
     _require(x.ndim == 4, "conv2d_transpose", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d_transpose", f"weights must be rank 4, got {w.ndim}")
@@ -167,20 +185,14 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         _require(b.shape == (cout,), "conv2d_transpose",
                  f"bias shape {b.shape} != ({cout},)")
 
-    def stuffing(extent, k):
-        plo = max(k - stride, 0) // 2  # matched 'same' conv's low pad
-        return k - 1 - plo, stride - 1 + plo, extent * stride
-
-    ah, bh, oh = stuffing(h, kh)
-    aw, bw, ow = stuffing(wdt, kw)
-    xs = np.zeros((n, (h - 1) * stride + 1 + ah + bh,
-                   (wdt - 1) * stride + 1 + aw + bw, cin), dtype=x.dtype)
-    hs = slice(ah, ah + (h - 1) * stride + 1, stride)
-    ws = slice(aw, aw + (wdt - 1) * stride + 1, stride)
-    xs[:, hs, ws, :] = x.data
+    oh, ow = h * stride, wdt * stride
+    # matched conv's 'same' pads on the output extent
+    ph_lo, ph_hi, _ = _conv_axis(oh, kh, stride, 1, "same")
+    pw_lo, pw_hi, _ = _conv_axis(ow, kw, stride, 1, "same")
+    xs = _canvas(x.data, (kh - 1 - ph_lo, stride - 1 + ph_lo),
+                 (kw - 1 - pw_lo, stride - 1 + pw_lo), stride)
     wf = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-    patches = _window_view(xs, kh, kw, oh, ow, 1, 1)
-    y = np.tensordot(patches, wf, axes=([3, 4, 5], [0, 1, 2]))
+    patches, y = _correlate(xs, wf, oh, ow, 1, 1, False)
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cin * cout)
@@ -188,12 +200,11 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     def bwd(g):
         dwf = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
         dw = np.ascontiguousarray(dwf[::-1, ::-1].transpose(0, 1, 3, 2))
-        dxs = _scatter_windows(np.tensordot(g, wf, axes=([3], [3])),
-                               xs.shape, 1, 1)
-        dx = np.ascontiguousarray(dxs[:, hs, ws, :])
+        gp = _canvas(g, (ph_lo, ph_hi), (pw_lo, pw_hi))
+        dx = _correlate(gp, w.data, h, wdt, stride, 1, False)[1]
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 1, 2))
+        return dx, dw, _channel_sum(g)
 
     return _emit("conv2d_transpose", y, (x, w) if b is None else (x, w, b), bwd)
 
@@ -220,21 +231,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     xd = x.data
 
     if train:
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        m = xd.size // c
+        mu = _channel_sum(xd) / m
+        xhat = xd - mu
+        sq = np.square(xhat)
+        var = _channel_sum(sq) / m
         running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mu
         running_var.data = momentum * running_var.data + (1.0 - momentum) * var
         ivar = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mu) * ivar
-        y = gamma.data * xhat + beta.data
+        xhat *= ivar
+        y = np.multiply(gamma.data, xhat, out=sq)
+        y += beta.data
 
         def bwd(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dxhat = g * gamma.data
-            dx = ivar * (dxhat
-                         - dxhat.mean(axis=axes)
-                         - xhat * (dxhat * xhat).mean(axis=axes))
+            dbeta = _channel_sum(g)
+            dx = g * xhat
+            dgamma = _channel_sum(dx)
+            np.multiply(xhat, dgamma / m, out=dx)
+            dx += dbeta / m
+            np.subtract(g, dx, out=dx)
+            dx *= gamma.data * ivar
             return dx, dgamma, dbeta
 
         return _emit("batch_norm", y, (x, gamma, beta), bwd)
@@ -259,10 +275,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
+    _require(0.0 <= alpha <= 1.0, "leaky_relu", f"alpha must be in [0, 1], got {alpha}")
     xd = x.data
-    y = np.where(xd > 0, xd, alpha * xd)
+    y = np.maximum(xd, alpha * xd)  # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
     return _emit("leaky_relu", y, (x,),
-                 lambda g: (g * np.where(xd > 0, 1.0, alpha).astype(xd.dtype),))
+                 lambda g: (g * np.maximum(xd > 0, alpha, dtype=xd.dtype),))
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -393,6 +410,15 @@ def _bilinear_axis(out_len: int, in_len: int, factor: int, dtype):
     return i0, i1, frac
 
 
+def _interp_matrix(i0, i1, frac, in_len: int) -> np.ndarray:
+    """(out_len, in_len) matrix of one axis' interpolation weights."""
+    a = np.zeros((len(i0), in_len), dtype=frac.dtype)
+    rows = np.arange(len(i0))
+    a[rows, i0] = 1.0 - frac
+    a[rows, i1] += frac
+    return a
+
+
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     """Bilinear x`factor` upsampling with half-pixel-aligned sample centers.
 
@@ -409,17 +435,16 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     wy1 = fy[None, :, None, None]
     wx0 = (1.0 - fx)[None, None, :, None]
     wx1 = fx[None, None, :, None]
-    rows = xd[:, i0, :, :] * wy0 + xd[:, i1, :, :] * wy1
-    y = rows[:, :, j0, :] * wx0 + rows[:, :, j1, :] * wx1
+    # np.take gathers into C order; fancy indexing an inner axis would leave
+    # the products (and y) strided
+    rows = np.take(xd, i0, axis=1) * wy0 + np.take(xd, i1, axis=1) * wy1
+    y = np.take(rows, j0, axis=2) * wx0 + np.take(rows, j1, axis=2) * wx1
 
     def bwd(g):
-        drows = np.zeros((n, oh, w, c), dtype=g.dtype)
-        np.add.at(drows, (slice(None), slice(None), j0), g * wx0)
-        np.add.at(drows, (slice(None), slice(None), j1), g * wx1)
-        dx = np.zeros((n, h, w, c), dtype=g.dtype)
-        np.add.at(dx, (slice(None), i0), drows * wy0)
-        np.add.at(dx, (slice(None), i1), drows * wy1)
-        return (dx,)
+        ax = _interp_matrix(j0, j1, fx, w)
+        ay = _interp_matrix(i0, i1, fy, h)
+        drows = np.matmul(ax.T, g)  # (n, oh, w, c)
+        return ((ay.T @ drows.reshape(n, oh, w * c)).reshape(n, h, w, c),)
 
     return _emit("bilinear_upsample", y, (x,), bwd)
 

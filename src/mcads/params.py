@@ -55,7 +55,8 @@ class ParameterStore:
     def create(self, name: str, shape, init, trainable: bool = True,
                fan_in: int | None = None) -> Parameter:
         """Register one parameter. `init` is "he" (needs fan_in), "zeros",
-        "ones", or an explicit array."""
+        "ones", or an explicit array, which is copied: Adam updates the
+        parameter in place."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         shape = tuple(shape)
@@ -69,7 +70,7 @@ class ParameterStore:
             else:
                 raise ValueError(f"unknown init {init!r}")
         else:
-            data = np.asarray(init, dtype=self.dtype)
+            data = np.array(init, dtype=self.dtype)
             if data.shape != shape:
                 raise ValueError(f"init shape {data.shape} != declared {shape}")
         p = Parameter(name, data, trainable)
@@ -138,26 +139,44 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
     """One bias-corrected Adam update over trainable parameters with grads.
 
-    Raises if any trainable parameter is missing its gradient: every
-    parameter is supposed to be reached by the loss.
+    Updates each parameter's data and moments in place through two scratch
+    buffers shared by all parameters, so a step allocates nothing the size
+    of the model. The arithmetic is the textbook formula operation for
+    operation, so the results are bit-identical to it.
+
+    Raises, before updating anything, if any trainable parameter is missing
+    its gradient: every parameter is supposed to be reached by the loss.
     """
-    for p in params:
-        if not p.trainable:
-            continue
+    live = [p for p in params if p.trainable]
+    for p in live:
         if p.grad is None:
             raise ValueError(f"adam_step: missing gradient for {p.name!r}")
+    size = max((p.size for p in live), default=0)
+    scratch = {}
+    for p in live:
+        if p.dtype not in scratch:
+            scratch[p.dtype] = (np.empty(size, p.dtype), np.empty(size, p.dtype))
+        a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[p.dtype])
         g = p.grad
         if p.m is None:
             p.m = np.zeros_like(p.data)
             p.v = np.zeros_like(p.data)
         p.step += 1
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        mhat = p.m / (1.0 - beta1 ** p.step)
-        vhat = p.v / (1.0 - beta2 ** p.step)
-        update = lr * mhat / (np.sqrt(vhat) + eps)
-        guard_finite("adam_step", update)
-        p.data = p.data - update
+        np.multiply(g, 1.0 - beta1, out=a)
+        p.m *= beta1
+        p.m += a                                      # m = b1*m + (1-b1)*g
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        p.v *= beta2
+        p.v += a                                      # v = b2*v + (1-b2)*g*g
+        np.divide(p.v, 1.0 - beta2 ** p.step, out=b)
+        np.sqrt(b, out=b)
+        b += eps                                      # sqrt(vhat) + eps
+        np.divide(p.m, 1.0 - beta1 ** p.step, out=a)
+        a *= lr
+        a /= b                                        # lr * mhat / (...)
+        guard_finite("adam_step", a)
+        p.data -= a
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,52 @@ def test_adam_preserves_dtype():
     assert p.data.dtype == np.float32
 
 
+def test_adam_in_place_matches_textbook_formula():
+    """The in-place update is bit-identical to the out-of-place formula, step
+    after step, for parameters of several shapes sharing the scratch space."""
+    rng = np.random.default_rng(3)
+    shapes = [(3, 3, 2, 4), (4,), (), (5, 7)]
+    params = [Parameter(f"p{i}", rng.normal(size=s).astype(np.float32))
+              for i, s in enumerate(shapes)]
+    ref = [{"data": p.data.copy(), "m": np.zeros_like(p.data),
+            "v": np.zeros_like(p.data)} for p in params]
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for step in range(1, 6):
+        for p, r in zip(params, ref):
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+            g = p.grad
+            r["m"] = b1 * r["m"] + (1.0 - b1) * g
+            r["v"] = b2 * r["v"] + (1.0 - b2) * (g * g)
+            mhat = r["m"] / (1.0 - b1 ** step)
+            vhat = r["v"] / (1.0 - b2 ** step)
+            r["data"] = r["data"] - lr * mhat / (np.sqrt(vhat) + eps)
+        adam_step(params, lr)
+        for p, r in zip(params, ref):
+            for key in ("data", "m", "v"):
+                got = p.data if key == "data" else getattr(p, key)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, r[key]), (p.name, key, step)
+
+
+def test_adam_leaves_explicit_init_array_alone():
+    init = np.ones(3, dtype=np.float32)
+    w = ParameterStore(seed=0).create("w", (3,), init)
+    w.grad = np.ones(3, dtype=np.float32)
+    adam_step([w], lr=0.1)
+    np.testing.assert_array_equal(init, np.ones(3))
+    assert not np.array_equal(w.data, init)
+
+
+def test_adam_checks_every_gradient_before_updating():
+    a = Parameter("a", np.zeros(2, dtype=np.float32))
+    b = Parameter("b", np.zeros(2, dtype=np.float32))
+    a.grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(ValueError, match="'b'"):
+        adam_step([a, b], lr=0.1)
+    np.testing.assert_array_equal(a.data, np.zeros(2))
+    assert a.m is None and a.step == 0
+
+
 def test_first_adam_step_moves_by_lr():
     # bias correction makes the first update exactly lr * sign(g)
     p = Parameter("w", np.zeros(1, dtype=np.float64))

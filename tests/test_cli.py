@@ -109,6 +109,17 @@ def test_removed_model_keys_exit_1(override, capsys):
     (["train.batch=0"], "train.batch"),
     (["train.val_fraction=-0.5"], "train.val_fraction"),
     (["train.val_fraction=1"], "train.val_fraction"),
+    (["model.encoder.rsu_depths=[4,4,2,3,3,3]"], "model.encoder.rsu_depths"),
+    (["model.encoder.stage_filters=[0,4,8,8,8,8]"], "model.encoder.stage_filters"),
+    (["model.encoder.input_channels=0"], "model.encoder.input_channels"),
+    (["model.block.attention_token_cap=0"], "model.block.attention_token_cap"),
+    (["train.epochs=-1"], "train.epochs"),
+    (["train.lr=0"], "train.lr"),
+    (["train.lr=-1"], "train.lr"),
+    (["model.block.bn_momentum=2"], "model.block.bn_momentum"),
+    (["model.block.bn_momentum=-0.1"], "model.block.bn_momentum"),
+    (["eval.threshold=2"], "eval.threshold"),
+    (["eval.threshold=-0.5"], "eval.threshold"),
 ])
 def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
                                                   tmp_path, capsys):
