@@ -1,5 +1,9 @@
 """Command line interface: train / predict / eval / gradcheck / summary.
 
+Each subcommand takes only the options it reads: train, predict and
+summary build a config from --config and repeatable --set overrides, train
+alone takes --seed, and eval and gradcheck read no config at all.
+
 Exit codes: 0 success, 1 usage or config error, 2 data error (unreadable
 files, malformed images, checkpoint mismatch), 3 numeric failure (NaN loss
 or a gradient check beyond tolerance).
@@ -15,8 +19,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import infer, metrics, netpbm, summary
@@ -40,38 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p):
+def _add_config(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                    help="dotted config override, value parsed as JSON")
-    p.add_argument("--seed", type=int, help="override model and train seeds")
-    p.add_argument("--f64", action="store_true",
-                   help="run the model in float64")
 
 
-def _config_from(args):
+def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg.train.seed = args.seed
         cfg.model.seed = args.seed
-    return cfg
-
-
-def _dtype(args):
-    return np.float64 if args.f64 else np.float32
-
-
-def _load_model(cfg, checkpoint, dtype) -> SegmentationModel:
-    model = SegmentationModel(cfg.model, dtype=dtype)
-    state = load_checkpoint(checkpoint)
-    model.store.load_state(state)
-    return model
-
-
-def cmd_train(args) -> int:
-    cfg = _config_from(args)
-    out_dir = args.out or cfg.train.checkpoint_dir
-    result = run_training(cfg, out_dir, dtype=_dtype(args))
+    result = run_training(cfg, args.out)
     print(f"{result.steps} steps, final loss {result.final_loss:.6f}, "
           f"best {result.best_loss:.6f}")
     print(f"log: {result.csv_path}")
@@ -80,8 +62,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _config_from(args)
-    model = _load_model(cfg, args.checkpoint, _dtype(args))
+    cfg = load_config(args.config, args.set)
+    model = SegmentationModel(cfg.model)
+    model.store.load_state(load_checkpoint(args.checkpoint))
     image = netpbm.read_image(args.image)
     mask, prob = infer.predict_mask(
         model, image, patch=cfg.data.patch, stride=cfg.data.stride,
@@ -101,7 +84,6 @@ def _mask_ids(directory):
 
 
 def cmd_eval(args) -> int:
-    _config_from(args)  # eval ignores the config but still validates it
     pred_ids = _mask_ids(args.pred)
     gt_ids = _mask_ids(args.gt)
     if pred_ids != gt_ids:
@@ -137,9 +119,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.set)
     hw = None if args.no_macs else (args.input_size or cfg.data.patch)
-    rep = summary.summary_report(cfg.model, input_hw=hw, dtype=_dtype(args))
+    rep = summary.summary_report(cfg.model, input_hw=hw)
     print(summary.format_table(rep))
     if args.json:
         with open(args.json, "w") as f:
@@ -155,13 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("train", help="train on a dataset or synthetic data")
-    _add_common(p)
-    p.add_argument("--out", help="output directory (default: config's "
-                                 "checkpoint_dir)")
+    _add_config(p)
+    p.add_argument("--seed", type=int, help="override model and train seeds")
+    p.add_argument("--out", default="checkpoints",
+                   help="output directory (default: checkpoints)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="segment one image")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True, help="output mask (.pgm)")
@@ -169,20 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
-    _add_common(p)
     p.add_argument("--pred", required=True, help="directory of predicted .pgm")
     p.add_argument("--gt", required=True, help="directory of reference .pgm")
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common(p)
     p.add_argument("--skip-model", action="store_true",
                    help="skip the micro-model case (faster)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("summary", help="parameter and MAC accounting")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--input-size", type=int,
                    help="square input extent for the MAC estimate")
     p.add_argument("--no-macs", action="store_true",

@@ -29,8 +29,6 @@ class TrainSettings:
     seed: int = 0
     val_fraction: float = 0.2
     augment: bool = True
-    checkpoint_dir: str = "checkpoints"
-    checkpoint_interval: int = 0  # extra snapshot every k epochs; 0 = off
 
 
 @dataclass
@@ -171,9 +169,11 @@ def _check_ranges(cfg: RunConfig) -> None:
     attention token cap is a positive count (or None). Epochs may be 0 (an
     initial checkpoint only), the learning rate must be positive, and BN
     momentum and the eval threshold are shares. A batch needs a sample and
-    the validation share must leave one; patch and synthetic-image extents
-    must survive the encoder's five 2x pools, and the patch lattice needs a
-    stride in 1..patch."""
+    the validation share must leave one; synthetic images must survive the
+    encoder's five 2x pools, the patch also every RSU's inner pools, and the
+    patch lattice needs a stride in 1..patch. Every attention extent is the
+    patch side 2^a * m (m odd) halved some number of times, so power-of-two
+    token pooling can meet the cap at every site only if m * m <= cap."""
     enc, blk = cfg.model.encoder, cfg.model.block
     t, d = cfg.train, cfg.data
     for key, values, least in (("model.encoder.rsu_depths", enc.rsu_depths, 3),
@@ -200,10 +200,17 @@ def _check_ranges(cfg: RunConfig) -> None:
     if not 0 <= t.val_fraction < 1:
         raise ConfigError(f"'train.val_fraction' must be in [0, 1), "
                           f"got {t.val_fraction}")
-    for key, extent in (("data.patch", d.patch), ("data.synth_hw", d.synth_hw)):
-        if extent <= 0 or extent % 32:
-            raise ConfigError(f"'{key}' must be a positive multiple of 32, "
-                              f"got {extent}")
+    for key, extent, multiple in (("data.patch", d.patch, enc.input_multiple()),
+                                  ("data.synth_hw", d.synth_hw, 32)):
+        if extent <= 0 or extent % multiple:
+            raise ConfigError(f"'{key}' must be a positive multiple of "
+                              f"{multiple}, got {extent}")
+    odd = d.patch // (d.patch & -d.patch)
+    cap = blk.attention_token_cap
+    attends = cfg.model.decoder.enable_rlab or enc.inner_attention
+    if attends and cap is not None and odd * odd > cap:
+        raise ConfigError(f"'model.block.attention_token_cap' must be at least "
+                          f"{odd * odd} for data.patch {d.patch}, got {cap}")
     if not 1 <= d.stride <= d.patch:
         raise ConfigError(f"'data.stride' must be in 1..data.patch "
                           f"({d.patch}), got {d.stride}")

@@ -37,6 +37,13 @@ class EncoderConfig:
                              f"{len(self.rsu_depths)} rsu_depths")
         return tuple(max(f // 2, 1) for f in self.stage_filters)
 
+    def input_multiple(self) -> int:
+        """Extent an input side must divide by: five 2x pools between the
+        stages, and depth - 2 more inside each of the four plain RSUs,
+        whose input has already been pooled once per earlier stage."""
+        plain = enumerate(self.rsu_depths[:4])
+        return 2 ** max(5, max(i + d - 2 for i, d in plain))
+
 
 class _ConvUnit:
     """conv3x3 (optional dilation) -> BN -> ReLU, the RSU workhorse."""
@@ -155,6 +162,7 @@ class Encoder:
                 casab=cfg.casab_per_stage, cfg=block_cfg))
             cin = filters[i]
         self.input_channels = cfg.input_channels
+        self.input_multiple = cfg.input_multiple()
 
     def __call__(self, x, train):
         if x.ndim != 4:
@@ -162,9 +170,10 @@ class Encoder:
         if x.shape[3] != self.input_channels:
             raise ValueError(f"encoder expects {self.input_channels} input "
                              f"channels, got {x.shape[3]}")
-        if x.shape[1] % 32 or x.shape[2] % 32:
+        m = self.input_multiple
+        if x.shape[1] % m or x.shape[2] % m:
             raise ValueError(f"encoder input extent {x.shape[1:3]} must be "
-                             "divisible by 32 (five 2x pools)")
+                             f"divisible by {m} (the encoder's 2x pools)")
         feats = []
         cur = x
         for i, stage in enumerate(self.stages):

@@ -335,19 +335,38 @@ def _tie_split(x: np.ndarray, extreme: np.ndarray, axis):
     return lambda g: mask * (g / counts)
 
 
+def _pool(op: str, x: Tensor, xr: np.ndarray, kind: str, axis, shape) -> Tensor:
+    """Reduce `xr`, a reshaped view of x.data, over `axis` with the numpy
+    reduction `kind` (mean, sum, max or min) and emit it as `shape`. Mean
+    and sum gradients broadcast back over the reduced axes; max and min
+    gradients go to the tied extremes."""
+    y = getattr(xr, kind)(axis=axis, keepdims=True)
+    if kind in ("max", "min"):
+        route = _tie_split(xr, y, axis)
+    else:
+        k = xr.size // y.size if kind == "mean" else 1
+        route = lambda g: np.broadcast_to(g / k, xr.shape)
+    return _emit(op, y.reshape(shape), (x,),
+                 lambda g: (route(g.reshape(y.shape)).reshape(x.shape),))
+
+
+def _windows(op: str, x: Tensor, size: int):
+    """(N, H, W, C) as non-overlapping size x size windows on axes 2 and 4."""
+    _require(x.ndim == 4, op, f"input must be NHWC, got ndim {x.ndim}")
+    n, h, w, c = x.shape
+    _require(h % size == 0 and w % size == 0, op,
+             f"extent ({h}, {w}) not divisible by window {size}")
+    return (x.data.reshape(n, h // size, size, w // size, size, c),
+            (n, h // size, w // size, c))
+
+
 def pool_global(x: Tensor, kind: str) -> Tensor:
     """Whole-image pooling per channel: (N, H, W, C) -> (N, 1, 1, C)."""
     _require(x.ndim == 4, "pool_global", f"input must be NHWC, got ndim {x.ndim}")
     _require(kind in ("avg", "max"), "pool_global", f"unknown kind {kind!r}")
-    xd = x.data
-    n, h, w, c = xd.shape
-    if kind == "avg":
-        y = xd.mean(axis=(1, 2), keepdims=True)
-        return _emit("pool_global", y, (x,),
-                     lambda g: (np.broadcast_to(g / (h * w), xd.shape),))
-    y = xd.max(axis=(1, 2), keepdims=True)
-    route = _tie_split(xd, y, (1, 2))
-    return _emit("pool_global", y, (x,), lambda g: (route(g),))
+    n, _, _, c = x.shape
+    return _pool("pool_global", x, x.data, "mean" if kind == "avg" else "max",
+                 (1, 2), (n, 1, 1, c))
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
@@ -355,50 +374,19 @@ def pool_channel(x: Tensor, kind: str) -> Tensor:
     _require(x.ndim == 4, "pool_channel", f"input must be NHWC, got ndim {x.ndim}")
     _require(kind in ("mean", "max", "min", "sum"), "pool_channel",
              f"unknown kind {kind!r}")
-    xd = x.data
-    c = xd.shape[3]
-    if kind == "mean":
-        y = xd.mean(axis=3, keepdims=True)
-        bwd = lambda g: (np.broadcast_to(g / c, xd.shape),)
-    elif kind == "sum":
-        y = xd.sum(axis=3, keepdims=True)
-        bwd = lambda g: (np.broadcast_to(g, xd.shape),)
-    else:
-        y = xd.max(axis=3, keepdims=True) if kind == "max" else xd.min(axis=3, keepdims=True)
-        route = _tie_split(xd, y, 3)
-        bwd = lambda g: (route(g),)
-    return _emit("pool_channel", y, (x,), bwd)
+    return _pool("pool_channel", x, x.data, kind, 3, x.shape[:3] + (1,))
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     """Non-overlapping spatial max pooling; extents must divide by `size`."""
-    _require(x.ndim == 4, "max_pool2d", f"input must be NHWC, got ndim {x.ndim}")
-    n, h, w, c = x.shape
-    _require(h % size == 0 and w % size == 0, "max_pool2d",
-             f"extent ({h}, {w}) not divisible by window {size}")
-    xr = x.data.reshape(n, h // size, size, w // size, size, c)
-    y = xr.max(axis=(2, 4))
-    route = _tie_split(xr, y[:, :, None, :, None, :], (2, 4))
-    return _emit("max_pool2d", y, (x,),
-                 lambda g: (route(g[:, :, None, :, None, :]).reshape(n, h, w, c),))
+    xr, shape = _windows("max_pool2d", x, size)
+    return _pool("max_pool2d", x, xr, "max", (2, 4), shape)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     """Non-overlapping spatial mean pooling by an integer factor."""
-    _require(x.ndim == 4, "avg_pool2d", f"input must be NHWC, got ndim {x.ndim}")
-    n, h, w, c = x.shape
-    _require(h % factor == 0 and w % factor == 0, "avg_pool2d",
-             f"extent ({h}, {w}) not divisible by factor {factor}")
-    xr = x.data.reshape(n, h // factor, factor, w // factor, factor, c)
-    y = xr.mean(axis=(2, 4))
-    scale_ = 1.0 / (factor * factor)
-
-    def bwd(g):
-        gexp = np.broadcast_to(g[:, :, None, :, None, :] * scale_,
-                               (n, h // factor, factor, w // factor, factor, c))
-        return (gexp.reshape(n, h, w, c),)
-
-    return _emit("avg_pool2d", y, (x,), bwd)
+    xr, shape = _windows("avg_pool2d", x, factor)
+    return _pool("avg_pool2d", x, xr, "mean", (2, 4), shape)
 
 
 def _bilinear_axis(out_len: int, in_len: int, factor: int, dtype):

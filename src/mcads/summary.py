@@ -38,9 +38,8 @@ def mac_estimate(model: SegmentationModel, input_hw: int) -> int:
     return counter["macs"]
 
 
-def summary_report(cfg: ModelConfig, *, input_hw: int | None = None,
-                   dtype=np.float32) -> dict:
-    model = SegmentationModel(cfg, dtype=dtype)
+def summary_report(cfg: ModelConfig, *, input_hw: int | None = None) -> dict:
+    model = SegmentationModel(cfg)
     groups = parameter_summary(model)
     report = {
         "groups": groups,

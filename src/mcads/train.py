@@ -78,8 +78,7 @@ def _mean_loss(model, patches, batch: int) -> float:
     return total / len(patches)
 
 
-def run_training(cfg: RunConfig, out_dir: str,
-                 dtype=np.float32) -> TrainResult:
+def run_training(cfg: RunConfig, out_dir: str) -> TrainResult:
     os.makedirs(out_dir, exist_ok=True)
     samples = load_samples(cfg)
     train_samples, val_samples = split_samples(
@@ -89,7 +88,7 @@ def run_training(cfg: RunConfig, out_dir: str,
     train_patches = _patches(train_samples, cfg.data.patch, cfg.data.stride)
     val_patches = _patches(val_samples, cfg.data.patch, cfg.data.stride)
 
-    model = SegmentationModel(cfg.model, dtype=dtype)
+    model = SegmentationModel(cfg.model)
     rng = np.random.default_rng(cfg.train.seed)
     csv_path = os.path.join(out_dir, "training_log.csv")
     best_path = os.path.join(out_dir, "best.mct")
@@ -102,7 +101,7 @@ def run_training(cfg: RunConfig, out_dir: str,
     with open(csv_path, "w", newline="") as f:
         log = csv.writer(f)
         log.writerow(LOG_COLUMNS)
-        for epoch in range(cfg.train.epochs):
+        for _ in range(cfg.train.epochs):
             order = rng.permutation(len(train_patches))
             for i in range(0, len(order), cfg.train.batch):
                 batch = [train_patches[int(j)] for j in order[i:i + cfg.train.batch]]
@@ -124,10 +123,6 @@ def run_training(cfg: RunConfig, out_dir: str,
             if gauge < best:
                 best = gauge
                 save_checkpoint(best_path, model.store.state())
-            k = cfg.train.checkpoint_interval
-            if k > 0 and (epoch + 1) % k == 0:
-                save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1:04d}.mct"),
-                                model.store.state())
     save_checkpoint(last_path, model.store.state())
     return TrainResult(step, final, best, csv_path, best_path, last_path,
                        model)

@@ -1,13 +1,16 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcads import netpbm
-from mcads.cli import main
+from mcads.cli import build_parser, main
 from mcads.config import RunConfig
 from mcads.data import save_dataset, synth_dataset
 from mcads.network import SegmentationModel
@@ -120,6 +123,9 @@ def test_removed_model_keys_exit_1(override, capsys):
     (["model.block.bn_momentum=-0.1"], "model.block.bn_momentum"),
     (["eval.threshold=2"], "eval.threshold"),
     (["eval.threshold=-0.5"], "eval.threshold"),
+    (["model.encoder.rsu_depths=[9,4,3,3,3,3]"], "data.patch"),
+    (["data.patch=96", "data.synth_hw=96", "model.block.attention_token_cap=4"],
+     "model.block.attention_token_cap"),
 ])
 def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
                                                   tmp_path, capsys):
@@ -133,14 +139,47 @@ def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--skip-model", "--config", "/nonexistent.json"],
+    ["eval", "--pred", "p", "--gt", "g", "--set", "train.epochs=1"],
+    ["predict", "--checkpoint", "c.mct", "--image", "i.ppm", "--out", "m.pgm",
+     "--seed", "3"],
+    ["summary", "--no-macs", "--f64"],
+    ["train", "--set", "train.epochs=0", "--f64"],
+], ids=["gradcheck-config", "eval-set", "predict-seed", "summary-f64", "train-f64"])
+def test_removed_flags_exit_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_readme_synopsis_lists_every_flag():
+    """The README's command-line synopsis names exactly the flags each
+    subcommand registers (continuation lines are indented)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented: dict = {}
+    for line in block.strip().splitlines():
+        if line.startswith("mcads "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {o for a in p._actions for o in a.option_strings
+                         if o != "--help" and o.startswith("--")}
+                  for name, p in sub.choices.items()}
+    assert documented == registered
+
+
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     code, _, _ = run(["predict", "--config", desk_json,
                       "--checkpoint", str(tmp_path / "nope.mct"),
                       "--image", str(tmp_path / "nope.ppm"),
                       "--out", str(tmp_path / "m.pgm")], capsys)
     assert code == 2
-    code, _, _ = run(["eval", "--config", desk_json,
-                      "--pred", str(tmp_path / "void"),
+    code, _, _ = run(["eval", "--pred", str(tmp_path / "void"),
                       "--gt", str(tmp_path / "void")], capsys)
     assert code == 2
 
@@ -154,14 +193,14 @@ def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):
     assert err.startswith("data error:") and str(taken) in err
 
 
-def test_eval_out_is_a_directory_exits_2(desk_json, tmp_path, capsys):
+def test_eval_out_is_a_directory_exits_2(tmp_path, capsys):
     pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
     pred_dir.mkdir(), gt_dir.mkdir()
     box = np.zeros((8, 8, 1), np.float32)
     box[2:6, 2:6] = 1.0
     netpbm.write_mask(pred_dir / "a.pgm", box)
     netpbm.write_mask(gt_dir / "a.pgm", box)
-    code, _, err = run(["eval", "--config", desk_json, "--pred", str(pred_dir),
+    code, _, err = run(["eval", "--pred", str(pred_dir),
                         "--gt", str(gt_dir), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("data error:") and str(tmp_path) in err
@@ -239,7 +278,7 @@ def test_predict_checkpoint_mismatch_exit_2(desk_json, tmp_path, capsys):
     assert code == 2
 
 
-def test_eval_report_and_skips(desk_json, tmp_path, capsys):
+def test_eval_report_and_skips(tmp_path, capsys):
     pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
     pred_dir.mkdir(), gt_dir.mkdir()
     box = np.zeros((8, 8, 1), np.float32)
@@ -250,8 +289,7 @@ def test_eval_report_and_skips(desk_json, tmp_path, capsys):
     netpbm.write_mask(pred_dir / "b.pgm", empty)
     netpbm.write_mask(gt_dir / "b.pgm", box)
     report_path = tmp_path / "report.json"
-    code, out, _ = run(["eval", "--config", desk_json,
-                        "--pred", str(pred_dir), "--gt", str(gt_dir),
+    code, out, _ = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
                         "--out", str(report_path)], capsys)
     assert code == 0
     rep = json.loads(report_path.read_text())
@@ -262,15 +300,14 @@ def test_eval_report_and_skips(desk_json, tmp_path, capsys):
     assert json.loads(out) == rep
 
 
-def test_eval_id_mismatch_exit_2(desk_json, tmp_path, capsys):
+def test_eval_id_mismatch_exit_2(tmp_path, capsys):
     pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
     pred_dir.mkdir(), gt_dir.mkdir()
     box = np.zeros((8, 8, 1), np.float32)
     box[1:3, 1:3] = 1.0
     netpbm.write_mask(pred_dir / "a.pgm", box)
     netpbm.write_mask(gt_dir / "b.pgm", box)
-    code, _, _ = run(["eval", "--config", desk_json,
-                      "--pred", str(pred_dir), "--gt", str(gt_dir)], capsys)
+    code, _, _ = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)], capsys)
     assert code == 2
 
 

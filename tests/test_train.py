@@ -18,7 +18,7 @@ from mcads.train import (LOG_COLUMNS, load_samples, run_training,
                          split_samples)
 
 
-def tiny_run(tmp_path) -> RunConfig:
+def tiny_run() -> RunConfig:
     """Smallest config that still exercises every stage: 32x32 synthetic
     patches through a 4..8 filter pyramid, full-batch, no augmentation."""
     cfg = RunConfig()
@@ -30,7 +30,6 @@ def tiny_run(tmp_path) -> RunConfig:
     cfg.train.epochs = 1
     cfg.train.val_fraction = 0.0
     cfg.train.augment = False
-    cfg.train.checkpoint_dir = str(tmp_path / "ckpt")
     cfg.data.synth_n = 2
     cfg.data.synth_hw = 32
     cfg.data.patch = 32
@@ -67,15 +66,15 @@ def test_split_zero_fraction_keeps_everything():
 
 
 def test_empty_training_split_rejected(tmp_path):
-    cfg = tiny_run(tmp_path)
+    cfg = tiny_run()
     cfg.data.synth_n = 1
     cfg.train.val_fraction = 0.6  # rounds to the whole one-sample dataset
     with pytest.raises(ValueError, match="training split"):
         run_training(cfg, str(tmp_path / "run"))
 
 
-def test_load_samples_uses_synthetic_when_no_root(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_load_samples_uses_synthetic_when_no_root():
+    cfg = tiny_run()
     samples = load_samples(cfg)
     assert len(samples) == cfg.data.synth_n
     assert samples[0].image.shape == (32, 32, 3)
@@ -86,7 +85,7 @@ def test_load_samples_uses_synthetic_when_no_root(tmp_path):
 
 
 def test_training_artifacts_and_log(tmp_path):
-    cfg = tiny_run(tmp_path)
+    cfg = tiny_run()
     cfg.train.epochs = 2
     out = str(tmp_path / "run")
     result = run_training(cfg, out)
@@ -107,7 +106,7 @@ def test_training_artifacts_and_log(tmp_path):
 
 
 def test_epochs_zero_checkpoints_match_fresh_init(tmp_path):
-    cfg = tiny_run(tmp_path)
+    cfg = tiny_run()
     cfg.train.epochs = 0
     result = run_training(cfg, str(tmp_path / "run"))
     assert result.steps == 0
@@ -122,7 +121,7 @@ def test_epochs_zero_checkpoints_match_fresh_init(tmp_path):
 
 
 def test_best_equals_last_after_single_improving_epoch(tmp_path):
-    cfg = tiny_run(tmp_path)
+    cfg = tiny_run()
     result = run_training(cfg, str(tmp_path / "run"))
     with open(result.best_path, "rb") as f:
         best = f.read()
@@ -131,25 +130,11 @@ def test_best_equals_last_after_single_improving_epoch(tmp_path):
     assert best == last  # the first epoch always beats the +inf sentinel
 
 
-def test_checkpoint_interval_snapshots(tmp_path):
-    cfg = tiny_run(tmp_path)
-    cfg.train.epochs = 4
-    cfg.train.checkpoint_interval = 2
-    out = str(tmp_path / "run")
-    run_training(cfg, out)
-    assert os.path.exists(os.path.join(out, "epoch0002.mct"))
-    assert os.path.exists(os.path.join(out, "epoch0004.mct"))
-    assert not os.path.exists(os.path.join(out, "epoch0001.mct"))
-    assert not os.path.exists(os.path.join(out, "epoch0003.mct"))
-    snap = load_checkpoint(os.path.join(out, "epoch0002.mct"))
-    assert "encoder.s1.rsu.convin.conv.w" in snap
-
-
 def test_gradients_reset_between_steps(tmp_path):
     """run_training must match a hand-rolled loop that clears .grad before
     every backward pass; stale gradients would otherwise accumulate and
     poison the Adam update."""
-    cfg = tiny_run(tmp_path)
+    cfg = tiny_run()
     cfg.train.epochs = 2
     result = run_training(cfg, str(tmp_path / "run"))
 
@@ -184,8 +169,8 @@ def test_gradients_reset_between_steps(tmp_path):
 # whole-image inference
 
 
-def test_predict_shape_and_open_range(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_predict_shape_and_open_range():
+    cfg = tiny_run()
     model = tiny_model(cfg)
     image = np.random.default_rng(0).uniform(0, 1, (96, 96, 3)).astype(np.float32)
     prob = predict_probabilities(model, image, patch=32, stride=32)
@@ -194,8 +179,8 @@ def test_predict_shape_and_open_range(tmp_path):
     assert np.all(prob > 0.0) and np.all(prob < 1.0)
 
 
-def test_predict_batch_size_does_not_change_result(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_predict_batch_size_does_not_change_result():
+    cfg = tiny_run()
     model = tiny_model(cfg)
     image = np.random.default_rng(2).uniform(0, 1, (96, 96, 3)).astype(np.float32)
     one = predict_probabilities(model, image, patch=32, stride=32, batch=1)
@@ -203,8 +188,8 @@ def test_predict_batch_size_does_not_change_result(tmp_path):
     assert np.allclose(one, four, atol=1e-6)
 
 
-def test_predict_overlapping_strides_average(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_predict_overlapping_strides_average():
+    cfg = tiny_run()
     model = tiny_model(cfg)
     image = np.random.default_rng(3).uniform(0, 1, (64, 64, 3)).astype(np.float32)
     prob = predict_probabilities(model, image, patch=32, stride=16)
@@ -212,8 +197,8 @@ def test_predict_overlapping_strides_average(tmp_path):
     assert np.all(prob > 0.0) and np.all(prob < 1.0)
 
 
-def test_predict_mask_is_thresholded_probability(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_predict_mask_is_thresholded_probability():
+    cfg = tiny_run()
     model = tiny_model(cfg)
     image = np.random.default_rng(4).uniform(0, 1, (32, 32, 3)).astype(np.float32)
     mask, prob = predict_mask(model, image, patch=32, stride=32, threshold=0.5)
@@ -221,8 +206,8 @@ def test_predict_mask_is_thresholded_probability(tmp_path):
     assert set(np.unique(mask)) <= {0, 1}
 
 
-def test_predict_rejects_flat_image(tmp_path):
-    cfg = tiny_run(tmp_path)
+def test_predict_rejects_flat_image():
+    cfg = tiny_run()
     model = tiny_model(cfg)
     with pytest.raises(ValueError, match=r"\(H,W,C\)"):
         predict_probabilities(model, np.zeros((32, 32), np.float32),
