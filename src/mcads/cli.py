@@ -22,7 +22,7 @@ import sys
 
 from . import gradcheck as gradcheck_mod
 from . import infer, metrics, netpbm, summary
-from .config import ConfigError, load_config
+from .config import ConfigError, check_input_side, load_config
 from .network import SegmentationModel
 from .params import load_checkpoint
 from .tensor import NumericError
@@ -120,8 +120,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_summary(args) -> int:
     cfg = load_config(args.config, args.set)
-    hw = None if args.no_macs else (args.input_size or cfg.data.patch)
-    rep = summary.summary_report(cfg.model, input_hw=hw)
+    hw = cfg.data.patch
+    if args.input_size is not None:
+        check_input_side(cfg.model, args.input_size, "--input-size")
+        hw = args.input_size
+    rep = summary.summary_report(cfg.model, input_hw=None if args.no_macs else hw)
     print(summary.format_table(rep))
     if args.json:
         with open(args.json, "w") as f:

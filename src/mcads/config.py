@@ -170,10 +170,8 @@ def _check_ranges(cfg: RunConfig) -> None:
     initial checkpoint only), the learning rate must be positive, and BN
     momentum and the eval threshold are shares. A batch needs a sample and
     the validation share must leave one; synthetic images must survive the
-    encoder's five 2x pools, the patch also every RSU's inner pools, and the
-    patch lattice needs a stride in 1..patch. Every attention extent is the
-    patch side 2^a * m (m odd) halved some number of times, so power-of-two
-    token pooling can meet the cap at every site only if m * m <= cap."""
+    encoder's five 2x pools, the patch is an input side (check_input_side),
+    and the patch lattice needs a stride in 1..patch."""
     enc, blk = cfg.model.encoder, cfg.model.block
     t, d = cfg.train, cfg.data
     for key, values, least in (("model.encoder.rsu_depths", enc.rsu_depths, 3),
@@ -200,17 +198,28 @@ def _check_ranges(cfg: RunConfig) -> None:
     if not 0 <= t.val_fraction < 1:
         raise ConfigError(f"'train.val_fraction' must be in [0, 1), "
                           f"got {t.val_fraction}")
-    for key, extent, multiple in (("data.patch", d.patch, enc.input_multiple()),
-                                  ("data.synth_hw", d.synth_hw, 32)):
-        if extent <= 0 or extent % multiple:
-            raise ConfigError(f"'{key}' must be a positive multiple of "
-                              f"{multiple}, got {extent}")
-    odd = d.patch // (d.patch & -d.patch)
-    cap = blk.attention_token_cap
-    attends = cfg.model.decoder.enable_rlab or enc.inner_attention
-    if attends and cap is not None and odd * odd > cap:
-        raise ConfigError(f"'model.block.attention_token_cap' must be at least "
-                          f"{odd * odd} for data.patch {d.patch}, got {cap}")
+    check_input_side(cfg.model, d.patch, "data.patch")
+    if d.synth_hw <= 0 or d.synth_hw % 32:
+        raise ConfigError(f"'data.synth_hw' must be a positive multiple of 32, "
+                          f"got {d.synth_hw}")
     if not 1 <= d.stride <= d.patch:
         raise ConfigError(f"'data.stride' must be in 1..data.patch "
                           f"({d.patch}), got {d.stride}")
+
+
+def check_input_side(model: ModelConfig, side: int, name: str) -> None:
+    """Reject a square input side the model cannot run, naming it `name`,
+    before any compute. The side must survive the encoder's pools, i.e. be a
+    positive multiple of its input_multiple(). Every attention extent is the
+    side 2^a * m (m odd) halved some number of times, so power-of-two token
+    pooling can meet the cap at every site only if m * m <= cap."""
+    enc, cap = model.encoder, model.block.attention_token_cap
+    multiple = enc.input_multiple()
+    if side <= 0 or side % multiple:
+        raise ConfigError(f"'{name}' must be a positive multiple of {multiple}, "
+                          f"got {side}")
+    odd = side // (side & -side)
+    attends = model.decoder.enable_rlab or enc.inner_attention
+    if attends and cap is not None and odd * odd > cap:
+        raise ConfigError(f"'model.block.attention_token_cap' must be at least "
+                          f"{odd * odd} for {name} {side}, got {cap}")

@@ -3,10 +3,11 @@
 Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
-Convolutions go through an im2col-style strided window view feeding one
-BLAS contraction (an einsum for depthwise). Their input gradients are the
-same contraction run over the zero-stuffed, padded output gradient with the
-spatially flipped kernel. Bilinear upsampling differentiates through two
+Dense convolutions go through an im2col-style strided window view feeding
+one BLAS contraction; depthwise convolutions run a cache-blocked loop over
+the kernel taps. Input gradients of both are the forward's own kernel run
+over the zero-stuffed, padded output gradient with the spatially flipped
+weights. Bilinear upsampling differentiates through two
 interpolation-matrix products, and train-mode batch norm uses the closed
 form of its gradient. Every op returns a C-contiguous array: a strided
 result changes the summation order of the BLAS calls downstream.
@@ -97,13 +98,67 @@ def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple, stuff: int = 1) -> np.nda
 
 
 def _correlate(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
-               dilation: int, depthwise: bool):
-    """Slide (kh, kw, C_in, C_out) weights (depthwise: (kh, kw, 1, C)) over a
-    padded canvas; returns the window view and the NHWC result."""
+               dilation: int):
+    """Slide dense (kh, kw, C_in, C_out) weights over a padded canvas;
+    returns the window view and the NHWC result."""
     patches = _window_view(xp, wd.shape[0], wd.shape[1], oh, ow, stride, dilation)
-    if depthwise:
-        return patches, np.einsum("nhwuvc,uvc->nhwc", patches, wd[:, :, 0, :])
     return patches, np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
+
+
+# Output bytes per block of the depthwise tap loop: a block, its scratch
+# product and the canvas rows its taps read stay in a core's L2 cache.
+_DW_BLOCK_BYTES = 1 << 18
+
+
+def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int,
+             dilation: int):
+    """Walk a depthwise correlation's (N, oh, ow, C) output in blocks of
+    about _DW_BLOCK_BYTES: several whole images when one image is smaller,
+    else row blocks of one image. For each block and each tap (u, v), in
+    row-major order, yields (the block's index into the output, (u, v), the
+    canvas window that tap reads for the block, a scratch array of the
+    block's shape)."""
+    n, c = xp.shape[0], xp.shape[3]
+    rows = max(1, _DW_BLOCK_BYTES // (ow * c * xp.itemsize))
+    images = max(1, rows // oh)
+    rows = min(rows, oh)
+    scratch = np.empty(images * rows * ow * c, dtype=xp.dtype)
+    span_w = (ow - 1) * stride + 1
+    for i in range(0, n, images):
+        bn = min(images, n - i)
+        for r in range(0, oh, rows):
+            br = min(rows, oh - r)
+            block = (slice(i, i + bn), slice(r, r + br))
+            buf = scratch[:bn * br * ow * c].reshape(bn, br, ow, c)
+            for u in range(kh):
+                h0 = r * stride + u * dilation
+                rows_u = slice(h0, h0 + (br - 1) * stride + 1, stride)
+                for v in range(kw):
+                    w0 = v * dilation
+                    yield (block, (u, v),
+                           xp[i:i + bn, rows_u, w0:w0 + span_w:stride], buf)
+
+
+def _dw_correlate(xp: np.ndarray, wk: np.ndarray, oh: int, ow: int, stride: int,
+                  dilation: int) -> np.ndarray:
+    """Slide depthwise (kh, kw, C) weights over a padded canvas.
+
+    Per block, the first tap's product is written straight into the output
+    and each later one is added on, so every output sums its taps in
+    row-major (u, v) order. Each tap's weights are tiled along W once: the
+    product then runs over contiguous OW*C rows, where a broadcast (C,)
+    vector would keep numpy from merging the W and C axes.
+    """
+    kh, kw, c = wk.shape
+    wt = np.ascontiguousarray(np.broadcast_to(wk[:, :, None, :], (kh, kw, ow, c)))
+    y = np.empty((xp.shape[0], oh, ow, c), dtype=xp.dtype)
+    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
+        out = y[block]
+        if u == v == 0:
+            np.multiply(win, wt[u, v], out=out)
+        else:
+            out += np.multiply(win, wt[u, v], out=buf)
+    return y
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -136,10 +191,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     ph_lo, ph_hi, oh = _conv_axis(h, kh, stride, dilation, padding)
     pw_lo, pw_hi, ow = _conv_axis(wdt, kw, stride, dilation, padding)
     wd = w.data
-    patches, y = _correlate(_canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi)), wd,
-                            oh, ow, stride, dilation, depthwise)
+    xp = _canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi))
+    if depthwise:
+        y = _dw_correlate(xp, wd[:, :, 0, :], oh, ow, stride, dilation)
+    else:
+        patches, y = _correlate(xp, wd, oh, ow, stride, dilation)
     if b is not None:
-        y = y + b.data
+        y += b.data  # y is a fresh array either way
     add_macs(n * oh * ow * kh * kw * cg * cout)
 
     def bwd(g):
@@ -151,11 +209,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         reach_h, reach_w = dilation * (kh - 1), dilation * (kw - 1)
         gp = _canvas(g, (reach_h - ph_lo, h + ph_lo - (oh - 1) * stride - 1),
                      (reach_w - pw_lo, wdt + pw_lo - (ow - 1) * stride - 1), stride)
-        wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
-        dx = _correlate(gp, wf, h, wdt, 1, dilation, depthwise)[1]
         if depthwise:
-            dw = np.einsum("nhwuvc,nhwc->uvc", patches, g)[:, :, None, :]
+            dx = _dw_correlate(gp, wd[::-1, ::-1, 0, :], h, wdt, 1, dilation)
+            dw = np.zeros_like(wd)
+            for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride,
+                                                    dilation):
+                dw[u, v, 0] += _channel_sum(np.multiply(win, g[block], out=buf))
         else:
+            wf = wd[::-1, ::-1].transpose(0, 1, 3, 2)
+            dx = _correlate(gp, wf, h, wdt, 1, dilation)[1]
             dw = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
         if b is None:
             return dx, dw
@@ -192,7 +254,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     xs = _canvas(x.data, (kh - 1 - ph_lo, stride - 1 + ph_lo),
                  (kw - 1 - pw_lo, stride - 1 + pw_lo), stride)
     wf = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-    patches, y = _correlate(xs, wf, oh, ow, 1, 1, False)
+    patches, y = _correlate(xs, wf, oh, ow, 1, 1)
     if b is not None:
         y = y + b.data
     add_macs(n * oh * ow * kh * kw * cin * cout)
@@ -201,7 +263,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         dwf = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
         dw = np.ascontiguousarray(dwf[::-1, ::-1].transpose(0, 1, 3, 2))
         gp = _canvas(g, (ph_lo, ph_hi), (pw_lo, pw_hi))
-        dx = _correlate(gp, w.data, h, wdt, stride, 1, False)[1]
+        dx = _correlate(gp, w.data, h, wdt, stride, 1)[1]
         if b is None:
             return dx, dw
         return dx, dw, _channel_sum(g)

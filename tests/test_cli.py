@@ -341,6 +341,26 @@ def test_summary_counts_match_registry(desk_json, tmp_path, capsys):
     assert rep["total_trainable"] == sum(g["trainable"] for g in rep["groups"].values())
 
 
+@pytest.mark.parametrize("size, overrides", [
+    ("160", ["data.patch=96", "data.synth_hw=96", "model.block.attention_token_cap=9"]),
+    ("48", []),
+    ("0", []),
+    ("-32", []),
+], ids=["cap-9-at-160", "48", "0", "-32"])
+def test_summary_bad_input_size_exits_1(size, overrides, desk_json, tmp_path,
+                                        capsys):
+    json_path = tmp_path / "summary.json"
+    argv = ["summary", "--config", desk_json, "--input-size", size,
+            "--json", str(json_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "--input-size" in err
+    assert out == ""
+    assert not json_path.exists()
+
+
 def test_summary_ablation_drops_parameters(desk_json, capsys):
     code, full, _ = run(["summary", "--config", desk_json, "--no-macs"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
-"""Backward kernels against the adjoint identity, and the layout of outputs.
+"""Backward kernels against the adjoint identity, the blocked depthwise
+kernel against plain tap sums, and the layout of outputs.
 
 conv2d, conv2d_transpose and bilinear_upsample are linear in each input, so
 for any output gradient g the input gradient dx must satisfy
@@ -43,6 +44,77 @@ def test_conv2d_adjoint(depthwise, kernel, stride, dilation, padding):
                                 dilation=dilation, groups=groups), x, w)
     assert ax == pytest.approx(inner, rel=1e-12)
     assert aw == pytest.approx(inner, rel=1e-12)
+
+
+# (N, H, W, C), kernel side, stride, dilation, padding
+_DW_CASES = {
+    "3x3-c8": ((4, 16, 16, 8), 3, 1, 1, "same"),
+    "3x3-c16": ((2, 24, 20, 16), 3, 1, 1, "same"),
+    "3x3-c128": ((2, 12, 12, 128), 3, 1, 1, "same"),
+    "7x7-c4": ((2, 32, 32, 4), 7, 1, 1, "same"),
+    "stride2": ((2, 17, 15, 16), 3, 2, 1, "same"),
+    "dilation2": ((2, 16, 16, 16), 3, 1, 2, "same"),
+    "valid": ((2, 13, 11, 8), 3, 1, 1, "valid"),
+    "image-over-block": ((2, 96, 96, 16), 3, 1, 1, "same"),
+    "images-in-block": ((7, 8, 8, 16), 3, 1, 1, "same"),
+    "partial-image-block": ((5, 40, 40, 16), 3, 1, 1, "same"),
+}
+
+
+def _dw_case(name, dtype):
+    shape, k, stride, dilation, padding = _DW_CASES[name]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(k, k, 1, shape[3])).astype(dtype)
+    pads = [ops._conv_axis(e, k, stride, dilation, padding) for e in shape[1:3]]
+    xp = np.pad(x, ((0, 0), pads[0][:2], pads[1][:2], (0, 0)))
+    return x, w, xp, (pads[0][2], pads[1][2]), (k, stride, dilation, padding)
+
+
+def _depthwise(x, w, k, stride, dilation, padding):
+    return ops.conv2d(x, w, stride=stride, padding=padding, dilation=dilation,
+                      groups=x.shape[3])
+
+
+def test_depthwise_cases_cross_block_seams():
+    block = ops._DW_BLOCK_BYTES
+    n, h, w, c = _DW_CASES["image-over-block"][0]
+    assert h * w * c * 4 > block
+    n, h, w, c = _DW_CASES["images-in-block"][0]
+    assert 1 < n and n * h * w * c * 4 <= block
+    n, h, w, c = _DW_CASES["partial-image-block"][0]
+    assert n % (block // (h * w * c * 4)) != 0
+
+
+@pytest.mark.parametrize("name", list(_DW_CASES))
+def test_depthwise_forward_is_the_plain_tap_sum(name):
+    """Bit for bit in float32: the blocked kernel adds the same products in
+    the same row-major (u, v) order as one pass over the whole arrays."""
+    x, w, xp, (oh, ow), (k, stride, dilation, padding) = _dw_case(name, np.float32)
+    want = None
+    for u in range(k):
+        for v in range(k):
+            win = xp[:, u * dilation::stride, v * dilation::stride][:, :oh, :ow]
+            term = win * w[u, v, 0]
+            want = term if want is None else want + term
+    got = _depthwise(Tensor(x), Tensor(w), k, stride, dilation, padding).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(_DW_CASES))
+def test_depthwise_weight_gradient_matches_window_contraction(name):
+    x, w, xp, (oh, ow), (k, stride, dilation, padding) = _dw_case(name, np.float64)
+    wt = Tensor(w, requires_grad=True)
+    g = np.random.default_rng(8).normal(size=(x.shape[0], oh, ow, x.shape[3]))
+    with Tape() as tape:
+        y = _depthwise(Tensor(x), wt, k, stride, dilation, padding)
+        loss = ops.reduce_sum(ops.mul(y, Tensor(g)))
+    backward(tape, loss)
+    want = np.einsum("nhwuvc,nhwc->uvc",
+                     ops._window_view(xp, k, k, oh, ow, stride, dilation), g)
+    np.testing.assert_allclose(wt.grad[:, :, 0, :], want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("kernel, stride", [(3, 2), (2, 2), (4, 2), (1, 2), (3, 3)])
