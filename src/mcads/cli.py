@@ -7,10 +7,6 @@ alone takes --seed, and eval and gradcheck read no config at all.
 Exit codes: 0 success, 1 usage or config error, 2 data error (unreadable
 files, malformed images, checkpoint mismatch), 3 numeric failure (NaN loss
 or a gradient check beyond tolerance).
-
-Setting MCADS_GRADCHECK_FAULT=1 makes `gradcheck` corrupt one analytic
-gradient on purpose; it exists so tests can prove the harness rejects
-wrong gradients.
 """
 
 from __future__ import annotations
@@ -104,9 +100,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    fault = os.environ.get("MCADS_GRADCHECK_FAULT") == "1"
-    results = gradcheck_mod.run_suite(include_model=not args.skip_model,
-                                      fault=fault)
+    results = gradcheck_mod.run_suite(include_model=not args.skip_model)
     width = max(len(r["name"]) for r in results)
     failed = 0
     for r in results:

@@ -75,9 +75,10 @@ class RunConfig:
 def _apply_dict(obj, data: dict, path: str):
     """Assign `data` onto dataclass `obj`, rejecting unknown keys and values
     of the wrong kind for the field's declared type: non-booleans for a
-    bool, non-numbers for a number (an int is fine for a float), and lists
-    that change a tuple's length or hold anything but integers (every
-    tuple in the tree is per-stage counts or widths)."""
+    bool, non-numbers for a number (an int is fine for a float), non-strings
+    for a string, lists that change a tuple's length or hold anything but
+    integers (every tuple in the tree is per-stage counts or widths), and
+    for a dict (the upsampler map) anything but an object of strings."""
     hints = typing.get_type_hints(type(obj))
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
@@ -110,11 +111,20 @@ def _apply_dict(obj, data: dict, path: str):
                 raise ConfigError(f"'{where}' must hold integers, "
                                   f"got {json.dumps(value)}")
             value = tuple(value)
-        elif isinstance(current, dict) and isinstance(value, dict):
-            bad = set(value) - set(current)
-            if bad:
-                raise ConfigError(f"unknown config key "
-                                  f"'{where}.{sorted(bad)[0]}'")
+        elif str in kinds:
+            if not isinstance(value, str):
+                raise ConfigError(f"'{where}' must be a string, "
+                                  f"got {json.dumps(value)}")
+        elif dict in kinds:
+            if not isinstance(value, dict):
+                raise ConfigError(f"'{where}' must be an object, "
+                                  f"got {json.dumps(value)}")
+            for k, v in sorted(value.items()):
+                if k not in current:
+                    raise ConfigError(f"unknown config key '{where}.{k}'")
+                if not isinstance(v, str):
+                    raise ConfigError(f"'{where}.{k}' must be a string, "
+                                      f"got {json.dumps(v)}")
             value = {**current, **value}
         setattr(obj, key, value)
 

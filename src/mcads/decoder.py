@@ -43,14 +43,14 @@ class DecoderConfig:
 
 
 class DecoderStage:
-    """upsample(deeper) -> fuse with skip -> refine to the stage width."""
+    """upsample(deeper) -> fuse with skip -> refine to the skip's width."""
 
-    def __init__(self, store, prefix, deeper_c, skip_c, out_c, kind,
-                 iterations, dec_cfg: DecoderConfig, cfg: BlockConfig):
+    def __init__(self, store, prefix, deeper_c, skip_c, kind, iterations,
+                 dec_cfg: DecoderConfig, cfg: BlockConfig):
         if dec_cfg.enable_upsampler:
             self.up = UPSAMPLERS[kind](store, f"{prefix}.up.{kind}",
-                                       deeper_c, out_c, cfg)
-            up_c = out_c
+                                       deeper_c, skip_c, cfg)
+            up_c = skip_c
         else:
             self.up = None  # parameter-free bilinear, channels untouched
             up_c = deeper_c
@@ -62,10 +62,9 @@ class DecoderStage:
             self.fuse = None
         if dec_cfg.enable_casab:
             self.post = DualAttentionBlock(store, f"{prefix}.casab",
-                                           fused_c, out_c, cfg)
+                                           fused_c, skip_c, cfg)
         else:
-            self.post = ConvBlock(store, f"{prefix}.refine", fused_c, out_c, cfg)
-        self.out_channels = out_c
+            self.post = ConvBlock(store, f"{prefix}.refine", fused_c, skip_c, cfg)
 
     def __call__(self, deeper, skip, train):
         up = self.up(deeper, train) if self.up is not None \
@@ -94,42 +93,26 @@ class SegmentationOutput:
 class Decoder:
     def __init__(self, store, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                  cfg: BlockConfig):
-        f = tuple(enc_cfg.stage_filters)
-        kinds = dec_cfg.kinds()
-        skip_channels = [f[4], f[3], f[2], f[1], f[0]]  # s5 .. s1
-        self.stages = []
-        deeper_c = f[5]
-        for i, key in enumerate(STAGE_KEYS):
-            name = f"decoder.d{5 - i}"
-            stage = DecoderStage(store, name, deeper_c, skip_channels[i],
-                                 skip_channels[i], kinds[i],
-                                 dec_cfg.rlab_iterations[i], dec_cfg, cfg)
-            self.stages.append(stage)
-            # Every stage maps to the skip width whatever the toggles, so the
-            # ablated variants only change widths inside a stage.
-            deeper_c = stage.out_channels
-        head_widths = {"b1": f[5], "d5": self.stages[0].out_channels,
-                       "d4": self.stages[1].out_channels,
-                       "d3": self.stages[2].out_channels,
-                       "d2": self.stages[3].out_channels,
-                       "d1": self.stages[4].out_channels}
-        self.heads = {name: SegmentationHead(store, f"decoder.head_{name}",
-                                             head_widths[name], cfg)
-                      for name in HEAD_ORDER}
+        # Widths deep to shallow: the bridge, then the skips s5 .. s1. Stage
+        # d(5 - i) maps width i to its skip's width i + 1 whatever the
+        # toggles, so the ablated variants only change widths inside a stage.
+        widths = tuple(enc_cfg.stage_filters)[::-1]
+        stages = zip(widths[:-1], widths[1:], dec_cfg.kinds(), dec_cfg.rlab_iterations,
+                     strict=True)
+        self.stages = [DecoderStage(store, f"decoder.d{5 - i}", *stage, dec_cfg, cfg)
+                       for i, stage in enumerate(stages)]
+        self.heads = {name: SegmentationHead(store, f"decoder.head_{name}", c, cfg)
+                      for name, c in zip(HEAD_ORDER, widths)}
 
     def __call__(self, feats, train):
-        s1, s2, s3, s4, s5, bridge = feats
-        target_hw = (s1.shape[1], s1.shape[2])
-        skips = [s5, s4, s3, s2, s1]
-        deep_feats = {}
-        cur = bridge
-        for i, stage in enumerate(self.stages):
-            cur = stage(cur, skips[i], train)
-            deep_feats[f"d{5 - i}"] = cur
-        maps = {"b1": self.heads["b1"](bridge, target_hw, train)}
-        for name in ("d5", "d4", "d3", "d2", "d1"):
-            maps[name] = self.heads[name](deep_feats[name], target_hw, train)
-        return SegmentationOutput(maps)
+        *skips, cur = feats  # s1 .. s5, bridge
+        target_hw = skips[0].shape[1:3]
+        outs = [cur]
+        for stage, skip in zip(self.stages, reversed(skips)):
+            cur = stage(cur, skip, train)
+            outs.append(cur)
+        return SegmentationOutput({name: self.heads[name](y, target_hw, train)
+                                   for name, y in zip(HEAD_ORDER, outs)})
 
 
 def supervision_loss(output: SegmentationOutput, target):

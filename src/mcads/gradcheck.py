@@ -8,9 +8,7 @@ from dominating. Inputs for kinked ops (relu family, max pools) are
 constructed away from their non-smooth points.
 
 run_suite() covers every primitive op and every architecture block, ending
-with a micro-scale full model. The `fault` flag corrupts the first case's
-analytic gradient on purpose so callers can verify the harness actually
-rejects wrong gradients.
+with a micro-scale full model.
 """
 
 from __future__ import annotations
@@ -31,21 +29,20 @@ from .params import ParameterStore
 from .tensor import Tape, Tensor, backward
 
 EPS = 1e-4
+PER_TENSOR = 6  # sampled coordinates per tensor
+MODEL_COORDS = 24  # size-weighted coordinates across the micro model
 PRIMITIVE_TOL = 1e-5
 BLOCK_TOL = 1e-4
 _ERR_FLOOR = 1e-4
 
 
-def check_gradients(build, tensors, *, eps: float = EPS, per_tensor: int = 8,
-                    total_coords: int | None = None, seed: int = 0,
-                    corrupt: bool = False) -> float:
+def check_gradients(build, tensors, total_coords: int | None = None) -> float:
     """Worst sampled relative error between taped and numeric gradients.
 
     `build` must recompute the scalar loss from the current tensor contents
     on every call. With `total_coords`, coordinates are drawn size-weighted
-    across all tensors (whole-model mode); otherwise up to `per_tensor` per
-    tensor. `corrupt` deliberately scales one analytic gradient, for testing
-    the harness itself.
+    across all tensors (whole-model mode); otherwise up to PER_TENSOR per
+    tensor. The draw is seeded, so a check is repeatable.
     """
     tensors = list(tensors)
     for t in tensors:
@@ -60,10 +57,8 @@ def check_gradients(build, tensors, *, eps: float = EPS, per_tensor: int = 8,
     for t in tensors:
         g = t.grad if t.grad is not None else np.zeros(t.shape, np.float64)
         analytic.append(np.array(g, dtype=np.float64).reshape(-1))
-    if corrupt:
-        analytic[0] = analytic[0] * 1.01 + 1e-3
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     coords: list[tuple[int, int]] = []
     if total_coords is not None:
         sizes = np.array([t.size for t in tensors])
@@ -74,22 +69,22 @@ def check_gradients(build, tensors, *, eps: float = EPS, per_tensor: int = 8,
             coords.append((ti, int(flat - (bounds[ti - 1] if ti else 0))))
     else:
         for ti, t in enumerate(tensors):
-            if t.size <= per_tensor:
+            if t.size <= PER_TENSOR:
                 coords.extend((ti, i) for i in range(t.size))
             else:
-                picks = rng.choice(t.size, size=per_tensor, replace=False)
+                picks = rng.choice(t.size, size=PER_TENSOR, replace=False)
                 coords.extend((ti, int(i)) for i in picks)
 
     worst = 0.0
     for ti, idx in coords:
         flat = tensors[ti].data.reshape(-1)
         orig = flat[idx]
-        flat[idx] = orig + eps
+        flat[idx] = orig + EPS
         f_plus = float(build().data)
-        flat[idx] = orig - eps
+        flat[idx] = orig - EPS
         f_minus = float(build().data)
         flat[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        numeric = (f_plus - f_minus) / (2.0 * EPS)
         a = analytic[ti][idx]
         err = abs(a - numeric) / max(abs(a), abs(numeric), _ERR_FLOOR)
         worst = max(worst, err)
@@ -236,11 +231,11 @@ def primitive_cases():
 # block cases
 
 
-def _block_case(make, seed, *shapes, args=(), cfg=None):
-    """make(store, cfg) with the store seeded by `seed`, one normal input
-    per shape from seed + 1, output probed with seed + 2."""
+def _block_case(seed, make, ctor, shapes, args=(), cfg=None):
+    """make(store, *ctor, cfg=cfg) with the store seeded by `seed`, one
+    normal input per shape from seed + 1, output probed with seed + 2."""
     store = ParameterStore(seed, np.float64)
-    block = make(store, cfg or BlockConfig())
+    block = make(store, *ctor, cfg=cfg or BlockConfig())
     rng = _rng(seed + 1)
     inputs = [_t(rng.normal(size=shape)) for shape in shapes]
     build = _probed(lambda: block(*inputs, *args, True), seed + 2)
@@ -274,12 +269,9 @@ def _smooth_operating_point(store):
 
 
 def _case_micro_model():
-    cfg = ModelConfig(
-        encoder=EncoderConfig(stage_filters=(2, 4, 4, 4, 8, 8),
-                              rsu_depths=(4, 4, 3, 3, 3, 3)),
-        decoder=DecoderConfig(),
-        block=BlockConfig(),
-        seed=76)
+    cfg = ModelConfig(encoder=EncoderConfig(stage_filters=(2, 4, 4, 4, 8, 8),
+                                            rsu_depths=(4, 4, 3, 3, 3, 3)),
+                      seed=76)
     model = SegmentationModel(cfg, dtype=np.float64)
     _smooth_operating_point(model.store)
     rng = _rng(77)
@@ -295,70 +287,48 @@ def _case_micro_model():
 
 
 def block_cases(include_model: bool = True):
-    cases = [
-        ("conv_block", lambda: _block_case(
-            lambda s, c: ConvBlock(s, "cb", 3, 5, c), 100, (2, 4, 4, 3))),
-        ("dsub", lambda: _block_case(
-            lambda s, c: DepthToSpaceUpsample(s, "dsub", 4, 3, c),
-            101, (1, 3, 3, 4))),
-        ("eub", lambda: _block_case(
-            lambda s, c: BilinearUpsampleBlock(s, "eub", 4, 3, c),
-            102, (1, 3, 3, 4))),
-        ("convtp_upsample", lambda: _block_case(
-            lambda s, c: TransposeConvUpsample(s, "tp", 4, 3, c),
-            103, (1, 3, 3, 4))),
-        ("cam", lambda: _block_case(
-            lambda s, c: ChannelAttention(s, "cam", 6, c), 104, (2, 4, 4, 6))),
-        ("sam", lambda: _block_case(
-            lambda s, c: SpatialAttention(s, "sam", c), 105, (2, 5, 5, 3))),
-        ("casab", lambda: _block_case(
-            lambda s, c: DualAttentionBlock(s, "casab", 4, 6, c),
-            106, (1, 4, 4, 4))),
-        ("residual_chain", lambda: _block_case(
-            lambda s, c: ResidualConvChain(s, "rb", 3, 2, c), 107, (1, 4, 4, 3))),
-        ("attention_fusion", lambda: _block_case(
-            lambda s, c: AttentionFusion(s, "rlab", 3, 4, 1, c),
-            108, (1, 4, 4, 3), (1, 4, 4, 4))),
-        ("attention_fusion_capped", lambda: _block_case(
-            lambda s, c: AttentionFusion(s, "rlabc", 2, 2, 1, c),
-            109, (1, 8, 8, 2), (1, 8, 8, 2),
-            cfg=BlockConfig(attention_token_cap=16))),
-        ("segmentation_head", lambda: _block_case(
-            lambda s, c: SegmentationHead(s, "head", 5, c), 70, (1, 4, 4, 5),
-            args=((8, 8),))),
-        ("rsu_shallow", lambda: _block_case(
-            lambda s, c: RSU(s, "rsu", 3, 6, 4, 3, dilated=False,
-                             inner_attention=True, cfg=c), 110, (1, 8, 8, 3))),
-        ("rsu_dilated", lambda: _block_case(
-            lambda s, c: RSU(s, "rsud", 3, 4, 2, 3, dilated=True,
-                             inner_attention=True, cfg=c), 111, (1, 6, 6, 3))),
-        ("decoder_stage", lambda: _block_case(
-            lambda s, c: DecoderStage(s, "d", 8, 6, 6, "dsub", 2,
-                                      DecoderConfig(), c),
-            73, (1, 4, 4, 8), (1, 8, 8, 6))),
+    """(name, case constructor) for every block, then the micro model."""
+    rsu = partial(RSU, inner_attention=True)
+    # name, seed, block, its arguments after the store, input shapes and,
+    # optionally, extra call arguments and a BlockConfig
+    rows = [
+        ("conv_block", 100, ConvBlock, ("cb", 3, 5), [(2, 4, 4, 3)]),
+        ("dsub", 101, DepthToSpaceUpsample, ("dsub", 4, 3), [(1, 3, 3, 4)]),
+        ("eub", 102, BilinearUpsampleBlock, ("eub", 4, 3), [(1, 3, 3, 4)]),
+        ("convtp_upsample", 103, TransposeConvUpsample, ("tp", 4, 3),
+         [(1, 3, 3, 4)]),
+        ("cam", 104, ChannelAttention, ("cam", 6), [(2, 4, 4, 6)]),
+        ("sam", 105, SpatialAttention, ("sam",), [(2, 5, 5, 3)]),
+        ("casab", 106, DualAttentionBlock, ("casab", 4, 6), [(1, 4, 4, 4)]),
+        ("residual_chain", 107, ResidualConvChain, ("rb", 3, 2), [(1, 4, 4, 3)]),
+        ("attention_fusion", 108, AttentionFusion, ("rlab", 3, 4, 1),
+         [(1, 4, 4, 3), (1, 4, 4, 4)]),
+        ("attention_fusion_capped", 109, AttentionFusion, ("rlabc", 2, 2, 1),
+         [(1, 8, 8, 2)] * 2, (), BlockConfig(attention_token_cap=16)),
+        ("segmentation_head", 70, SegmentationHead, ("head", 5), [(1, 4, 4, 5)],
+         ((8, 8),)),
+        ("rsu_shallow", 110, partial(rsu, dilated=False), ("rsu", 3, 6, 4, 3),
+         [(1, 8, 8, 3)]),
+        ("rsu_dilated", 111, partial(rsu, dilated=True), ("rsud", 3, 4, 2, 3),
+         [(1, 6, 6, 3)]),
+        ("decoder_stage", 73, DecoderStage, ("d", 8, 6, "dsub", 2, DecoderConfig()),
+         [(1, 4, 4, 8), (1, 8, 8, 6)]),
     ]
+    cases = [(name, partial(_block_case, *row)) for name, *row in rows]
     if include_model:
         cases.append(("micro_model", _case_micro_model))
     return cases
 
 
-def run_suite(include_model: bool = True, fault: bool = False,
-              per_tensor: int = 6, model_coords: int = 24):
+def run_suite(include_model: bool = True):
     """Check every primitive and block; returns a list of result dicts."""
     results = []
-    first = True
-    for name, case in primitive_cases():
-        build, tensors = case()
-        err = check_gradients(build, tensors, per_tensor=per_tensor,
-                              corrupt=fault and first)
-        results.append({"name": name, "kind": "primitive", "max_rel_err": err,
-                        "tol": PRIMITIVE_TOL, "passed": err < PRIMITIVE_TOL})
-        first = False
-    for name, case in block_cases(include_model):
-        build, tensors = case()
-        budget = model_coords if name == "micro_model" else None
-        err = check_gradients(build, tensors, per_tensor=per_tensor,
-                              total_coords=budget)
-        results.append({"name": name, "kind": "block", "max_rel_err": err,
-                        "tol": BLOCK_TOL, "passed": err < BLOCK_TOL})
+    for kind, tol, cases in (("primitive", PRIMITIVE_TOL, primitive_cases()),
+                             ("block", BLOCK_TOL, block_cases(include_model))):
+        for name, case in cases:
+            build, tensors = case()
+            err = check_gradients(build, tensors,
+                                  MODEL_COORDS if name == "micro_model" else None)
+            results.append({"name": name, "kind": kind, "max_rel_err": err,
+                            "tol": tol, "passed": err < tol})
     return results

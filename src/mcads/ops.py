@@ -7,10 +7,12 @@ Dense convolutions go through an im2col-style strided window view feeding
 one BLAS contraction; depthwise convolutions run a cache-blocked loop over
 the kernel taps. Input gradients of both are the forward's own kernel run
 over the zero-stuffed, padded output gradient with the spatially flipped
-weights. Bilinear upsampling differentiates through two
-interpolation-matrix products, and train-mode batch norm uses the closed
-form of its gradient. Every op returns a C-contiguous array: a strided
-result changes the summation order of the BLAS calls downstream.
+weights. conv2d_transpose is conv2d's adjoint, built from the same three
+kernels (_conv, _conv_input_grad, _conv_weight_grad). Bilinear upsampling
+differentiates through two interpolation-matrix products, and train-mode
+batch norm uses the closed form of its gradient. Every op returns a
+C-contiguous array: a strided result changes the summation order of the
+BLAS calls downstream.
 """
 
 from __future__ import annotations
@@ -97,14 +99,6 @@ def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple, stuff: int = 1) -> np.nda
     return out
 
 
-def _correlate(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
-               dilation: int):
-    """Slide dense (kh, kw, C_in, C_out) weights over a padded canvas;
-    returns the window view and the NHWC result."""
-    patches = _window_view(xp, wd.shape[0], wd.shape[1], oh, ow, stride, dilation)
-    return patches, np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
-
-
 # Output bytes per block of the depthwise tap loop: a block, its scratch
 # product and the canvas rows its taps read stay in a core's L2 cache.
 _DW_BLOCK_BYTES = 1 << 18
@@ -139,18 +133,31 @@ def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int,
                            xp[i:i + bn, rows_u, w0:w0 + span_w:stride], buf)
 
 
-def _dw_correlate(xp: np.ndarray, wk: np.ndarray, oh: int, ow: int, stride: int,
-                  dilation: int) -> np.ndarray:
-    """Slide depthwise (kh, kw, C) weights over a padded canvas.
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Sum an NHWC array over N, H, W: one matrix-vector product, several
+    times faster than a ufunc reduction over the leading axes."""
+    c = a.shape[-1]
+    return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
 
-    Per block, the first tap's product is written straight into the output
-    and each later one is added on, so every output sums its taps in
-    row-major (u, v) order. Each tap's weights are tiled along W once: the
-    product then runs over contiguous OW*C rows, where a broadcast (C,)
-    vector would keep numpy from merging the W and C axes.
+
+def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
+          dilation: int, depthwise: bool) -> np.ndarray:
+    """Slide (kh, kw, C_in, C_out) weights, or depthwise (kh, kw, 1, C)
+    ones, over a padded canvas: the fresh (N, oh, ow, C_out) correlation.
+
+    Dense weights contract with the strided window view in one BLAS call.
+    Depthwise, per block of _dw_taps, the first tap's product is written
+    straight into the output and each later one is added on, so every
+    output sums its taps in row-major (u, v) order. Each tap's weights are
+    tiled along W once: the product then runs over contiguous OW*C rows,
+    where a broadcast (C,) vector would keep numpy from merging the W and C
+    axes.
     """
-    kh, kw, c = wk.shape
-    wt = np.ascontiguousarray(np.broadcast_to(wk[:, :, None, :], (kh, kw, ow, c)))
+    kh, kw, _, c = wd.shape
+    if not depthwise:
+        patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
+        return np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
+    wt = np.ascontiguousarray(np.broadcast_to(wd[:, :, :1], (kh, kw, ow, c)))
     y = np.empty((xp.shape[0], oh, ow, c), dtype=xp.dtype)
     for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
         out = y[block]
@@ -161,11 +168,53 @@ def _dw_correlate(xp: np.ndarray, wk: np.ndarray, oh: int, ow: int, stride: int,
     return y
 
 
-def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """Sum an NHWC array over N, H, W: one matrix-vector product, several
-    times faster than a ufunc reduction over the leading axes."""
-    c = a.shape[-1]
-    return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
+def _conv_input_grad(g: np.ndarray, wd: np.ndarray, in_hw: tuple, pad_lo: tuple,
+                     stride: int, dilation: int, depthwise: bool) -> np.ndarray:
+    """Gradient of _conv w.r.t. its unpadded (N, *in_hw, C_in) input, from
+    the output gradient `g` and the canvas' low pads `pad_lo`. Tap u carries
+    output pixel i to input pixel i*stride + u*dilation - pad_lo, so this is
+    a stride-1 correlation of the zero-stuffed output gradient with the
+    flipped kernel (channel axes swapped when dense); the low pad lines the
+    flipped taps up, the high pad fills out to the input extent."""
+    (h, w), (ph, pw) = in_hw, pad_lo
+    oh, ow = g.shape[1:3]
+    reach_h, reach_w = dilation * (wd.shape[0] - 1), dilation * (wd.shape[1] - 1)
+    gp = _canvas(g, (reach_h - ph, h + ph - (oh - 1) * stride - 1),
+                 (reach_w - pw, w + pw - (ow - 1) * stride - 1), stride)
+    wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
+    return _conv(gp, wf, h, w, 1, dilation, depthwise)
+
+
+def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                      stride: int, dilation: int, depthwise: bool) -> np.ndarray:
+    """Gradient of _conv with respect to its (kh, kw, ., .) weights, given
+    the padded canvas `xp` it read and the output gradient `g`."""
+    n, oh, ow, c = g.shape
+    if not depthwise:
+        patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
+        return np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
+    dw = np.zeros((kh, kw, 1, c), dtype=g.dtype)
+    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
+        dw[u, v, 0] += _channel_sum(np.multiply(win, g[block], out=buf))
+    return dw
+
+
+def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
+                   bias_grad):
+    """Check the operands' dtypes and the optional (width,) bias of an
+    affine op before any compute. Returns finish(y, bwd): it adds the bias
+    in place to the fresh output y and emits it; bwd(g) gives (dx, dw) and
+    bias_grad(g) the bias gradient."""
+    _same_dtype(op, *((x, w) if b is None else (x, w, b)))
+    if b is None:
+        return lambda y, bwd: _emit(op, y, (x, w), bwd)
+    _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
+
+    def finish(y, bwd):
+        y += b.data
+        return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)))
+
+    return finish
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -177,7 +226,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     """
     _require(x.ndim == 4, "conv2d", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d", f"weights must be rank 4, got {w.ndim}")
-    _same_dtype("conv2d", *((x, w) if b is None else (x, w, b)))
     n, h, wdt, cin = x.shape
     kh, kw, cg, cout = w.shape
     depthwise = groups != 1
@@ -185,90 +233,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
              "conv2d", f"groups {groups}, C_in {cin}, weights {w.shape}: need "
              "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
              "C_in with weights (kh, kw, 1, C_in)")
-    if b is not None:
-        _require(b.shape == (cout,), "conv2d", f"bias shape {b.shape} != ({cout},)")
-
+    finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
     ph_lo, ph_hi, oh = _conv_axis(h, kh, stride, dilation, padding)
     pw_lo, pw_hi, ow = _conv_axis(wdt, kw, stride, dilation, padding)
-    wd = w.data
     xp = _canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi))
-    if depthwise:
-        y = _dw_correlate(xp, wd[:, :, 0, :], oh, ow, stride, dilation)
-    else:
-        patches, y = _correlate(xp, wd, oh, ow, stride, dilation)
-    if b is not None:
-        y += b.data  # y is a fresh array either way
+    y = _conv(xp, w.data, oh, ow, stride, dilation, depthwise)
     add_macs(n * oh * ow * kh * kw * cg * cout)
-
-    def bwd(g):
-        # Tap u carries output pixel i to input pixel i*stride + u*dilation
-        # - pad_lo. So the input gradient is a stride-1 correlation of the
-        # zero-stuffed output gradient with the spatially flipped kernel (in
-        # and out channel axes swapped when dense); the low pad lines the
-        # flipped taps up, the high pad fills out to the input extent.
-        reach_h, reach_w = dilation * (kh - 1), dilation * (kw - 1)
-        gp = _canvas(g, (reach_h - ph_lo, h + ph_lo - (oh - 1) * stride - 1),
-                     (reach_w - pw_lo, wdt + pw_lo - (ow - 1) * stride - 1), stride)
-        if depthwise:
-            dx = _dw_correlate(gp, wd[::-1, ::-1, 0, :], h, wdt, 1, dilation)
-            dw = np.zeros_like(wd)
-            for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride,
-                                                    dilation):
-                dw[u, v, 0] += _channel_sum(np.multiply(win, g[block], out=buf))
-        else:
-            wf = wd[::-1, ::-1].transpose(0, 1, 3, 2)
-            dx = _correlate(gp, wf, h, wdt, 1, dilation)[1]
-            dw = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
-        if b is None:
-            return dx, dw
-        return dx, dw, _channel_sum(g)
-
-    return _emit("conv2d", y, (x, w) if b is None else (x, w, b), bwd)
+    return finish(y, lambda g: (
+        _conv_input_grad(g, w.data, (h, wdt), (ph_lo, pw_lo), stride, dilation,
+                         depthwise),
+        _conv_weight_grad(xp, g, kh, kw, stride, dilation, depthwise)))
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
                      stride: int = 2) -> Tensor:
-    """Transpose convolution: spatial extents multiplied by `stride`.
+    """Transpose convolution, conv2d's adjoint: spatial extents multiplied
+    by `stride`.
 
-    Weights are (kh, kw, C_out, C_in): the same array a forward conv mapping
-    C_out -> C_in with 'same' padding and this stride would use, so the
-    forward here equals that conv's gradient w.r.t. its input, and the input
-    gradient here is that conv's forward. Implemented by zero-stuffing the
-    input and correlating with the spatially flipped kernel at stride 1.
+    Weights are (kh, kw, C_out, C_in): the same array the matched conv,
+    mapping C_out -> C_in with 'same' padding at this stride, would use. So
+    the forward here is that conv's input gradient, the input gradient here
+    is its forward, and the weight gradient is its weight gradient with
+    input and output gradient swapped.
     """
     _require(x.ndim == 4, "conv2d_transpose", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d_transpose", f"weights must be rank 4, got {w.ndim}")
-    _same_dtype("conv2d_transpose", *((x, w) if b is None else (x, w, b)))
     n, h, wdt, cin = x.shape
     kh, kw, cout, wcin = w.shape
     _require(wcin == cin, "conv2d_transpose",
              f"weight input axis {wcin} != input channels {cin}")
-    if b is not None:
-        _require(b.shape == (cout,), "conv2d_transpose",
-                 f"bias shape {b.shape} != ({cout},)")
-
+    finish = _bias_epilogue("conv2d_transpose", x, w, b, cout, _channel_sum)
     oh, ow = h * stride, wdt * stride
-    # matched conv's 'same' pads on the output extent
     ph_lo, ph_hi, _ = _conv_axis(oh, kh, stride, 1, "same")
     pw_lo, pw_hi, _ = _conv_axis(ow, kw, stride, 1, "same")
-    xs = _canvas(x.data, (kh - 1 - ph_lo, stride - 1 + ph_lo),
-                 (kw - 1 - pw_lo, stride - 1 + pw_lo), stride)
-    wf = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-    patches, y = _correlate(xs, wf, oh, ow, 1, 1)
-    if b is not None:
-        y = y + b.data
+    y = _conv_input_grad(x.data, w.data, (oh, ow), (ph_lo, pw_lo), stride, 1, False)
     add_macs(n * oh * ow * kh * kw * cin * cout)
 
     def bwd(g):
-        dwf = np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
-        dw = np.ascontiguousarray(dwf[::-1, ::-1].transpose(0, 1, 3, 2))
         gp = _canvas(g, (ph_lo, ph_hi), (pw_lo, pw_hi))
-        dx = _correlate(gp, w.data, h, wdt, stride, 1)[1]
-        if b is None:
-            return dx, dw
-        return dx, dw, _channel_sum(g)
+        return (_conv(gp, w.data, h, wdt, stride, 1, False),
+                _conv_weight_grad(gp, x.data, kh, kw, stride, 1, False))
 
-    return _emit("conv2d_transpose", y, (x, w) if b is None else (x, w, b), bwd)
+    return finish(y, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +547,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     _require(w.ndim == 2, "dense", f"weights must be rank 2, got {w.ndim}")
     _require(x.shape[-1] == w.shape[0], "dense",
              f"input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    _same_dtype("dense", *((x, w) if b is None else (x, w, b)))
-    if b is not None:
-        _require(b.shape == (w.shape[1],), "dense",
-                 f"bias shape {b.shape} != ({w.shape[1]},)")
-    y = x.data @ w.data
-    if b is not None:
-        y = y + b.data
-    add_macs(x.size // x.shape[-1] * w.shape[0] * w.shape[1])
     lead = tuple(range(x.ndim - 1))
-
-    def bwd(g):
-        dx = g @ w.data.T
-        dw = np.tensordot(x.data, g, axes=(lead, lead))
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=lead)
-
-    return _emit("dense", y, (x, w) if b is None else (x, w, b), bwd)
+    finish = _bias_epilogue("dense", x, w, b, w.shape[1],
+                            lambda g: g.sum(axis=lead))
+    y = x.data @ w.data
+    add_macs(x.size // x.shape[-1] * w.shape[0] * w.shape[1])
+    return finish(y, lambda g: (g @ w.data.T,
+                                np.tensordot(x.data, g, axes=(lead, lead))))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -3,7 +3,8 @@
 One epoch is one shuffled pass over the extracted training patches.
 Checkpoints: best.mct tracks the lowest validation loss (training loss
 when there is no validation split), last.mct is always the final state,
-and both exist even for epochs=0 so a run can be resumed or inspected.
+and both exist even for epochs=0. They hold parameters and batch-norm
+statistics but no Adam moments or RNG state, so a run cannot resume.
 All randomness (split, shuffling, augmentation) flows from train.seed.
 """
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -104,6 +105,31 @@ def test_removed_model_keys_exit_1(override, capsys):
     assert f"unknown config key '{override.split('=')[0]}'" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["summary", "--no-macs", "--set", "model.decoder.upsampler=null"],
+     "model.decoder.upsampler"),
+    (["summary", "--no-macs", "--set", "model.decoder.upsampler=[]"],
+     "model.decoder.upsampler"),
+    (["summary", "--no-macs", "--set", 'model.decoder.upsampler.s1=["eub"]'],
+     "model.decoder.upsampler.s1"),
+    (["summary", "--no-macs", "--set", 'model.decoder.upsampler={"s2": 3}'],
+     "model.decoder.upsampler.s2"),
+    (["train", "--set", "data.root=5"], "data.root"),
+    (["train", "--set", "data.root=null"], "data.root"),
+], ids=["map-null", "map-list", "kind-list", "kind-int", "root-int", "root-null"])
+def test_non_string_values_exit_1(argv, key, desk_json, tmp_path, capsys,
+                                  monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    extra = ["--json", "s.json"] if argv[0] == "summary" else ["--out", "run"]
+    code, out, err = run(argv + extra + ["--config", desk_json], capsys)
+    assert code == 1
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert "Traceback" not in err and out == ""
+    assert not os.listdir(work)
+
+
 @pytest.mark.parametrize("overrides, key", [
     (["data.patch=48", "data.stride=16"], "data.patch"),
     (["data.stride=0"], "data.stride"),
@@ -171,6 +197,32 @@ def test_readme_synopsis_lists_every_flag():
                          if o != "--help" and o.startswith("--")}
                   for name, p in sub.choices.items()}
     assert documented == registered
+
+
+def _config_keys(node, prefix=""):
+    keys = set()
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            keys |= _config_keys(value, f"{prefix}{f.name}.")
+        else:
+            keys.add(prefix + f.name)
+    return keys
+
+
+def test_readme_config_table_lists_every_key():
+    """The README's configuration table names exactly the keys of RunConfig.
+    A cell may list siblings after a dotted key by their last part."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names = re.findall(r"`([a-z0-9_.]+)`", line.split("|")[1])
+            parent = names[0].rsplit(".", 1)[0]
+            documented |= {n if "." in n else f"{parent}.{n}" for n in names}
+    assert documented == _config_keys(RunConfig())
+    assert len(documented) == 26
 
 
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):
@@ -320,11 +372,11 @@ def test_train_on_saved_dataset(desk_json, tmp_path, capsys):
     assert code == 0
 
 
-def test_gradcheck_fault_injection_detected(desk_json, capsys, monkeypatch):
-    monkeypatch.setenv("MCADS_GRADCHECK_FAULT", "1")
+def test_gradcheck_fault_injection_detected(scale_grad_too_large, capsys):
     code, out, _ = run(["gradcheck", "--skip-model"], capsys)
     assert code == 3
-    assert "FAIL" in out
+    (row,) = [line for line in out.splitlines() if line.split()[0] == "scale"]
+    assert row.endswith("FAIL")
 
 
 def test_summary_counts_match_registry(desk_json, tmp_path, capsys):

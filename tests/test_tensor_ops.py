@@ -265,6 +265,25 @@ def test_mac_counting_convolution():
     assert macs["macs"] == 4 * 4 * 3 * 3 * 3 * 8
 
 
+@pytest.mark.parametrize("op, make", [
+    ("conv2d", lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
+                                    t(np.ones((3, 3, 3, 4))), b)),
+    ("conv2d", lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
+                                    t(np.ones((3, 3, 1, 3))), b, groups=3)),
+    ("conv2d_transpose", lambda b: ops.conv2d_transpose(
+        t(np.ones((1, 4, 4, 3))), t(np.ones((3, 3, 2, 3))), b)),
+    ("dense", lambda b: ops.dense(t(np.ones((2, 5))), t(np.ones((5, 2))), b)),
+], ids=["conv2d-dense", "conv2d-depthwise", "conv2d_transpose", "dense"])
+def test_bias_rejected_before_compute(op, make):
+    width = make(None).shape[-1]
+    with count_macs() as macs:
+        with pytest.raises(ValueError, match=f"^{op}: bias shape"):
+            make(t(np.zeros(width + 1)))
+        with pytest.raises(TypeError, match=f"^{op}: mixed dtypes"):
+            make(t(np.zeros(width), dtype=np.float64))
+    assert macs["macs"] == 0
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
