@@ -3,16 +3,19 @@
 Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
-Dense convolutions go through an im2col-style strided window view feeding
-one BLAS contraction; depthwise convolutions run a cache-blocked loop over
-the kernel taps. Input gradients of both are the forward's own kernel run
-over the zero-stuffed, padded output gradient with the spatially flipped
-weights. conv2d_transpose is conv2d's adjoint, built from the same three
-kernels (_conv, _conv_input_grad, _conv_weight_grad). Bilinear upsampling
-differentiates through two interpolation-matrix products, and train-mode
-batch norm uses the closed form of its gradient. Every op returns a
-C-contiguous array: a strided result changes the summation order of the
-BLAS calls downstream.
+Dense convolutions run as blocked im2col: the output is walked in blocks
+whose windows are copied into one patch buffer, reused across blocks, and
+multiplied by the weights into the output in one BLAS call per block;
+depthwise convolutions run a cache-blocked loop over the kernel taps. Both
+share one block plan. Input gradients of both are the forward's own kernel
+run over the zero-stuffed, padded output gradient with the spatially
+flipped weights. conv2d_transpose is conv2d's adjoint, built from the same
+three kernels (_conv, _conv_input_grad, _conv_weight_grad). Bilinear
+upsampling differentiates through two interpolation-matrix products.
+Train-mode batch norm uses the closed form of its gradient; eval-mode batch
+norm and leaky_relu compute in place in their one fresh output. Every op
+returns a C-contiguous array: a strided result changes the summation order
+of the BLAS calls downstream.
 """
 
 from __future__ import annotations
@@ -102,35 +105,54 @@ def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple, stuff: int = 1) -> np.nda
 # Output bytes per block of the depthwise tap loop: a block, its scratch
 # product and the canvas rows its taps read stay in a core's L2 cache.
 _DW_BLOCK_BYTES = 1 << 18
+# Patch-matrix bytes per block of a dense conv: large enough that each
+# block's matrix product runs at full BLAS speed even at small extents.
+_IM2COL_BLOCK_BYTES = 1 << 24
+
+
+def _even_runs(total: int, most: int):
+    """range(total) as the fewest (start, length) runs of at most `most`,
+    their lengths differing by at most one."""
+    k = -(-total // most)
+    bounds = [total * j // k for j in range(k + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _block_plan(n: int, oh: int, row_bytes: int, budget: int):
+    """Split an (n, oh, ...) output into blocks of at most about `budget`
+    bytes, one output row costing `row_bytes`: runs of whole images when one
+    image fits, else runs of rows of one image, split evenly so no block is
+    a short remainder. Returns (the most output rows a block holds, at most
+    n * oh; the blocks as (first image, images, first row, rows))."""
+    rows = max(1, budget // row_bytes)
+    if rows >= oh:
+        blocks = [(i, bn, 0, oh) for i, bn in _even_runs(n, rows // oh)]
+    else:
+        blocks = [(i, 1, r, br) for i in range(n) for r, br in _even_runs(oh, rows)]
+    return max(bn * br for _, bn, _, br in blocks), blocks
 
 
 def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int,
              dilation: int):
-    """Walk a depthwise correlation's (N, oh, ow, C) output in blocks of
-    about _DW_BLOCK_BYTES: several whole images when one image is smaller,
-    else row blocks of one image. For each block and each tap (u, v), in
+    """Walk a depthwise correlation's (N, oh, ow, C) output in the blocks of
+    _block_plan at _DW_BLOCK_BYTES. For each block and each tap (u, v), in
     row-major order, yields (the block's index into the output, (u, v), the
     canvas window that tap reads for the block, a scratch array of the
     block's shape)."""
     n, c = xp.shape[0], xp.shape[3]
-    rows = max(1, _DW_BLOCK_BYTES // (ow * c * xp.itemsize))
-    images = max(1, rows // oh)
-    rows = min(rows, oh)
-    scratch = np.empty(images * rows * ow * c, dtype=xp.dtype)
+    cap, blocks = _block_plan(n, oh, ow * c * xp.itemsize, _DW_BLOCK_BYTES)
+    scratch = np.empty(cap * ow * c, dtype=xp.dtype)
     span_w = (ow - 1) * stride + 1
-    for i in range(0, n, images):
-        bn = min(images, n - i)
-        for r in range(0, oh, rows):
-            br = min(rows, oh - r)
-            block = (slice(i, i + bn), slice(r, r + br))
-            buf = scratch[:bn * br * ow * c].reshape(bn, br, ow, c)
-            for u in range(kh):
-                h0 = r * stride + u * dilation
-                rows_u = slice(h0, h0 + (br - 1) * stride + 1, stride)
-                for v in range(kw):
-                    w0 = v * dilation
-                    yield (block, (u, v),
-                           xp[i:i + bn, rows_u, w0:w0 + span_w:stride], buf)
+    for i, bn, r, br in blocks:
+        block = (slice(i, i + bn), slice(r, r + br))
+        buf = scratch[:bn * br * ow * c].reshape(bn, br, ow, c)
+        for u in range(kh):
+            h0 = r * stride + u * dilation
+            rows_u = slice(h0, h0 + (br - 1) * stride + 1, stride)
+            for v in range(kw):
+                w0 = v * dilation
+                yield (block, (u, v),
+                       xp[i:i + bn, rows_u, w0:w0 + span_w:stride], buf)
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -145,7 +167,15 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
     """Slide (kh, kw, C_in, C_out) weights, or depthwise (kh, kw, 1, C)
     ones, over a padded canvas: the fresh (N, oh, ow, C_out) correlation.
 
-    Dense weights contract with the strided window view in one BLAS call.
+    Dense, per block of _block_plan at _IM2COL_BLOCK_BYTES, the block's
+    windows are copied into one patch buffer, allocated once per call, and
+    multiplied by the (kh*kw*C_in, C_out) weights straight into the block's
+    output rows. Every output is then the dot product one product over the
+    whole window view computes, provided BLAS runs each block with the
+    same kernel: OpenBLAS sums in another order below M*N*K of about 1e6,
+    and the even split keeps every block at a quarter of the budget or
+    more. A stride-1 1x1 conv's canvas is its patch matrix already.
+
     Depthwise, per block of _dw_taps, the first tap's product is written
     straight into the output and each later one is added on, so every
     output sums its taps in row-major (u, v) order. Each tap's weights are
@@ -153,10 +183,22 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
     where a broadcast (C,) vector would keep numpy from merging the W and C
     axes.
     """
-    kh, kw, _, c = wd.shape
+    kh, kw, cin, c = wd.shape
     if not depthwise:
+        n, k = xp.shape[0], kh * kw * cin
+        wm = wd.reshape(k, c)
+        if kh == kw == stride == 1:
+            return np.dot(xp.reshape(-1, k), wm).reshape(n, oh, ow, c)
         patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
-        return np.tensordot(patches, wd, axes=([3, 4, 5], [0, 1, 2]))
+        y = np.empty((n * oh * ow, c), dtype=np.result_type(xp, wd))
+        cap, blocks = _block_plan(n, oh, ow * k * xp.itemsize, _IM2COL_BLOCK_BYTES)
+        cols = np.empty(cap * ow * k, dtype=xp.dtype)
+        for i, bn, r, br in blocks:
+            m, start = bn * br * ow, (i * oh + r) * ow
+            block = cols[:m * k].reshape(bn, br, ow, kh, kw, cin)
+            block[...] = patches[i:i + bn, r:r + br]
+            np.dot(block.reshape(m, k), wm, out=y[start:start + m])
+        return y.reshape(n, oh, ow, c)
     wt = np.ascontiguousarray(np.broadcast_to(wd[:, :, :1], (kh, kw, ow, c)))
     y = np.empty((xp.shape[0], oh, ow, c), dtype=xp.dtype)
     for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
@@ -295,6 +337,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         _require(t.shape == (c,), "batch_norm", f"{name} shape {t.shape} != ({c},)")
+    _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
     axes = (0, 1, 2)
     xd = x.data
 
@@ -323,11 +366,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
         return _emit("batch_norm", y, (x, gamma, beta), bwd)
 
+    mean = running_mean.data
     ivar = 1.0 / np.sqrt(running_var.data + eps)
-    xhat = (xd - running_mean.data) * ivar
-    y = gamma.data * xhat + beta.data
+    y = np.subtract(xd, mean)
+    y *= ivar
+    y *= gamma.data
+    y += beta.data
 
     def bwd_infer(g):
+        xhat = (xd - mean) * ivar
         return g * (gamma.data * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _emit("batch_norm", y, (x, gamma, beta), bwd_infer)
@@ -345,7 +392,8 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     _require(0.0 <= alpha <= 1.0, "leaky_relu", f"alpha must be in [0, 1], got {alpha}")
     xd = x.data
-    y = np.maximum(xd, alpha * xd)  # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
+    y = np.multiply(xd, alpha)
+    np.maximum(xd, y, out=y)  # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
     return _emit("leaky_relu", y, (x,),
                  lambda g: (g * np.maximum(xd > 0, alpha, dtype=xd.dtype),))
 

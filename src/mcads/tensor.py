@@ -32,8 +32,12 @@ _MACS = contextvars.ContextVar("mcads_macs", default=None)
 
 
 def guard_finite(op: str, arr: np.ndarray) -> None:
-    """Abort at the op that produced a NaN/Inf instead of surfacing later."""
-    if not np.all(np.isfinite(arr)):
+    """Abort at the op that produced a NaN/Inf instead of surfacing later.
+
+    Two reductions and no temporary array: max propagates NaN and +inf, min
+    propagates -inf, so both are finite exactly when every element is.
+    """
+    if not (arr.size == 0 or (np.isfinite(arr.max()) and np.isfinite(arr.min()))):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 

@@ -1,5 +1,6 @@
 """Backward kernels against the adjoint identity, the blocked depthwise
-kernel against plain tap sums, and the layout of outputs.
+kernel against plain tap sums, the blocked dense kernel against one
+contraction, and the layout of outputs.
 
 conv2d, conv2d_transpose and bilinear_upsample are linear in each input, so
 for any output gradient g the input gradient dx must satisfy
@@ -115,6 +116,84 @@ def test_depthwise_weight_gradient_matches_window_contraction(name):
                      ops._window_view(xp, k, k, oh, ow, stride, dilation), g)
     np.testing.assert_allclose(wt.grad[:, :, 0, :], want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+# (N, H, W, C_in), kernel side, C_out, stride, dilation; "transpose" runs
+# conv2d_transpose, whose forward is a dense stride-1 _conv over the
+# zero-stuffed input. Each case splits into blocks under _SEAM_BUDGET, and
+# each block's product stays far above OpenBLAS's small-matrix cutoff
+# (M*N*K of about 1e6), as the default budget guarantees for every shape.
+_DENSE_CASES = {
+    "image-over-block": ((1, 48, 48, 32), 3, 32, 1, 1),
+    "images-in-block": ((9, 12, 12, 32), 3, 32, 1, 1),
+    "uneven-row-blocks": ((1, 50, 40, 32), 3, 32, 1, 1),
+    "stride2": ((5, 37, 35, 32), 3, 32, 2, 1),
+    "dilation2": ((2, 40, 40, 32), 3, 32, 1, 2),
+    "1x1-stride2": ((6, 64, 64, 64), 1, 32, 2, 1),
+    "transpose": ((2, 24, 24, 32), 3, 32, 2, 1),
+}
+_SEAM_BUDGET = 1 << 20
+
+
+def _dense_calls(monkeypatch):
+    """Shrink the dense block budget to _SEAM_BUDGET and record every dense
+    _conv call as (its arguments, its output, one np.tensordot over the
+    whole window view of the same canvas)."""
+    calls = []
+    conv = ops._conv
+
+    def recorded(xp, wd, oh, ow, stride, dilation, depthwise):
+        y = conv(xp, wd, oh, ow, stride, dilation, depthwise)
+        if not depthwise:
+            kh, kw = wd.shape[:2]
+            want = np.tensordot(ops._window_view(xp, kh, kw, oh, ow, stride, dilation),
+                                wd, axes=([3, 4, 5], [0, 1, 2]))
+            calls.append(((xp, wd, oh, ow), y, want))
+        return y
+
+    monkeypatch.setattr(ops, "_conv", recorded)
+    monkeypatch.setattr(ops, "_IM2COL_BLOCK_BYTES", _SEAM_BUDGET)
+    return calls
+
+
+def _run_dense(name):
+    shape, k, cout, stride, dilation = _DENSE_CASES[name]
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    if name == "transpose":
+        w = Tensor(rng.normal(size=(k, k, cout, shape[3])).astype(np.float32))
+        return ops.conv2d_transpose(x, w, stride=stride)
+    w = Tensor(rng.normal(size=(k, k, shape[3], cout)).astype(np.float32))
+    return ops.conv2d(x, w, stride=stride, dilation=dilation)
+
+
+def test_dense_cases_cross_block_seams(monkeypatch):
+    calls = _dense_calls(monkeypatch)
+    plans = {}
+    for name in _DENSE_CASES:
+        _run_dense(name)
+        (xp, wd, oh, ow), _, _ = calls[-1]
+        _, blocks = ops._block_plan(xp.shape[0], oh, ow * wd[..., 0].size * 4,
+                                    _SEAM_BUDGET)
+        plans[name] = oh, blocks
+        assert len(blocks) > 1, name
+    oh, blocks = plans["image-over-block"]
+    assert all(bn == 1 and br < oh for _, bn, _, br in blocks)
+    assert any(bn > 1 for _, bn, _, _ in plans["images-in-block"][1])
+    for name in ("images-in-block", "uneven-row-blocks"):
+        assert len({bn * br for _, bn, _, br in plans[name][1]}) > 1, name
+
+
+@pytest.mark.parametrize("name", list(_DENSE_CASES))
+def test_dense_blocks_equal_one_contraction(name, monkeypatch):
+    """Bit for bit in float32: every output row is the same BLAS dot
+    product of the same patch row, whichever block it falls in."""
+    calls = _dense_calls(monkeypatch)
+    y = _run_dense(name)
+    [(_, got, want)] = calls
+    assert y.data is got
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kernel, stride", [(3, 2), (2, 2), (4, 2), (1, 2), (3, 3)])

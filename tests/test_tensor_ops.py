@@ -248,6 +248,12 @@ def test_mixed_dtype_rejected():
     b = Tensor(np.ones((2, 2), np.float64))
     with pytest.raises(TypeError):
         ops.add(a, b)
+    # eval batch norm computes in place in x's dtype, so its statistics
+    # must share it
+    x = Tensor(np.ones((1, 2, 2, 2), np.float32))
+    stats = [Tensor(np.ones(2, np.float32)) for _ in range(3)]
+    with pytest.raises(TypeError, match="^batch_norm: mixed dtypes"):
+        ops.batch_norm(x, *stats, Tensor(np.ones(2)), train=False)
 
 
 def test_finite_guard_raises_and_names_op():
@@ -255,6 +261,43 @@ def test_finite_guard_raises_and_names_op():
     with np.errstate(invalid="ignore"):  # inf * 0 is the point of the test
         with pytest.raises(NumericError, match="mul"):
             ops.mul(bad, Tensor(np.zeros(2, np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("where", [0, 7, 14], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_finite_guard_catches_every_non_finite_value(value, where, dtype):
+    arr = np.arange(15, dtype=dtype).reshape(3, 5)
+    arr.flat[where] = value
+    with pytest.raises(NumericError, match="'scale'"):
+        ops.scale(Tensor(arr), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_guard_passes_extremes_and_empty(dtype):
+    big = np.finfo(dtype).max
+    y = ops.scale(Tensor(np.array([[big, -big, 0.0]], dtype=dtype)), 1.0)
+    assert y.data[0, 0] == big
+    assert ops.scale(Tensor(np.zeros((0, 3), dtype=dtype)), 1.0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batch_norm_and_leaky_relu_bit_identical(dtype):
+    """The in-place forms round exactly like the plain expressions."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 5, 6, 4)).astype(dtype)
+    gamma, beta, mean = (rng.normal(size=4).astype(dtype) for _ in range(3))
+    var = rng.uniform(0.1, 2.0, size=4).astype(dtype)
+    ivar = 1.0 / np.sqrt(var + 1e-3)
+    y = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(mean),
+                       Tensor(var), train=False, eps=1e-3).data
+    assert y.dtype == dtype
+    assert np.array_equal(y, gamma * ((x - mean) * ivar) + beta)
+    for alpha in (0.0, 0.01, 0.3, 1.0):
+        y = ops.leaky_relu(Tensor(x), alpha).data
+        assert y.dtype == dtype
+        assert np.array_equal(y, np.maximum(x, alpha * x))
 
 
 def test_mac_counting_convolution():
