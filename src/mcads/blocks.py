@@ -42,12 +42,11 @@ class Conv2d:
     """Parameter bundle for one convolution (He-uniform kernel, zero bias)."""
 
     def __init__(self, store: ParameterStore, prefix: str, kernel: int,
-                 cin: int, cout: int, *, groups: int = 1, dilation: int = 1,
-                 bias: bool = True):
+                 cin: int, cout: int, *, groups: int = 1, dilation: int = 1):
         cg = cin // groups
         self.w = store.create(f"{prefix}.w", (kernel, kernel, cg, cout), "he",
                               fan_in=kernel * kernel * cg)
-        self.b = store.create(f"{prefix}.b", (cout,), "zeros") if bias else None
+        self.b = store.create(f"{prefix}.b", (cout,), "zeros")
         self.groups = groups
         self.dilation = dilation
 

@@ -179,9 +179,10 @@ def _check_ranges(cfg: RunConfig) -> None:
     attention token cap is a positive count (or None). Epochs may be 0 (an
     initial checkpoint only), the learning rate must be positive, and BN
     momentum and the eval threshold are shares. A batch needs a sample and
-    the validation share must leave one; synthetic images must survive the
-    encoder's five 2x pools, the patch is an input side (check_input_side),
-    and the patch lattice needs a stride in 1..patch."""
+    the validation share must leave one; the synthetic set needs an image,
+    and its images must survive the encoder's five 2x pools, the patch is an
+    input side (check_input_side), and the patch lattice needs a stride in
+    1..patch."""
     enc, blk = cfg.model.encoder, cfg.model.block
     t, d = cfg.train, cfg.data
     for key, values, least in (("model.encoder.rsu_depths", enc.rsu_depths, 3),
@@ -209,6 +210,8 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigError(f"'train.val_fraction' must be in [0, 1), "
                           f"got {t.val_fraction}")
     check_input_side(cfg.model, d.patch, "data.patch")
+    if d.synth_n < 1:
+        raise ConfigError(f"'data.synth_n' must be at least 1, got {d.synth_n}")
     if d.synth_hw <= 0 or d.synth_hw % 32:
         raise ConfigError(f"'data.synth_hw' must be a positive multiple of 32, "
                           f"got {d.synth_hw}")

@@ -63,14 +63,14 @@ class RSU:
     the way up; the dilated variant keeps full resolution with dilations
     1, 2, 4, ... on the way down and mirrored on the way up. The L-1 inner
     junctions concatenate (skip, deeper) directly, or through a one-iteration
-    AttentionFusion when inner attention is on.
+    AttentionFusion when inner attention is on. Encoder checks up front that
+    input sides survive the plain variant's L-2 pools.
     """
 
     def __init__(self, store, prefix, cin, cout, mid, depth, *, dilated,
                  inner_attention, cfg: BlockConfig):
         if depth < 3:
             raise ValueError(f"RSU depth must be >= 3, got {depth}")
-        self.depth = depth
         self.dilated = dilated
         self.convin = _ConvUnit(store, f"{prefix}.convin", cin, cout, 1, cfg)
         enc_dil = [2 ** i if dilated else 1 for i in range(depth - 1)]
@@ -93,20 +93,7 @@ class RSU:
             else:
                 self.fusions.append(None)
 
-    def _check_extent(self, h, w):
-        if self.dilated:
-            return
-        pools = self.depth - 2
-        for _ in range(pools):
-            if h < 2 or w < 2 or h % 2 or w % 2:
-                raise ValueError(
-                    f"RSU depth {self.depth}: spatial size too small or odd "
-                    f"for internal pooling (reached {h}x{w})")
-            h //= 2
-            w //= 2
-
     def __call__(self, x, train):
-        self._check_extent(x.shape[1], x.shape[2])
         x0 = self.convin(x, train)
         skips = []
         cur = x0

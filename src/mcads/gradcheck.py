@@ -166,9 +166,6 @@ def primitive_cases():
     rows = [
         ("conv2d", 10, ops.conv2d, _normal(2, 5, 5, 3),
          _normal(3, 3, 3, 4, scale=0.5), _normal(4, scale=0.2)),
-        ("conv2d_strided_valid", 12,
-         partial(ops.conv2d, stride=2, padding="valid"),
-         _normal(1, 7, 6, 2), _normal(3, 3, 2, 3, scale=0.5)),
         ("conv2d_dilated", 14, partial(ops.conv2d, dilation=2),
          _normal(1, 8, 8, 2), _normal(3, 3, 2, 2, scale=0.5),
          _normal(2, scale=0.2)),

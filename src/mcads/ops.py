@@ -3,14 +3,15 @@
 Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
-Dense convolutions run as blocked im2col: the output is walked in blocks
-whose windows are copied into one patch buffer, reused across blocks, and
-multiplied by the weights into the output in one BLAS call per block;
-depthwise convolutions run a cache-blocked loop over the kernel taps. Both
-share one block plan. Input gradients of both are the forward's own kernel
-run over the zero-stuffed, padded output gradient with the spatially
-flipped weights. conv2d_transpose is conv2d's adjoint, built from the same
-three kernels (_conv, _conv_input_grad, _conv_weight_grad). Bilinear
+conv2d runs at stride 1 with 'same' padding, the model's only geometry:
+dense as blocked im2col, the output walked in blocks whose windows are
+copied into one patch buffer, reused across blocks, and multiplied by the
+weights into the output in one BLAS call per block; depthwise as a
+cache-blocked loop over the kernel taps. Both share one block plan. Input
+gradients are the forward's own kernel over the zero-stuffed, padded
+output gradient with the spatially flipped weights. conv2d_transpose, the
+adjoint and the only strided path, runs the same three kernels (_conv,
+_conv_input_grad, _conv_weight_grad) dense at its stride. Bilinear
 upsampling differentiates through two interpolation-matrix products.
 Train-mode batch norm uses the closed form of its gradient; eval-mode batch
 norm and leaky_relu compute in place in their one fresh output. Every op
@@ -65,18 +66,13 @@ def _emit(op: str, y: np.ndarray, inputs, backward) -> Tensor:
 # convolution machinery
 
 
-def _conv_axis(extent: int, k: int, stride: int, dilation: int, padding: str):
-    """Return (pad_lo, pad_hi, out_extent) for one spatial axis."""
+def _conv_axis(extent: int, k: int, stride: int, dilation: int):
+    """Return (pad_lo, pad_hi, out_extent) for one spatial axis under 'same'
+    padding: out_extent is extent / stride, rounded up."""
     span = dilation * (k - 1) + 1
-    if padding == "valid":
-        _require(extent >= span, "conv2d",
-                 f"kernel span {span} exceeds extent {extent} with valid padding")
-        return 0, 0, (extent - span) // stride + 1
-    if padding == "same":
-        out = -(-extent // stride)
-        total = max((out - 1) * stride + span - extent, 0)
-        return total // 2, total - total // 2, out
-    raise ValueError(f"conv2d: unknown padding {padding!r}")
+    out = -(-extent // stride)
+    total = max((out - 1) * stride + span - extent, 0)
+    return total // 2, total - total // 2, out
 
 
 def _window_view(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
@@ -132,27 +128,23 @@ def _block_plan(n: int, oh: int, row_bytes: int, budget: int):
     return max(bn * br for _, bn, _, br in blocks), blocks
 
 
-def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int,
-             dilation: int):
-    """Walk a depthwise correlation's (N, oh, ow, C) output in the blocks of
-    _block_plan at _DW_BLOCK_BYTES. For each block and each tap (u, v), in
-    row-major order, yields (the block's index into the output, (u, v), the
-    canvas window that tap reads for the block, a scratch array of the
-    block's shape)."""
+def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, dilation: int):
+    """Walk a stride-1 depthwise correlation's (N, oh, ow, C) output in the
+    blocks of _block_plan at _DW_BLOCK_BYTES. For each block and each tap
+    (u, v), in row-major order, yields (the block's index into the output,
+    (u, v), the canvas window that tap reads for the block, a scratch array
+    of the block's shape)."""
     n, c = xp.shape[0], xp.shape[3]
     cap, blocks = _block_plan(n, oh, ow * c * xp.itemsize, _DW_BLOCK_BYTES)
     scratch = np.empty(cap * ow * c, dtype=xp.dtype)
-    span_w = (ow - 1) * stride + 1
     for i, bn, r, br in blocks:
         block = (slice(i, i + bn), slice(r, r + br))
         buf = scratch[:bn * br * ow * c].reshape(bn, br, ow, c)
         for u in range(kh):
-            h0 = r * stride + u * dilation
-            rows_u = slice(h0, h0 + (br - 1) * stride + 1, stride)
+            h0 = r + u * dilation
             for v in range(kw):
                 w0 = v * dilation
-                yield (block, (u, v),
-                       xp[i:i + bn, rows_u, w0:w0 + span_w:stride], buf)
+                yield block, (u, v), xp[i:i + bn, h0:h0 + br, w0:w0 + ow], buf
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -176,12 +168,13 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
     and the even split keeps every block at a quarter of the budget or
     more. A stride-1 1x1 conv's canvas is its patch matrix already.
 
-    Depthwise, per block of _dw_taps, the first tap's product is written
-    straight into the output and each later one is added on, so every
-    output sums its taps in row-major (u, v) order. Each tap's weights are
-    tiled along W once: the product then runs over contiguous OW*C rows,
-    where a broadcast (C,) vector would keep numpy from merging the W and C
-    axes.
+    Depthwise runs at stride 1 only: its callers are conv2d's forward and
+    input gradient, and the one strided caller, conv2d_transpose, is dense.
+    Per block of _dw_taps, the first tap's product is written straight into
+    the output and each later one is added on, so every output sums its
+    taps in row-major (u, v) order. Each tap's weights are tiled along W
+    once: the product then runs over contiguous OW*C rows, where a
+    broadcast (C,) vector would keep numpy from merging the W and C axes.
     """
     kh, kw, cin, c = wd.shape
     if not depthwise:
@@ -201,7 +194,7 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
         return y.reshape(n, oh, ow, c)
     wt = np.ascontiguousarray(np.broadcast_to(wd[:, :, :1], (kh, kw, ow, c)))
     y = np.empty((xp.shape[0], oh, ow, c), dtype=xp.dtype)
-    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
+    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, dilation):
         out = y[block]
         if u == v == 0:
             np.multiply(win, wt[u, v], out=out)
@@ -236,7 +229,7 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
         patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
         return np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
     dw = np.zeros((kh, kw, 1, c), dtype=g.dtype)
-    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, stride, dilation):
+    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, dilation):
         dw[u, v, 0] += _channel_sum(np.multiply(win, g[block], out=buf))
     return dw
 
@@ -259,9 +252,10 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
     return finish
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-           padding: str = "same", dilation: int = 1, groups: int = 1) -> Tensor:
-    """2D convolution, NHWC input, (kh, kw, C_in/groups, C_out) weights.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
+           groups: int = 1) -> Tensor:
+    """Stride-1 2D convolution with 'same' padding, NHWC input,
+    (kh, kw, C_in/groups, C_out) weights.
 
     groups is 1 (dense) or C_in (depthwise: a single-channel kernel axis and
     C_out == C_in); the model uses no other grouping.
@@ -276,15 +270,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
              "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
              "C_in with weights (kh, kw, 1, C_in)")
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
-    ph_lo, ph_hi, oh = _conv_axis(h, kh, stride, dilation, padding)
-    pw_lo, pw_hi, ow = _conv_axis(wdt, kw, stride, dilation, padding)
+    ph_lo, ph_hi, _ = _conv_axis(h, kh, 1, dilation)
+    pw_lo, pw_hi, _ = _conv_axis(wdt, kw, 1, dilation)
     xp = _canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi))
-    y = _conv(xp, w.data, oh, ow, stride, dilation, depthwise)
-    add_macs(n * oh * ow * kh * kw * cg * cout)
+    y = _conv(xp, w.data, h, wdt, 1, dilation, depthwise)
+    add_macs(n * h * wdt * kh * kw * cg * cout)
     return finish(y, lambda g: (
-        _conv_input_grad(g, w.data, (h, wdt), (ph_lo, pw_lo), stride, dilation,
+        _conv_input_grad(g, w.data, (h, wdt), (ph_lo, pw_lo), 1, dilation,
                          depthwise),
-        _conv_weight_grad(xp, g, kh, kw, stride, dilation, depthwise)))
+        _conv_weight_grad(xp, g, kh, kw, 1, dilation, depthwise)))
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
@@ -306,8 +300,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
              f"weight input axis {wcin} != input channels {cin}")
     finish = _bias_epilogue("conv2d_transpose", x, w, b, cout, _channel_sum)
     oh, ow = h * stride, wdt * stride
-    ph_lo, ph_hi, _ = _conv_axis(oh, kh, stride, 1, "same")
-    pw_lo, pw_hi, _ = _conv_axis(ow, kw, stride, 1, "same")
+    ph_lo, ph_hi, _ = _conv_axis(oh, kh, stride, 1)
+    pw_lo, pw_hi, _ = _conv_axis(ow, kw, stride, 1)
     y = _conv_input_grad(x.data, w.data, (oh, ow), (ph_lo, pw_lo), stride, 1, False)
     add_macs(n * oh * ow * kh * kw * cin * cout)
 
@@ -399,13 +393,10 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), split by sign so exp never overflows."""
-    s = np.empty_like(xd)
-    pos = xd >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    s[~pos] = ex / (1.0 + ex)
-    return s
+    """1 / (1 + exp(-x)) as 1 / (1 + e) or e / (1 + e) by sign, with
+    e = exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(xd))
+    return np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -444,11 +435,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _tie_split(x: np.ndarray, extreme: np.ndarray, axis):
     """Backward of a max or min over `axis`, `extreme` kept with its reduced
-    axes: the gradient is split evenly among the inputs that tie for the
-    extreme, which on distinct values is plain argmax routing."""
-    mask = x == extreme
-    counts = mask.sum(axis=axis, keepdims=True).astype(x.dtype)
-    return lambda g: mask * (g / counts)
+    axes, working only when called: the gradient is split evenly among the
+    inputs tying for the extreme, which on distinct values is argmax routing."""
+    def route(g):
+        mask = x == extreme
+        return mask * (g / mask.sum(axis=axis, keepdims=True).astype(x.dtype))
+
+    return route
 
 
 def _pool(op: str, x: Tensor, xr: np.ndarray, kind: str, axis, shape) -> Tensor:

@@ -80,12 +80,13 @@ def _mean_loss(model, patches, batch: int) -> float:
 
 
 def run_training(cfg: RunConfig, out_dir: str) -> TrainResult:
-    os.makedirs(out_dir, exist_ok=True)
     samples = load_samples(cfg)
     train_samples, val_samples = split_samples(
         samples, cfg.train.val_fraction, cfg.train.seed)
     if not train_samples:
-        raise ValueError("training split is empty")
+        raise ValueError(f"training split is empty: train.val_fraction "
+                         f"{cfg.train.val_fraction} of {len(samples)} samples")
+    os.makedirs(out_dir, exist_ok=True)
     train_patches = _patches(train_samples, cfg.data.patch, cfg.data.stride)
     val_patches = _patches(val_samples, cfg.data.patch, cfg.data.stride)
 

@@ -152,6 +152,8 @@ def test_non_string_values_exit_1(argv, key, desk_json, tmp_path, capsys,
     (["model.encoder.rsu_depths=[9,4,3,3,3,3]"], "data.patch"),
     (["data.patch=96", "data.synth_hw=96", "model.block.attention_token_cap=4"],
      "model.block.attention_token_cap"),
+    (["data.synth_n=0"], "data.synth_n"),
+    (["data.synth_n=-3"], "data.synth_n"),
 ])
 def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
                                                   tmp_path, capsys):
@@ -162,6 +164,16 @@ def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
     code, _, err = run(argv, capsys)
     assert code == 1
     assert key in err
+    assert not out_dir.exists()
+
+
+def test_empty_training_split_exits_2_before_writing(desk_json, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, err = run(["train", "--config", desk_json, "--out", str(out_dir),
+                        "--set", "train.val_fraction=0.75"], capsys)
+    assert code == 2
+    assert "training split is empty" in err
+    assert "train.val_fraction 0.75" in err and "2 samples" in err
     assert not out_dir.exists()
 
 

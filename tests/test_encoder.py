@@ -41,7 +41,7 @@ def test_rsu_rejects_tiny_input():
     rsu = RSU(store, "rsu", 3, 8, 4, 5, dilated=False, inner_attention=False,
               cfg=CFG)
     # depth 5 pools three times; 12x12 halves to 6 then hits odd 3
-    with pytest.raises(ValueError, match="too small or odd"):
+    with pytest.raises(ValueError, match="not divisible by window 2"):
         rsu(t((1, 12, 12, 3), 2), train=True)
 
 

@@ -2,9 +2,10 @@
 kernel against plain tap sums, the blocked dense kernel against one
 contraction, and the layout of outputs.
 
-conv2d, conv2d_transpose and bilinear_upsample are linear in each input, so
-for any output gradient g the input gradient dx must satisfy
-<op(x), g> == <x, dx> (and the same for the weights) to float64 rounding.
+The convolution kernels, conv2d_transpose and bilinear_upsample are linear
+in each input, so for any output gradient g the input gradient dx must
+satisfy <op(x), g> == <x, dx> (and the same for the weights) to float64
+rounding.
 """
 
 import numpy as np
@@ -31,50 +32,68 @@ def _normal(seed, *shape):
     return np.random.default_rng(seed).normal(size=shape)
 
 
-@pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("dilation", [1, 2])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
-@pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+def _axis(extent, k, stride, dilation, padding):
+    """(pad_lo, pad_hi, out_extent) of one axis, padded 'same' as conv2d and
+    conv2d_transpose pad it, or not at all ('valid')."""
+    if padding == "same":
+        return ops._conv_axis(extent, k, stride, dilation)
+    return 0, 0, (extent - dilation * (k - 1) - 1) // stride + 1
+
+
+# The three kernels at every stride they serve: dense at 1 (conv2d) and 2
+# (conv2d_transpose), depthwise at 1 only; each over a 'same' canvas and an
+# unpadded one.
+_ADJOINT_CASES = [
+    pytest.param(depthwise, kernel, stride, dilation, padding,
+                 id=f"{'depthwise' if depthwise else 'dense'}-kernel{i}-"
+                    f"{stride}-{dilation}-{padding}")
+    for depthwise in (False, True) for i, kernel in enumerate([(3, 3), (2, 3)])
+    for stride in (1, 2) for dilation in (1, 2) for padding in ("same", "valid")
+    if stride == 1 or not depthwise]
+
+
+@pytest.mark.parametrize("depthwise, kernel, stride, dilation, padding",
+                         _ADJOINT_CASES)
 def test_conv2d_adjoint(depthwise, kernel, stride, dilation, padding):
     x = _normal(1, 2, 9, 8, 3)
     w = _normal(2, *kernel, 1, 3) if depthwise else _normal(2, *kernel, 3, 4)
-    groups = 3 if depthwise else 1
-    inner, (ax, aw) = _adjoint(
-        lambda a, b: ops.conv2d(a, b, stride=stride, padding=padding,
-                                dilation=dilation, groups=groups), x, w)
-    assert ax == pytest.approx(inner, rel=1e-12)
-    assert aw == pytest.approx(inner, rel=1e-12)
+    (ph, ph_hi, oh), (pw, pw_hi, ow) = (
+        _axis(e, k, stride, dilation, padding) for e, k in zip(x.shape[1:3], kernel))
+    xp = ops._canvas(x, (ph, ph_hi), (pw, pw_hi))
+    y = ops._conv(xp, w, oh, ow, stride, dilation, depthwise)
+    g = _normal(3, *y.shape)
+    dx = ops._conv_input_grad(g, w, x.shape[1:3], (ph, pw), stride, dilation,
+                              depthwise)
+    dw = ops._conv_weight_grad(xp, g, *kernel, stride, dilation, depthwise)
+    inner = float(np.vdot(y, g))
+    assert float(np.vdot(x, dx)) == pytest.approx(inner, rel=1e-12)
+    assert float(np.vdot(w, dw)) == pytest.approx(inner, rel=1e-12)
 
 
-# (N, H, W, C), kernel side, stride, dilation, padding
+# (N, H, W, C), kernel side, dilation, padding; the depthwise kernel runs
+# at stride 1 only
 _DW_CASES = {
-    "3x3-c8": ((4, 16, 16, 8), 3, 1, 1, "same"),
-    "3x3-c16": ((2, 24, 20, 16), 3, 1, 1, "same"),
-    "3x3-c128": ((2, 12, 12, 128), 3, 1, 1, "same"),
-    "7x7-c4": ((2, 32, 32, 4), 7, 1, 1, "same"),
-    "stride2": ((2, 17, 15, 16), 3, 2, 1, "same"),
-    "dilation2": ((2, 16, 16, 16), 3, 1, 2, "same"),
-    "valid": ((2, 13, 11, 8), 3, 1, 1, "valid"),
-    "image-over-block": ((2, 96, 96, 16), 3, 1, 1, "same"),
-    "images-in-block": ((7, 8, 8, 16), 3, 1, 1, "same"),
-    "partial-image-block": ((5, 40, 40, 16), 3, 1, 1, "same"),
+    "3x3-c8": ((4, 16, 16, 8), 3, 1, "same"),
+    "3x3-c16": ((2, 24, 20, 16), 3, 1, "same"),
+    "3x3-c128": ((2, 12, 12, 128), 3, 1, "same"),
+    "7x7-c4": ((2, 32, 32, 4), 7, 1, "same"),
+    "odd-extent": ((2, 17, 15, 16), 3, 1, "same"),
+    "dilation2": ((2, 16, 16, 16), 3, 2, "same"),
+    "valid": ((2, 13, 11, 8), 3, 1, "valid"),
+    "image-over-block": ((2, 96, 96, 16), 3, 1, "same"),
+    "images-in-block": ((7, 8, 8, 16), 3, 1, "same"),
+    "partial-image-block": ((5, 40, 40, 16), 3, 1, "same"),
 }
 
 
 def _dw_case(name, dtype):
-    shape, k, stride, dilation, padding = _DW_CASES[name]
+    shape, k, dilation, padding = _DW_CASES[name]
     rng = np.random.default_rng(7)
     x = rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(k, k, 1, shape[3])).astype(dtype)
-    pads = [ops._conv_axis(e, k, stride, dilation, padding) for e in shape[1:3]]
+    pads = [_axis(e, k, 1, dilation, padding) for e in shape[1:3]]
     xp = np.pad(x, ((0, 0), pads[0][:2], pads[1][:2], (0, 0)))
-    return x, w, xp, (pads[0][2], pads[1][2]), (k, stride, dilation, padding)
-
-
-def _depthwise(x, w, k, stride, dilation, padding):
-    return ops.conv2d(x, w, stride=stride, padding=padding, dilation=dilation,
-                      groups=x.shape[3])
+    return x, w, xp, (pads[0][2], pads[1][2]), (k, dilation)
 
 
 def test_depthwise_cases_cross_block_seams():
@@ -91,36 +110,33 @@ def test_depthwise_cases_cross_block_seams():
 def test_depthwise_forward_is_the_plain_tap_sum(name):
     """Bit for bit in float32: the blocked kernel adds the same products in
     the same row-major (u, v) order as one pass over the whole arrays."""
-    x, w, xp, (oh, ow), (k, stride, dilation, padding) = _dw_case(name, np.float32)
+    x, w, xp, (oh, ow), (k, dilation) = _dw_case(name, np.float32)
     want = None
     for u in range(k):
         for v in range(k):
-            win = xp[:, u * dilation::stride, v * dilation::stride][:, :oh, :ow]
+            win = xp[:, u * dilation:, v * dilation:][:, :oh, :ow]
             term = win * w[u, v, 0]
             want = term if want is None else want + term
-    got = _depthwise(Tensor(x), Tensor(w), k, stride, dilation, padding).data
+    got = ops._conv(xp, w, oh, ow, 1, dilation, True)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", list(_DW_CASES))
 def test_depthwise_weight_gradient_matches_window_contraction(name):
-    x, w, xp, (oh, ow), (k, stride, dilation, padding) = _dw_case(name, np.float64)
-    wt = Tensor(w, requires_grad=True)
+    x, w, xp, (oh, ow), (k, dilation) = _dw_case(name, np.float64)
     g = np.random.default_rng(8).normal(size=(x.shape[0], oh, ow, x.shape[3]))
-    with Tape() as tape:
-        y = _depthwise(Tensor(x), wt, k, stride, dilation, padding)
-        loss = ops.reduce_sum(ops.mul(y, Tensor(g)))
-    backward(tape, loss)
+    got = ops._conv_weight_grad(xp, g, k, k, 1, dilation, True)
     want = np.einsum("nhwuvc,nhwc->uvc",
-                     ops._window_view(xp, k, k, oh, ow, stride, dilation), g)
-    np.testing.assert_allclose(wt.grad[:, :, 0, :], want, rtol=0,
+                     ops._window_view(xp, k, k, oh, ow, 1, dilation), g)
+    np.testing.assert_allclose(got[:, :, 0, :], want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
 
 
-# (N, H, W, C_in), kernel side, C_out, stride, dilation; "transpose" runs
-# conv2d_transpose, whose forward is a dense stride-1 _conv over the
-# zero-stuffed input. Each case splits into blocks under _SEAM_BUDGET, and
+# (N, H, W, C_in), kernel side, C_out, stride, dilation; stride-2 rows run
+# _conv over a 'same' canvas, as conv2d_transpose's backward does, and
+# "transpose" runs conv2d_transpose, whose forward is a dense stride-1 _conv
+# over the zero-stuffed input. Each case splits into blocks under _SEAM_BUDGET, and
 # each block's product stays far above OpenBLAS's small-matrix cutoff
 # (M*N*K of about 1e6), as the default budget guarantees for every shape.
 _DENSE_CASES = {
@@ -159,12 +175,17 @@ def _dense_calls(monkeypatch):
 def _run_dense(name):
     shape, k, cout, stride, dilation = _DENSE_CASES[name]
     rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    x = rng.normal(size=shape).astype(np.float32)
     if name == "transpose":
-        w = Tensor(rng.normal(size=(k, k, cout, shape[3])).astype(np.float32))
-        return ops.conv2d_transpose(x, w, stride=stride)
-    w = Tensor(rng.normal(size=(k, k, shape[3], cout)).astype(np.float32))
-    return ops.conv2d(x, w, stride=stride, dilation=dilation)
+        w = rng.normal(size=(k, k, cout, shape[3])).astype(np.float32)
+        return ops.conv2d_transpose(Tensor(x), Tensor(w), stride=stride).data
+    w = rng.normal(size=(k, k, shape[3], cout)).astype(np.float32)
+    if stride == 1:
+        return ops.conv2d(Tensor(x), Tensor(w), dilation=dilation).data
+    (ph, ph_hi, oh), (pw, pw_hi, ow) = (
+        ops._conv_axis(e, k, stride, dilation) for e in shape[1:3])
+    return ops._conv(ops._canvas(x, (ph, ph_hi), (pw, pw_hi)), w, oh, ow,
+                     stride, dilation, False)
 
 
 def test_dense_cases_cross_block_seams(monkeypatch):
@@ -191,7 +212,7 @@ def test_dense_blocks_equal_one_contraction(name, monkeypatch):
     calls = _dense_calls(monkeypatch)
     y = _run_dense(name)
     [(_, got, want)] = calls
-    assert y.data is got
+    assert y is got
     assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got, want)
 

@@ -12,30 +12,32 @@ def t(arr, grad=False, dtype=np.float32):
 
 
 def test_conv2d_all_ones_valid():
+    # 'same' padding: the one window wholly inside the image (the 'valid'
+    # output) sums all nine taps, the others count the taps they cover
     x = t(np.ones((1, 3, 3, 1)))
     w = t(np.ones((3, 3, 1, 1)))
-    y = ops.conv2d(x, w, padding="valid")
-    assert y.shape == (1, 1, 1, 1)
-    assert y.data[0, 0, 0, 0] == 9.0
+    y = ops.conv2d(x, w)
+    assert y.shape == (1, 3, 3, 1)
+    np.testing.assert_array_equal(y.data[0, :, :, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
 
 def test_conv2d_same_padding_shape():
     x = t(np.random.default_rng(0).normal(size=(2, 7, 5, 3)))
     w = t(np.random.default_rng(1).normal(size=(3, 3, 3, 4)))
-    assert ops.conv2d(x, w, padding="same").shape == (2, 7, 5, 4)
-    assert ops.conv2d(x, w, stride=2, padding="same").shape == (2, 4, 3, 4)
+    assert ops.conv2d(x, w).shape == (2, 7, 5, 4)
+    assert ops.conv2d(x, w, dilation=3).shape == (2, 7, 5, 4)
 
 
 def test_conv2d_depthwise_group_separation():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
     w = rng.normal(size=(3, 3, 1, 2)).astype(np.float32)
-    y = ops.conv2d(t(x), t(w), groups=2, padding="same")
+    y = ops.conv2d(t(x), t(w), groups=2)
     assert y.shape == (1, 4, 4, 2)
     # channel 0 must not react to changes in input channel 1
     x2 = x.copy()
     x2[..., 1] += 1.0
-    y2 = ops.conv2d(t(x2), t(w), groups=2, padding="same")
+    y2 = ops.conv2d(t(x2), t(w), groups=2)
     np.testing.assert_array_equal(y.data[..., 0], y2.data[..., 0])
     assert np.any(y.data[..., 1] != y2.data[..., 1])
 
@@ -54,9 +56,12 @@ def test_conv2d_dilation_matches_inserted_zeros():
     # dilation 2 equals a 5x5 kernel with zeros between taps
     w5 = np.zeros((5, 5, 1, 1))
     w5[::2, ::2] = w
-    y_dil = ops.conv2d(x, t(w, dtype=np.float64), dilation=2, padding="valid")
-    y_dense = ops.conv2d(x, t(w5, dtype=np.float64), padding="valid")
-    np.testing.assert_allclose(y_dil.data, y_dense.data, rtol=1e-12)
+    y_dil = ops.conv2d(x, t(w, dtype=np.float64), dilation=2)
+    y_dense = ops.conv2d(x, t(w5, dtype=np.float64))
+    # every window wholly inside the image; a border output can cancel to
+    # near zero, where the two summation orders differ in relative terms
+    inner = (slice(None), slice(2, -2), slice(2, -2))
+    np.testing.assert_allclose(y_dil.data[inner], y_dense.data[inner], rtol=1e-12)
 
 
 def test_conv2d_transpose_doubles_extent():
@@ -67,19 +72,21 @@ def test_conv2d_transpose_doubles_extent():
 
 
 def test_conv2d_transpose_is_conv_input_gradient():
-    # forward transpose conv == backward of the matched stride-2 'same' conv,
-    # with the conv's (kh,kw,cin,cout) weights reinterpreted as (cout,cin)
+    # forward transpose conv == backward of the matched stride-2 'same' conv
+    # (_conv over the padded canvas), with the conv's (kh,kw,cin,cout)
+    # weights reinterpreted as (cout,cin): <conv(x), g> == <x, convT(g)> for
+    # every x, so convT(g) is the gradient of x -> <conv(x), g>
     rng = np.random.default_rng(5)
-    g = Tensor(rng.normal(size=(1, 3, 3, 2)))  # gradient-shaped input
-    w = Tensor(rng.normal(size=(3, 3, 4, 2)))
-    xin = Tensor(rng.normal(size=(1, 6, 6, 4)), requires_grad=True)
-    with Tape() as tape:
-        y = ops.conv2d(xin, w, stride=2, padding="same")
-        loss = ops.reduce_sum(ops.mul(y, Tensor(g.data)))
-    from mcads.tensor import backward
-    backward(tape, loss)
-    z = ops.conv2d_transpose(g, w, stride=2)
-    np.testing.assert_allclose(z.data, xin.grad, rtol=1e-10, atol=1e-12)
+    g = rng.normal(size=(1, 3, 3, 2))  # gradient-shaped input
+    w = rng.normal(size=(3, 3, 4, 2))
+    z = ops.conv2d_transpose(Tensor(g), Tensor(w), stride=2).data
+    pads = [ops._conv_axis(6, 3, 2, 1)[:2]] * 2
+    grad = np.zeros((1, 6, 6, 4))
+    for i in np.ndindex(grad.shape):  # the linear map's matrix, row by row
+        e = np.zeros_like(grad)
+        e[i] = 1.0
+        grad[i] = np.vdot(ops._conv(ops._canvas(e, *pads), w, 3, 3, 2, 1, False), g)
+    np.testing.assert_allclose(z, grad, rtol=1e-10, atol=1e-12)
 
 
 def test_batch_norm_train_standardizes():
@@ -127,6 +134,26 @@ def test_sigmoid_extreme_inputs_stay_finite():
     y = ops.sigmoid(x).data
     assert np.all(np.isfinite(y))
     np.testing.assert_allclose(y, [0.0, 1.0], atol=1e-30)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_swish_match_two_branch_formula(dtype):
+    """Bit for bit, signs of zero included, against 1 / (1 + exp(-x)) for
+    x >= 0 and exp(x) / (1 + exp(x)) below, at +-0, the float32 exp limit,
+    +-1e30 and normals at scales 1 to 1e4."""
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0, -0.0, 88.7, -88.7, 1e30, -1e30]]
+                       + [rng.normal(scale=s, size=64) for s in (1, 10, 1e2, 1e4)])
+    x = x.astype(dtype)
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    one = dtype(1.0)
+    clipped = np.clip(want, np.finfo(dtype).tiny, np.nextafter(one, one * 0))
+    assert ops.sigmoid(t(x, dtype=dtype)).data.tobytes() == clipped.tobytes()
+    assert ops.swish(t(x, dtype=dtype)).data.tobytes() == (x * want).tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -304,7 +331,7 @@ def test_mac_counting_convolution():
     x = t(np.ones((1, 4, 4, 3)))
     w = t(np.ones((3, 3, 3, 8)))
     with count_macs() as macs:
-        ops.conv2d(x, w, padding="same")
+        ops.conv2d(x, w)
     assert macs["macs"] == 4 * 4 * 3 * 3 * 3 * 8
 
 
