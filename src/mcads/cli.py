@@ -45,10 +45,9 @@ def _add_config(p):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-        cfg.model.seed = args.seed
+    seeds = [] if args.seed is None else [f"train.seed={args.seed}",
+                                          f"model.seed={args.seed}"]
+    cfg = load_config(args.config, args.set + seeds)
     result = run_training(cfg, args.out)
     print(f"{result.steps} steps, final loss {result.final_loss:.6f}, "
           f"best {result.best_loss:.6f}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
 import typing
 from dataclasses import dataclass, field
 
@@ -143,10 +145,9 @@ def _parse_override(item: str):
     return key, value
 
 
-def load_config(path: str | None = None, overrides=(),
-                base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str | None = None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus --set overrides."""
-    cfg = base if base is not None else RunConfig()
+    cfg = RunConfig()
     if path:
         try:
             with open(path) as f:
@@ -173,64 +174,60 @@ def load_config(path: str | None = None, overrides=(),
     return cfg
 
 
+# (key, rule, wording) for every value with a range; a tuple's rule holds for
+# each entry. RSU blocks need depth >= 3, epochs may be 0 (an initial
+# checkpoint only), and synthetic images must survive the encoder's five 2x
+# pools.
+_RANGES = (
+    ("model.seed", lambda v: v >= 0, "at least 0"),
+    ("model.encoder.rsu_depths", lambda v: v >= 3, "at least 3"),
+    ("model.encoder.stage_filters", lambda v: v >= 1, "at least 1"),
+    ("model.encoder.input_channels", lambda v: v >= 1, "at least 1"),
+    ("model.decoder.rlab_iterations", lambda v: v >= 0, "at least 0"),
+    ("model.block.attention_token_cap", lambda v: v is None or v >= 1,
+     "at least 1 or null"),
+    ("model.block.bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("train.lr", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("train.batch", lambda v: v >= 1, "at least 1"),
+    ("train.epochs", lambda v: v >= 0, "at least 0"),
+    ("train.seed", lambda v: v >= 0, "at least 0"),
+    ("train.val_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("data.synth_n", lambda v: v >= 1, "at least 1"),
+    ("data.synth_hw", lambda v: v > 0 and v % 32 == 0,
+     "a positive multiple of 32"),
+    ("data.synth_seed", lambda v: v >= 0, "at least 0"),
+    ("eval.threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
+
+
 def _check_ranges(cfg: RunConfig) -> None:
-    """Reject values the network cannot be built or trained from before any
-    compute. RSU blocks need depth >= 3 and every stage a channel; the
-    attention token cap is a positive count (or None). Epochs may be 0 (an
-    initial checkpoint only), the learning rate must be positive, and BN
-    momentum and the eval threshold are shares. A batch needs a sample and
-    the validation share must leave one; the synthetic set needs an image,
-    and its images must survive the encoder's five 2x pools, the patch is an
-    input side (check_input_side), and the patch lattice needs a stride in
-    1..patch."""
-    enc, blk = cfg.model.encoder, cfg.model.block
-    t, d = cfg.train, cfg.data
-    for key, values, least in (("model.encoder.rsu_depths", enc.rsu_depths, 3),
-                               ("model.encoder.stage_filters", enc.stage_filters, 1)):
-        if min(values) < least:
-            raise ConfigError(f"'{key}' entries must be at least {least}, "
-                              f"got {json.dumps(list(values))}")
-    if enc.input_channels < 1:
-        raise ConfigError(f"'model.encoder.input_channels' must be at least 1, "
-                          f"got {enc.input_channels}")
-    if blk.attention_token_cap is not None and blk.attention_token_cap < 1:
-        raise ConfigError(f"'model.block.attention_token_cap' must be at least 1 "
-                          f"or null, got {blk.attention_token_cap}")
-    for key, value in (("model.block.bn_momentum", blk.bn_momentum),
-                       ("eval.threshold", cfg.eval.threshold)):
-        if not 0 <= value <= 1:
-            raise ConfigError(f"'{key}' must be in [0, 1], got {value}")
-    if t.epochs < 0:
-        raise ConfigError(f"'train.epochs' must be at least 0, got {t.epochs}")
-    if not t.lr > 0:
-        raise ConfigError(f"'train.lr' must be positive, got {t.lr}")
-    if t.batch < 1:
-        raise ConfigError(f"'train.batch' must be at least 1, got {t.batch}")
-    if not 0 <= t.val_fraction < 1:
-        raise ConfigError(f"'train.val_fraction' must be in [0, 1), "
-                          f"got {t.val_fraction}")
-    check_input_side(cfg.model, d.patch, "data.patch")
-    if d.synth_n < 1:
-        raise ConfigError(f"'data.synth_n' must be at least 1, got {d.synth_n}")
-    if d.synth_hw <= 0 or d.synth_hw % 32:
-        raise ConfigError(f"'data.synth_hw' must be a positive multiple of 32, "
-                          f"got {d.synth_hw}")
-    if not 1 <= d.stride <= d.patch:
+    """Reject, before any compute, values outside _RANGES, a patch that is
+    not an input side (check_input_side), and a stride outside 1..patch."""
+    for key, rule, wording in _RANGES:
+        value = operator.attrgetter(key)(cfg)
+        each = isinstance(value, tuple)
+        if not all(rule(v) for v in (value if each else (value,))):
+            raise ConfigError(f"'{key}'{' entries' if each else ''} must be "
+                              f"{wording}, got {json.dumps(value)}")
+    check_input_side(cfg.model, cfg.data.patch, "data.patch")
+    if not 1 <= cfg.data.stride <= cfg.data.patch:
         raise ConfigError(f"'data.stride' must be in 1..data.patch "
-                          f"({d.patch}), got {d.stride}")
+                          f"({cfg.data.patch}), got {cfg.data.stride}")
 
 
 def check_input_side(model: ModelConfig, side: int, name: str) -> None:
     """Reject a square input side the model cannot run, naming it `name`,
     before any compute. The side must survive the encoder's pools, i.e. be a
-    positive multiple of its input_multiple(). Every attention extent is the
-    side 2^a * m (m odd) halved some number of times, so power-of-two token
-    pooling can meet the cap at every site only if m * m <= cap."""
+    positive multiple of 2 ** input_pools(); that power is never formed, as
+    an absurd RSU depth would make it too large to compute. Every attention
+    extent is the side 2^a * m (m odd) halved some number of times, so
+    power-of-two token pooling can meet the cap at every site only if
+    m * m <= cap."""
     enc, cap = model.encoder, model.block.attention_token_cap
-    multiple = enc.input_multiple()
-    if side <= 0 or side % multiple:
-        raise ConfigError(f"'{name}' must be a positive multiple of {multiple}, "
-                          f"got {side}")
+    pools = enc.input_pools()
+    if side <= 0 or (side & -side).bit_length() <= pools:
+        raise ConfigError(f"'{name}' must be a positive multiple of "
+                          f"2^{pools}, got {side}")
     odd = side // (side & -side)
     attends = model.decoder.enable_rlab or enc.inner_attention
     if attends and cap is not None and odd * odd > cap:

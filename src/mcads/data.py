@@ -195,12 +195,3 @@ def load_dataset(root):
         mask = netpbm.read_mask(os.path.join(mask_dir, sid + ".pgm"))
         samples.append(Sample(image, mask, sid))
     return samples
-
-
-def save_dataset(root, samples) -> None:
-    os.makedirs(os.path.join(root, "images"), exist_ok=True)
-    os.makedirs(os.path.join(root, "masks"), exist_ok=True)
-    for s in samples:
-        netpbm.write_image(os.path.join(root, "images", s.id + ".ppm"),
-                           s.image)
-        netpbm.write_mask(os.path.join(root, "masks", s.id + ".pgm"), s.mask)

@@ -37,12 +37,13 @@ class EncoderConfig:
                              f"{len(self.rsu_depths)} rsu_depths")
         return tuple(max(f // 2, 1) for f in self.stage_filters)
 
-    def input_multiple(self) -> int:
-        """Extent an input side must divide by: five 2x pools between the
-        stages, and depth - 2 more inside each of the four plain RSUs,
-        whose input has already been pooled once per earlier stage."""
+    def input_pools(self) -> int:
+        """How often an input side is halved, so it must divide by 2 to this
+        power: five 2x pools between the stages, and depth - 2 more inside
+        each of the four plain RSUs, whose input has already been pooled
+        once per earlier stage."""
         plain = enumerate(self.rsu_depths[:4])
-        return 2 ** max(5, max(i + d - 2 for i, d in plain))
+        return max(5, max(i + d - 2 for i, d in plain))
 
 
 class _ConvUnit:
@@ -149,7 +150,7 @@ class Encoder:
                 casab=cfg.casab_per_stage, cfg=block_cfg))
             cin = filters[i]
         self.input_channels = cfg.input_channels
-        self.input_multiple = cfg.input_multiple()
+        self.input_multiple = 2 ** cfg.input_pools()
 
     def __call__(self, x, train):
         if x.ndim != 4:

@@ -54,25 +54,19 @@ class ParameterStore:
 
     def create(self, name: str, shape, init, trainable: bool = True,
                fan_in: int | None = None) -> Parameter:
-        """Register one parameter. `init` is "he" (needs fan_in), "zeros",
-        "ones", or an explicit array, which is copied: Adam updates the
-        parameter in place."""
+        """Register one parameter. `init` is "he" (needs fan_in), "zeros" or
+        "ones"."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         shape = tuple(shape)
-        if isinstance(init, str):
-            if init == "he":
-                data = he_uniform(shape, fan_in, self.rng, self.dtype)
-            elif init == "zeros":
-                data = np.zeros(shape, dtype=self.dtype)
-            elif init == "ones":
-                data = np.ones(shape, dtype=self.dtype)
-            else:
-                raise ValueError(f"unknown init {init!r}")
+        if init == "he":
+            data = he_uniform(shape, fan_in, self.rng, self.dtype)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=self.dtype)
+        elif init == "ones":
+            data = np.ones(shape, dtype=self.dtype)
         else:
-            data = np.array(init, dtype=self.dtype)
-            if data.shape != shape:
-                raise ValueError(f"init shape {data.shape} != declared {shape}")
+            raise ValueError(f"unknown init {init!r}")
         p = Parameter(name, data, trainable)
         self._params[name] = p
         return p

@@ -12,8 +12,8 @@ import pytest
 
 from mcads import netpbm
 from mcads.cli import build_parser, main
-from mcads.config import RunConfig
-from mcads.data import save_dataset, synth_dataset
+from mcads.config import ConfigError, RunConfig, load_config
+from mcads.data import synth_dataset
 from mcads.network import SegmentationModel
 from mcads.params import load_checkpoint
 
@@ -154,6 +154,13 @@ def test_non_string_values_exit_1(argv, key, desk_json, tmp_path, capsys,
      "model.block.attention_token_cap"),
     (["data.synth_n=0"], "data.synth_n"),
     (["data.synth_n=-3"], "data.synth_n"),
+    (["model.seed=-1"], "model.seed"),
+    (["train.seed=-1"], "train.seed"),
+    (["data.synth_seed=-1"], "data.synth_seed"),
+    (["train.lr=Infinity"], "train.lr"),
+    (["train.lr=1e400"], "train.lr"),
+    (["model.decoder.rlab_iterations=[1,1,1,1,-1]"],
+     "model.decoder.rlab_iterations"),
 ])
 def test_bad_data_settings_exit_1_before_training(overrides, key, desk_json,
                                                   tmp_path, capsys):
@@ -237,6 +244,115 @@ def test_readme_config_table_lists_every_key():
     assert len(documented) == 26
 
 
+HUGE = (1234567890123456789012, 2 ** 72)  # 22 digits; the second is 2^72
+SWEEP_VALUES = ["null", "true", "false", "0", "1", "-1", "1e308", "1e400",
+                "NaN", "Infinity", "-Infinity", '"text"', '"convtp"',
+                "[1, 2]", '{"a": 1}'] + [str(v) for v in HUGE]
+# a HUGE value here loads but would run or allocate without bound, so it goes
+# through load_config only (train.epochs stays out of the CLI runs, which pin
+# it to 0)
+SWEEP_GROWS = {"data.synth_n", "data.synth_hw", "data.patch",
+               "model.encoder.input_channels", "model.encoder.stage_filters",
+               "model.decoder.rlab_iterations"}
+# an error may name the key whose rule the value broke: deeper RSUs raise the
+# multiple data.patch must be, and --seed sets both seeds
+SWEEP_ALSO_NAMED = {"model.encoder.rsu_depths": ("data.patch",),
+                    "--seed": ("train.seed", "model.seed")}
+
+
+def _sweep_names():
+    upsampler = RunConfig().model.decoder.upsampler
+    return (sorted(_config_keys(RunConfig()))
+            + [f"model.decoder.upsampler.{k}" for k in upsampler]
+            + ["--seed", "--input-size"])
+
+
+def _sweep_values(name):
+    """SWEEP_VALUES, plus 64 for a flag (a valid --input-size) and lists of
+    its own length for a tuple."""
+    if name.startswith("--"):
+        return SWEEP_VALUES + ["64"]
+    node = RunConfig()
+    for part in name.split("."):
+        node = node[part] if isinstance(node, dict) else getattr(node, part)
+    if not isinstance(node, tuple):
+        return SWEEP_VALUES
+    return SWEEP_VALUES + [json.dumps([v] * len(node))
+                           for v in (-1, 0, 1, 3) + HUGE]
+
+
+def _sweep_argv(name, raw, config):
+    """The CLI call that reads `name` set to `raw`; it writes D or F."""
+    if name == "--seed":
+        return ["train", "--config", config, "--set", "train.epochs=0",
+                "--seed", raw, "--out", "D"]
+    if name == "--input-size":
+        return ["summary", "--config", config, "--no-macs",
+                "--input-size", raw, "--json", "F"]
+    if name.startswith(("train.", "data.")):
+        return ["train", "--config", config, "--set", "train.epochs=0",
+                "--set", f"{name}={raw}", "--out", "D"]
+    return ["summary", "--config", config, "--no-macs",
+            "--set", f"{name}={raw}", "--json", "F"]
+
+
+def _sweep_names_key(name, err):
+    """`err` names `name`, or its map and its quoted stage, or a key in
+    SWEEP_ALSO_NAMED."""
+    parent, _, leaf = name.rpartition(".")
+    return (name in err or f"{parent}: " in err and f"'{leaf}'" in err
+            or any(k in err for k in SWEEP_ALSO_NAMED.get(name, ())))
+
+
+@pytest.mark.parametrize("name", _sweep_names())
+def test_every_value_runs_or_exits_1_naming_its_key(name, desk_json, tmp_path,
+                                                     monkeypatch, capsys):
+    """Each config path and config-reading flag, set to each sweep value,
+    either loads and runs (exit 0) or exits 1 naming it and writing nothing.
+    A flag value that is not an integer is a usage error naming the flag,
+    and a data.root naming no directory is a data error (exit 2)."""
+    flag = name.startswith("--")
+    problems = []
+    for i, raw in enumerate(_sweep_values(name)):
+        loads = None
+        if not flag:
+            try:
+                load_config(desk_json, [f"{name}={raw}"])
+                loads = True
+            except ConfigError as e:
+                loads = False
+                if not _sweep_names_key(name, str(e)):
+                    problems.append(f"{raw}: load_config names no key: {e}")
+            except Exception as e:
+                problems.append(f"{raw}: load_config raised {e!r}")
+                continue
+            huge = name in SWEEP_GROWS and any(str(v) in raw for v in HUGE)
+            if loads and (huge or name == "train.epochs"):
+                continue
+        work = tmp_path / str(i)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        try:
+            code = main(_sweep_argv(name, raw, desk_json))
+        except Exception as e:
+            problems.append(f"{raw}: cli raised {e!r}")
+            continue
+        err = capsys.readouterr().err
+        written = os.listdir(work)
+        if name == "data.root" and loads:
+            ok = code == 2 and err.startswith("data error:") and not written
+        elif code == 0:
+            ok = loads is not False and bool(written)
+        else:
+            usage = flag and err.startswith("usage:")
+            ok = (code == 1 and loads is not True and not written
+                  and (err.startswith("config error:") or usage)
+                  and _sweep_names_key(name, err))
+        if not ok or "Traceback" in err:
+            problems.append(f"{raw}: exit {code}, wrote {written}, {err!r}")
+    assert not problems, "\n".join(problems)
+
+
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     code, _, _ = run(["predict", "--config", desk_json,
                       "--checkpoint", str(tmp_path / "nope.mct"),
@@ -271,12 +387,14 @@ def test_eval_out_is_a_directory_exits_2(tmp_path, capsys):
 
 
 def test_train_epoch_zero_checkpoint_is_init(desk_json, tmp_path, capsys):
+    """The checkpoint is the fresh model of --seed, which wins over a
+    --set of model.seed."""
     out_dir = str(tmp_path / "run")
     code, out, _ = run(["train", "--config", desk_json, "--seed", "3",
-                        "--set", "train.epochs=0", "--out", out_dir], capsys)
+                        "--set", "train.epochs=0", "--set", "model.seed=5",
+                        "--out", out_dir], capsys)
     assert code == 0
     state = load_checkpoint(os.path.join(out_dir, "best.mct"))
-    from mcads.config import load_config
     cfg = load_config(desk_json)
     cfg.model.seed = 3
     fresh = SegmentationModel(cfg.model)
@@ -377,7 +495,10 @@ def test_eval_id_mismatch_exit_2(tmp_path, capsys):
 
 def test_train_on_saved_dataset(desk_json, tmp_path, capsys):
     root = tmp_path / "ds"
-    save_dataset(root, synth_dataset(2, 64, np.random.default_rng(9)))
+    (root / "images").mkdir(parents=True), (root / "masks").mkdir()
+    for s in synth_dataset(2, 64, np.random.default_rng(9)):
+        netpbm.write_image(root / "images" / f"{s.id}.ppm", s.image)
+        netpbm.write_mask(root / "masks" / f"{s.id}.pgm", s.mask)
     code, out, _ = run(["train", "--config", desk_json,
                         "--set", f'data.root="{root}"',
                         "--out", str(tmp_path / "run")], capsys)
@@ -397,7 +518,6 @@ def test_summary_counts_match_registry(desk_json, tmp_path, capsys):
                         "--json", str(json_path)], capsys)
     assert code == 0
     rep = json.loads(json_path.read_text())
-    from mcads.config import load_config
     cfg = load_config(desk_json)
     model = SegmentationModel(cfg.model)
     assert rep["total_parameters"] == model.store.count("", trainable_only=False)

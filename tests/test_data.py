@@ -5,8 +5,7 @@ import pytest
 
 from mcads import netpbm
 from mcads.data import (Sample, augment, extract_patches, load_dataset,
-                        plan_patches, reassemble, reflect_pad, save_dataset,
-                        synth_dataset)
+                        plan_patches, reassemble, reflect_pad, synth_dataset)
 from mcads.netpbm import NetpbmError
 
 
@@ -167,7 +166,10 @@ def test_synth_rejects_bad_extent():
 
 def test_dataset_roundtrip(tmp_path):
     samples = synth_dataset(3, 64, np.random.default_rng(5))
-    save_dataset(tmp_path, samples)
+    (tmp_path / "images").mkdir(), (tmp_path / "masks").mkdir()
+    for s in samples:
+        netpbm.write_image(tmp_path / "images" / f"{s.id}.ppm", s.image)
+        netpbm.write_mask(tmp_path / "masks" / f"{s.id}.pgm", s.mask)
     loaded = load_dataset(tmp_path)
     assert [s.id for s in loaded] == [s.id for s in samples]
     for orig, back in zip(samples, loaded):
@@ -178,8 +180,10 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_load_dataset_reports_unpaired_ids(tmp_path):
     samples = synth_dataset(2, 64, np.random.default_rng(6))
-    save_dataset(tmp_path, samples)
-    (tmp_path / "masks" / "synth001.pgm").unlink()
+    (tmp_path / "images").mkdir(), (tmp_path / "masks").mkdir()
+    for s in samples:
+        netpbm.write_image(tmp_path / "images" / f"{s.id}.ppm", s.image)
+    netpbm.write_mask(tmp_path / "masks" / "synth000.pgm", samples[0].mask)
     with pytest.raises(FileNotFoundError, match="synth001"):
         load_dataset(tmp_path)
 
