@@ -174,6 +174,8 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
     return cfg
 
 
+# Largest square input side: one 64-channel float32 map at 2^14 is 69 GB.
+MAX_INPUT_SIDE = 1 << 14
 # (key, rule, wording) for every value with a range; a tuple's rule holds for
 # each entry. RSU blocks need depth >= 3, epochs may be 0 (an initial
 # checkpoint only), and synthetic images must survive the encoder's five 2x
@@ -193,8 +195,8 @@ _RANGES = (
     ("train.seed", lambda v: v >= 0, "at least 0"),
     ("train.val_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("data.synth_n", lambda v: v >= 1, "at least 1"),
-    ("data.synth_hw", lambda v: v > 0 and v % 32 == 0,
-     "a positive multiple of 32"),
+    ("data.synth_hw", lambda v: 0 < v <= MAX_INPUT_SIDE and v % 32 == 0,
+     f"a positive multiple of 32, at most {MAX_INPUT_SIDE}"),
     ("data.synth_seed", lambda v: v >= 0, "at least 0"),
     ("eval.threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
 )
@@ -217,17 +219,17 @@ def _check_ranges(cfg: RunConfig) -> None:
 
 def check_input_side(model: ModelConfig, side: int, name: str) -> None:
     """Reject a square input side the model cannot run, naming it `name`,
-    before any compute. The side must survive the encoder's pools, i.e. be a
-    positive multiple of 2 ** input_pools(); that power is never formed, as
-    an absurd RSU depth would make it too large to compute. Every attention
-    extent is the side 2^a * m (m odd) halved some number of times, so
-    power-of-two token pooling can meet the cap at every site only if
-    m * m <= cap."""
+    before any compute. The side must be at most MAX_INPUT_SIDE and survive
+    the encoder's pools, i.e. be a positive multiple of 2 ** input_pools();
+    that power is never formed, as an absurd RSU depth would make it too
+    large to compute. Every attention extent is the side 2^a * m (m odd)
+    halved some number of times, so power-of-two token pooling can meet the
+    cap at every site only if m * m <= cap."""
     enc, cap = model.encoder, model.block.attention_token_cap
     pools = enc.input_pools()
-    if side <= 0 or (side & -side).bit_length() <= pools:
+    if not 0 < side <= MAX_INPUT_SIDE or (side & -side).bit_length() <= pools:
         raise ConfigError(f"'{name}' must be a positive multiple of "
-                          f"2^{pools}, got {side}")
+                          f"2^{pools}, at most {MAX_INPUT_SIDE}, got {side}")
     odd = side // (side & -side)
     attends = model.decoder.enable_rlab or enc.inner_attention
     if attends and cap is not None and odd * odd > cap:

@@ -272,13 +272,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
     ph_lo, ph_hi, _ = _conv_axis(h, kh, 1, dilation)
     pw_lo, pw_hi, _ = _conv_axis(wdt, kw, 1, dilation)
-    xp = _canvas(x.data, (ph_lo, ph_hi), (pw_lo, pw_hi))
-    y = _conv(xp, w.data, h, wdt, 1, dilation, depthwise)
+    xd, pad_h, pad_w = x.data, (ph_lo, ph_hi), (pw_lo, pw_hi)
+    y = _conv(_canvas(xd, pad_h, pad_w), w.data, h, wdt, 1, dilation, depthwise)
     add_macs(n * h * wdt * kh * kw * cg * cout)
+    # the backward rebuilds the canvas rather than keep it alive on the tape
     return finish(y, lambda g: (
         _conv_input_grad(g, w.data, (h, wdt), (ph_lo, pw_lo), 1, dilation,
                          depthwise),
-        _conv_weight_grad(xp, g, kh, kw, 1, dilation, depthwise)))
+        _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, 1, dilation,
+                          depthwise)))
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
@@ -349,6 +351,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         y += beta.data
 
         def bwd(g):
+            # recomputed rather than kept: the tape holds xd anyway
+            xhat = xd - mu
+            xhat *= ivar
             dbeta = _channel_sum(g)
             dx = g * xhat
             dgamma = _channel_sum(dx)

@@ -3,9 +3,10 @@
 Everything image-shaped is channels-last: batches are (N, H, W, C) arrays,
 float32 for training and float64 when checking gradients. Primitive ops
 (see ops.py) run eagerly on numpy and, while a Tape is active, append a
-backward closure per executed op. backward() replays those closures in
-exact reverse execution order, accumulating into .grad across fan-out, and
-clears the tape when done.
+backward closure per executed op. backward() pops and fires those closures
+in exact reverse execution order, accumulating into .grad across fan-out;
+each node and each intermediate's gradient is freed once used, so only
+leaves (parameters and inputs) keep .grad.
 
 The active tape and the MAC counter are context-local: ops see only the
 tape and counter opened in their own thread (or context), and a new thread
@@ -117,9 +118,6 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def clear(self):
-        self._nodes.clear()
-
     def __enter__(self):
         self._tokens.append(_TAPE.set(self))
         return self
@@ -149,23 +147,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: populate .grad for every tensor the loss reaches.
 
     The loss must be a scalar recorded on `tape`. Gradients accumulate across
-    fan-out; each node fires exactly once. The tape is cleared afterward.
+    fan-out; each node is popped as it fires, with its output's .grad, so
+    the tape ends empty and only leaves (tensors no op produced) keep .grad.
     """
     if loss.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.tape is not tape:
         raise ValueError("loss is not attached to this tape (detached graph)")
     loss.grad = np.ones((), dtype=loss.dtype)
-    for out, inputs, node_backward in reversed(tape._nodes):
-        gout = out.grad
+    nodes = tape._nodes
+    while nodes:
+        # rebinding these names releases the previous node's closure and
+        # captures before this one fires
+        out, inputs, node_backward = nodes.pop()
+        gout, out.grad = out.grad, None
         if gout is None:
             continue
-        grads = node_backward(gout)
-        for tensor, g in zip(inputs, grads):
+        for tensor, g in zip(inputs, node_backward(gout)):
             if g is None or not tensor.requires_grad:
                 continue
             if tensor.grad is None:
                 tensor.grad = g
             else:
                 tensor.grad = tensor.grad + g
-    tape.clear()

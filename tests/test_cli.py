@@ -12,7 +12,7 @@ import pytest
 
 from mcads import netpbm
 from mcads.cli import build_parser, main
-from mcads.config import ConfigError, RunConfig, load_config
+from mcads.config import MAX_INPUT_SIDE, ConfigError, RunConfig, load_config
 from mcads.data import synth_dataset
 from mcads.network import SegmentationModel
 from mcads.params import load_checkpoint
@@ -251,9 +251,8 @@ SWEEP_VALUES = ["null", "true", "false", "0", "1", "-1", "1e308", "1e400",
 # a HUGE value here loads but would run or allocate without bound, so it goes
 # through load_config only (train.epochs stays out of the CLI runs, which pin
 # it to 0)
-SWEEP_GROWS = {"data.synth_n", "data.synth_hw", "data.patch",
-               "model.encoder.input_channels", "model.encoder.stage_filters",
-               "model.decoder.rlab_iterations"}
+SWEEP_GROWS = {"data.synth_n", "model.encoder.input_channels",
+               "model.encoder.stage_filters", "model.decoder.rlab_iterations"}
 # an error may name the key whose rule the value broke: deeper RSUs raise the
 # multiple data.patch must be, and --seed sets both seeds
 SWEEP_ALSO_NAMED = {"model.encoder.rsu_depths": ("data.patch",),
@@ -530,7 +529,9 @@ def test_summary_counts_match_registry(desk_json, tmp_path, capsys):
     ("48", []),
     ("0", []),
     ("-32", []),
-], ids=["cap-9-at-160", "48", "0", "-32"])
+    (str(2 ** 40), []),
+    (str(2 ** 72), []),
+], ids=["cap-9-at-160", "48", "0", "-32", "2^40", "2^72"])
 def test_summary_bad_input_size_exits_1(size, overrides, desk_json, tmp_path,
                                         capsys):
     json_path = tmp_path / "summary.json"
@@ -543,6 +544,22 @@ def test_summary_bad_input_size_exits_1(size, overrides, desk_json, tmp_path,
     assert "--input-size" in err
     assert out == ""
     assert not json_path.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "summary"])
+@pytest.mark.parametrize("patch", [2 ** 40, 2 ** 72], ids=["2^40", "2^72"])
+def test_huge_patch_exits_1_before_writing(command, patch, desk_json, tmp_path,
+                                           capsys):
+    """A patch side past MAX_INPUT_SIDE is a config error naming data.patch,
+    raised before `train` creates --out or `summary` writes its JSON."""
+    target = tmp_path / "out"
+    argv = [command, "--config", desk_json, "--set", f"data.patch={patch}"]
+    argv += ["--out" if command == "train" else "--json", str(target)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("config error:") and "'data.patch'" in err
+    assert str(MAX_INPUT_SIDE) in err and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_summary_ablation_drops_parameters(desk_json, capsys):
