@@ -110,18 +110,6 @@ class BilinearUpsampleBlock:
         return self.cb2(ops.bilinear_upsample(self.cb1(x, train), 2), train)
 
 
-class TransposeConvUpsample:
-    """Baseline upsampler: one 3x3 transpose conv, stride 2."""
-
-    def __init__(self, store, prefix, cin: int, cout: int, cfg: BlockConfig):
-        self.w = store.create(f"{prefix}.convtp.w", (3, 3, cout, cin), "he",
-                              fan_in=3 * 3 * cin)
-        self.b = store.create(f"{prefix}.convtp.b", (cout,), "zeros")
-
-    def __call__(self, x, train: bool):
-        return ops.conv2d_transpose(x, self.w, self.b, stride=2)
-
-
 class ChannelAttention:
     """CAM: gate = sigmoid(FC(swish(FC(GAP(x) + GMP(x))))), output = x * gate.
 
@@ -288,5 +276,4 @@ class SegmentationHead:
 UPSAMPLERS = {
     "dsub": DepthToSpaceUpsample,
     "eub": BilinearUpsampleBlock,
-    "convtp": TransposeConvUpsample,
 }

@@ -180,7 +180,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as e:  # NetpbmError, CheckpointMismatch too
+    # NetpbmError and CheckpointMismatch too; MemoryError: too large to allocate
+    except (OSError, ValueError, MemoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

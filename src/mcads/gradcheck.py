@@ -21,7 +21,7 @@ from . import ops
 from .blocks import (AttentionFusion, BlockConfig, BilinearUpsampleBlock,
                      ChannelAttention, ConvBlock, DepthToSpaceUpsample,
                      DualAttentionBlock, ResidualConvChain, SegmentationHead,
-                     SpatialAttention, TransposeConvUpsample)
+                     SpatialAttention)
 from .decoder import DecoderConfig, DecoderStage
 from .encoder import EncoderConfig, RSU
 from .network import ModelConfig, SegmentationModel
@@ -172,9 +172,6 @@ def primitive_cases():
         ("conv2d_depthwise", 16, partial(ops.conv2d, groups=4),
          _normal(2, 5, 5, 4), _normal(3, 3, 1, 4, scale=0.5),
          _normal(4, scale=0.2)),
-        ("conv2d_transpose", 20, partial(ops.conv2d_transpose, stride=2),
-         _normal(1, 3, 4, 3), _normal(3, 3, 2, 3, scale=0.5),
-         _normal(2, scale=0.2)),
         ("batch_norm_train", 22, partial(ops.batch_norm, train=True), *bn),
         ("batch_norm_infer", 22, partial(ops.batch_norm, train=False), *bn),
         ("relu", 40, ops.relu, xs),
@@ -292,8 +289,6 @@ def block_cases(include_model: bool = True):
         ("conv_block", 100, ConvBlock, ("cb", 3, 5), [(2, 4, 4, 3)]),
         ("dsub", 101, DepthToSpaceUpsample, ("dsub", 4, 3), [(1, 3, 3, 4)]),
         ("eub", 102, BilinearUpsampleBlock, ("eub", 4, 3), [(1, 3, 3, 4)]),
-        ("convtp_upsample", 103, TransposeConvUpsample, ("tp", 4, 3),
-         [(1, 3, 3, 4)]),
         ("cam", 104, ChannelAttention, ("cam", 6), [(2, 4, 4, 6)]),
         ("sam", 105, SpatialAttention, ("sam",), [(2, 5, 5, 3)]),
         ("casab", 106, DualAttentionBlock, ("casab", 4, 6), [(1, 4, 4, 4)]),

@@ -42,10 +42,10 @@ def _as_binary(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
-    vals = np.unique(arr)
-    if not np.all(np.isin(vals, (0, 1))):
-        raise ValueError(f"{name} must be binary, found values {vals[:5]}")
-    return arr.astype(bool)
+    b = arr.astype(bool)
+    if not np.array_equal(arr, b):  # one pass; NaN equals neither 0 nor 1
+        raise ValueError(f"{name} must be binary, found values {np.unique(arr)[:5]}")
+    return b
 
 
 def threshold(pred_prob, t: float = 0.5) -> np.ndarray:

@@ -3,15 +3,13 @@
 Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
-conv2d runs at stride 1 with 'same' padding, the model's only geometry:
-dense as blocked im2col, the output walked in blocks whose windows are
-copied into one patch buffer, reused across blocks, and multiplied by the
-weights into the output in one BLAS call per block; depthwise as a
-cache-blocked loop over the kernel taps. Both share one block plan. Input
-gradients are the forward's own kernel over the zero-stuffed, padded
-output gradient with the spatially flipped weights. conv2d_transpose, the
-adjoint and the only strided path, runs the same three kernels (_conv,
-_conv_input_grad, _conv_weight_grad) dense at its stride. Bilinear
+conv2d runs at stride 1 with 'same' padding, the model's only geometry and
+the only one the convolution kernels serve: dense as blocked im2col, the
+output walked in blocks whose windows are copied into one patch buffer,
+reused across blocks, and multiplied by the weights into the output in one
+BLAS call per block; depthwise as a cache-blocked loop over the kernel taps.
+Both share one block plan. Input gradients are the forward's own kernel
+over the padded output gradient with the spatially flipped weights. Bilinear
 upsampling differentiates through two interpolation-matrix products.
 Train-mode batch norm uses the closed form of its gradient; eval-mode batch
 norm and leaky_relu compute in place in their one fresh output. Every op
@@ -66,35 +64,31 @@ def _emit(op: str, y: np.ndarray, inputs, backward) -> Tensor:
 # convolution machinery
 
 
-def _conv_axis(extent: int, k: int, stride: int, dilation: int):
-    """Return (pad_lo, pad_hi, out_extent) for one spatial axis under 'same'
-    padding: out_extent is extent / stride, rounded up."""
-    span = dilation * (k - 1) + 1
-    out = -(-extent // stride)
-    total = max((out - 1) * stride + span - extent, 0)
-    return total // 2, total - total // 2, out
+def _conv_axis(k: int, dilation: int):
+    """Return (pad_lo, pad_hi) for one spatial axis under stride-1 'same'
+    padding, which keeps the extent."""
+    total = dilation * (k - 1)
+    return total // 2, total - total // 2
 
 
 def _window_view(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
-                 stride: int, dilation: int) -> np.ndarray:
+                 dilation: int) -> np.ndarray:
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
     shape = (n, oh, ow, kh, kw, c)
-    strides = (sn, stride * sh, stride * sw, dilation * sh, dilation * sw, sc)
+    strides = (sn, sh, sw, dilation * sh, dilation * sw, sc)
     return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
 
 
-def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple, stuff: int = 1) -> np.ndarray:
-    """Zero-pad the spatial axes of `a` by (lo, hi) each, after spacing its
-    pixels `stuff` apart (zero-stuffing); `a` itself when that is a no-op."""
-    n, h, w, c = a.shape
-    if stuff == 1 and not any(pad_h + pad_w):
+def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple) -> np.ndarray:
+    """Zero-pad the spatial axes of `a` by (lo, hi) each; `a` itself when
+    there is nothing to pad."""
+    if not any(pad_h + pad_w):
         return a
-    hs = (h - 1) * stuff + 1
-    ws = (w - 1) * stuff + 1
-    out = np.zeros((n, pad_h[0] + hs + pad_h[1], pad_w[0] + ws + pad_w[1], c),
+    n, h, w, c = a.shape
+    out = np.zeros((n, pad_h[0] + h + pad_h[1], pad_w[0] + w + pad_w[1], c),
                    dtype=a.dtype)
-    out[:, pad_h[0]:pad_h[0] + hs:stuff, pad_w[0]:pad_w[0] + ws:stuff, :] = a
+    out[:, pad_h[0]:pad_h[0] + h, pad_w[0]:pad_w[0] + w, :] = a
     return out
 
 
@@ -154,8 +148,8 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
 
 
-def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
-          dilation: int, depthwise: bool) -> np.ndarray:
+def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, dilation: int,
+          depthwise: bool) -> np.ndarray:
     """Slide (kh, kw, C_in, C_out) weights, or depthwise (kh, kw, 1, C)
     ones, over a padded canvas: the fresh (N, oh, ow, C_out) correlation.
 
@@ -166,23 +160,21 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
     whole window view computes, provided BLAS runs each block with the
     same kernel: OpenBLAS sums in another order below M*N*K of about 1e6,
     and the even split keeps every block at a quarter of the budget or
-    more. A stride-1 1x1 conv's canvas is its patch matrix already.
+    more. A 1x1 conv's canvas is its patch matrix already.
 
-    Depthwise runs at stride 1 only: its callers are conv2d's forward and
-    input gradient, and the one strided caller, conv2d_transpose, is dense.
-    Per block of _dw_taps, the first tap's product is written straight into
-    the output and each later one is added on, so every output sums its
-    taps in row-major (u, v) order. Each tap's weights are tiled along W
-    once: the product then runs over contiguous OW*C rows, where a
+    Depthwise, per block of _dw_taps, the first tap's product is written
+    straight into the output and each later one is added on, so every
+    output sums its taps in row-major (u, v) order. Each tap's weights are
+    tiled along W once, so the product runs over contiguous OW*C rows: a
     broadcast (C,) vector would keep numpy from merging the W and C axes.
     """
     kh, kw, cin, c = wd.shape
     if not depthwise:
         n, k = xp.shape[0], kh * kw * cin
         wm = wd.reshape(k, c)
-        if kh == kw == stride == 1:
+        if kh == kw == 1:
             return np.dot(xp.reshape(-1, k), wm).reshape(n, oh, ow, c)
-        patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
+        patches = _window_view(xp, kh, kw, oh, ow, dilation)
         y = np.empty((n * oh * ow, c), dtype=np.result_type(xp, wd))
         cap, blocks = _block_plan(n, oh, ow * k * xp.itemsize, _IM2COL_BLOCK_BYTES)
         cols = np.empty(cap * ow * k, dtype=xp.dtype)
@@ -203,30 +195,29 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, stride: int,
     return y
 
 
-def _conv_input_grad(g: np.ndarray, wd: np.ndarray, in_hw: tuple, pad_lo: tuple,
-                     stride: int, dilation: int, depthwise: bool) -> np.ndarray:
-    """Gradient of _conv w.r.t. its unpadded (N, *in_hw, C_in) input, from
-    the output gradient `g` and the canvas' low pads `pad_lo`. Tap u carries
-    output pixel i to input pixel i*stride + u*dilation - pad_lo, so this is
-    a stride-1 correlation of the zero-stuffed output gradient with the
-    flipped kernel (channel axes swapped when dense); the low pad lines the
-    flipped taps up, the high pad fills out to the input extent."""
-    (h, w), (ph, pw) = in_hw, pad_lo
-    oh, ow = g.shape[1:3]
+def _conv_input_grad(g: np.ndarray, wd: np.ndarray, pad_h: tuple, pad_w: tuple,
+                     dilation: int, depthwise: bool) -> np.ndarray:
+    """Gradient of _conv w.r.t. its unpadded input, from the output gradient
+    `g` and the (lo, hi) pads of the canvas the forward read. Tap u carries
+    output pixel i to input pixel i + u*dilation - lo, so this is the
+    correlation of `g`, padded on each side by the kernel's reach less that
+    side's canvas pad ((hi, lo) under 'same'), with the flipped kernel
+    (channel axes swapped when dense)."""
     reach_h, reach_w = dilation * (wd.shape[0] - 1), dilation * (wd.shape[1] - 1)
-    gp = _canvas(g, (reach_h - ph, h + ph - (oh - 1) * stride - 1),
-                 (reach_w - pw, w + pw - (ow - 1) * stride - 1), stride)
+    gp = _canvas(g, (reach_h - pad_h[0], reach_h - pad_h[1]),
+                 (reach_w - pad_w[0], reach_w - pad_w[1]))
     wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
-    return _conv(gp, wf, h, w, 1, dilation, depthwise)
+    return _conv(gp, wf, gp.shape[1] - reach_h, gp.shape[2] - reach_w, dilation,
+                 depthwise)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
-                      stride: int, dilation: int, depthwise: bool) -> np.ndarray:
+                      dilation: int, depthwise: bool) -> np.ndarray:
     """Gradient of _conv with respect to its (kh, kw, ., .) weights, given
     the padded canvas `xp` it read and the output gradient `g`."""
     n, oh, ow, c = g.shape
     if not depthwise:
-        patches = _window_view(xp, kh, kw, oh, ow, stride, dilation)
+        patches = _window_view(xp, kh, kw, oh, ow, dilation)
         return np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
     dw = np.zeros((kh, kw, 1, c), dtype=g.dtype)
     for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, dilation):
@@ -270,49 +261,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
              "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
              "C_in with weights (kh, kw, 1, C_in)")
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
-    ph_lo, ph_hi, _ = _conv_axis(h, kh, 1, dilation)
-    pw_lo, pw_hi, _ = _conv_axis(wdt, kw, 1, dilation)
-    xd, pad_h, pad_w = x.data, (ph_lo, ph_hi), (pw_lo, pw_hi)
-    y = _conv(_canvas(xd, pad_h, pad_w), w.data, h, wdt, 1, dilation, depthwise)
+    xd, pad_h, pad_w = x.data, _conv_axis(kh, dilation), _conv_axis(kw, dilation)
+    y = _conv(_canvas(xd, pad_h, pad_w), w.data, h, wdt, dilation, depthwise)
     add_macs(n * h * wdt * kh * kw * cg * cout)
     # the backward rebuilds the canvas rather than keep it alive on the tape
     return finish(y, lambda g: (
-        _conv_input_grad(g, w.data, (h, wdt), (ph_lo, pw_lo), 1, dilation,
-                         depthwise),
-        _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, 1, dilation,
+        _conv_input_grad(g, w.data, pad_h, pad_w, dilation, depthwise),
+        _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation,
                           depthwise)))
-
-
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, *,
-                     stride: int = 2) -> Tensor:
-    """Transpose convolution, conv2d's adjoint: spatial extents multiplied
-    by `stride`.
-
-    Weights are (kh, kw, C_out, C_in): the same array the matched conv,
-    mapping C_out -> C_in with 'same' padding at this stride, would use. So
-    the forward here is that conv's input gradient, the input gradient here
-    is its forward, and the weight gradient is its weight gradient with
-    input and output gradient swapped.
-    """
-    _require(x.ndim == 4, "conv2d_transpose", f"input must be NHWC, got ndim {x.ndim}")
-    _require(w.ndim == 4, "conv2d_transpose", f"weights must be rank 4, got {w.ndim}")
-    n, h, wdt, cin = x.shape
-    kh, kw, cout, wcin = w.shape
-    _require(wcin == cin, "conv2d_transpose",
-             f"weight input axis {wcin} != input channels {cin}")
-    finish = _bias_epilogue("conv2d_transpose", x, w, b, cout, _channel_sum)
-    oh, ow = h * stride, wdt * stride
-    ph_lo, ph_hi, _ = _conv_axis(oh, kh, stride, 1)
-    pw_lo, pw_hi, _ = _conv_axis(ow, kw, stride, 1)
-    y = _conv_input_grad(x.data, w.data, (oh, ow), (ph_lo, pw_lo), stride, 1, False)
-    add_macs(n * oh * ow * kh * kw * cin * cout)
-
-    def bwd(g):
-        gp = _canvas(g, (ph_lo, ph_hi), (pw_lo, pw_hi))
-        return (_conv(gp, w.data, h, wdt, stride, 1, False),
-                _conv_weight_grad(gp, x.data, kh, kw, stride, 1, False))
-
-    return finish(y, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from mcads.blocks import (BN_EPS, LEAKY_SLOPE, AttentionFusion,
                           BilinearUpsampleBlock, BlockConfig,
                           ChannelAttention, ConvBlock, DepthToSpaceUpsample,
                           DualAttentionBlock, ResidualConvChain,
-                          SegmentationHead, SpatialAttention,
-                          TransposeConvUpsample)
+                          SegmentationHead, SpatialAttention)
 from mcads.params import ParameterStore
 from mcads.tensor import Tensor
 
@@ -184,12 +183,6 @@ def test_eub_cheaper_than_dsub():
     b = ParameterStore(seed=0)
     BilinearUpsampleBlock(b, "u", 32, 32, CFG)
     assert b.count("u.") < a.count("u.")
-
-
-def test_transpose_conv_upsample_shape():
-    store = ParameterStore(seed=17)
-    up = TransposeConvUpsample(store, "tp", 5, 3, CFG)
-    assert up(t((1, 4, 7, 5), 29), train=True).shape == (1, 8, 14, 3)
 
 
 def test_segmentation_head_range_and_shape():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcads import netpbm
+from mcads import netpbm, params
 from mcads.cli import build_parser, main
 from mcads.config import MAX_INPUT_SIDE, ConfigError, RunConfig, load_config
 from mcads.data import synth_dataset
@@ -74,10 +74,12 @@ def test_tuple_length_change_exits_1(capsys):
 
 
 def test_unknown_upsampler_kind_exits_1(capsys):
-    code, _, err = run(["summary", "--no-macs",
-                        "--set", "model.decoder.upsampler.s1=foo"], capsys)
-    assert code == 1
-    assert "upsampler" in err and "'s1'" in err
+    # convtp, the transpose-conv baseline DSUB and EUB replace, is not a kind
+    for kind in ("foo", "convtp"):
+        code, _, err = run(["summary", "--no-macs",
+                            "--set", f"model.decoder.upsampler.s1={kind}"], capsys)
+        assert code == 1
+        assert "model.decoder.upsampler" in err and "'s1'" in err
 
 
 @pytest.mark.parametrize("override, key", [
@@ -370,6 +372,18 @@ def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):
                         "--set", "train.epochs=0", "--out", str(taken)], capsys)
     assert code == 2
     assert err.startswith("data error:") and str(taken) in err
+
+
+def test_allocation_failure_exits_2(monkeypatch, capsys):
+    """A model too large to allocate is a data error, not a traceback."""
+    def too_large(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(params, "he_uniform", too_large)
+    code, _, err = run(["summary", "--no-macs"], capsys)
+    assert code == 2
+    assert err.startswith("data error:") and "Unable to allocate" in err
+    assert "Traceback" not in err
 
 
 def test_eval_out_is_a_directory_exits_2(tmp_path, capsys):

@@ -147,14 +147,6 @@ def test_ablated_model_still_runs():
         assert pred.shape == (1, 32, 32, 1)
 
 
-def test_convtp_config_swaps_parameter_families():
-    all_tp = {k: "convtp" for k in ("bridge", "s4", "s3", "s2", "s1")}
-    model = small_model(decoder=DecoderConfig(upsampler=all_tp))
-    names = model.store.names()
-    assert any(".up.convtp." in n for n in names)
-    assert not any(".up.dsub." in n or ".up.eub." in n for n in names)
-
-
 def test_rlab_iteration_schedule_names():
     model = small_model()
     names = model.store.names()

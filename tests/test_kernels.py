@@ -2,7 +2,7 @@
 kernel against plain tap sums, the blocked dense kernel against one
 contraction, and the layout of outputs.
 
-The convolution kernels, conv2d_transpose and bilinear_upsample are linear
+The convolution kernels and bilinear_upsample are linear
 in each input, so for any output gradient g the input gradient dx must
 satisfy <op(x), g> == <x, dx> (and the same for the weights) to float64
 rounding.
@@ -32,46 +32,42 @@ def _normal(seed, *shape):
     return np.random.default_rng(seed).normal(size=shape)
 
 
-def _axis(extent, k, stride, dilation, padding):
-    """(pad_lo, pad_hi, out_extent) of one axis, padded 'same' as conv2d and
-    conv2d_transpose pad it, or not at all ('valid')."""
+def _axis(extent, k, dilation, padding):
+    """(pad_lo, pad_hi, out_extent) of one axis, padded 'same' as conv2d pads
+    it, or not at all ('valid')."""
     if padding == "same":
-        return ops._conv_axis(extent, k, stride, dilation)
-    return 0, 0, (extent - dilation * (k - 1) - 1) // stride + 1
+        return (*ops._conv_axis(k, dilation), extent)
+    return 0, 0, extent - dilation * (k - 1)
 
 
-# The three kernels at every stride they serve: dense at 1 (conv2d) and 2
-# (conv2d_transpose), depthwise at 1 only; each over a 'same' canvas and an
-# unpadded one.
+# The three kernels, dense and depthwise, each over a 'same' canvas and an
+# unpadded one; the 1 in each id is the stride every kernel runs at.
 _ADJOINT_CASES = [
-    pytest.param(depthwise, kernel, stride, dilation, padding,
-                 id=f"{'depthwise' if depthwise else 'dense'}-kernel{i}-"
-                    f"{stride}-{dilation}-{padding}")
+    pytest.param(depthwise, kernel, dilation, padding,
+                 id=f"{'depthwise' if depthwise else 'dense'}-kernel{i}-1-"
+                    f"{dilation}-{padding}")
     for depthwise in (False, True) for i, kernel in enumerate([(3, 3), (2, 3)])
-    for stride in (1, 2) for dilation in (1, 2) for padding in ("same", "valid")
-    if stride == 1 or not depthwise]
+    for dilation in (1, 2) for padding in ("same", "valid")]
 
 
-@pytest.mark.parametrize("depthwise, kernel, stride, dilation, padding",
-                         _ADJOINT_CASES)
-def test_conv2d_adjoint(depthwise, kernel, stride, dilation, padding):
+@pytest.mark.parametrize("depthwise, kernel, dilation, padding", _ADJOINT_CASES)
+def test_conv2d_adjoint(depthwise, kernel, dilation, padding):
     x = _normal(1, 2, 9, 8, 3)
     w = _normal(2, *kernel, 1, 3) if depthwise else _normal(2, *kernel, 3, 4)
     (ph, ph_hi, oh), (pw, pw_hi, ow) = (
-        _axis(e, k, stride, dilation, padding) for e, k in zip(x.shape[1:3], kernel))
+        _axis(e, k, dilation, padding) for e, k in zip(x.shape[1:3], kernel))
     xp = ops._canvas(x, (ph, ph_hi), (pw, pw_hi))
-    y = ops._conv(xp, w, oh, ow, stride, dilation, depthwise)
+    y = ops._conv(xp, w, oh, ow, dilation, depthwise)
     g = _normal(3, *y.shape)
-    dx = ops._conv_input_grad(g, w, x.shape[1:3], (ph, pw), stride, dilation,
-                              depthwise)
-    dw = ops._conv_weight_grad(xp, g, *kernel, stride, dilation, depthwise)
+    dx = ops._conv_input_grad(g, w, (ph, ph_hi), (pw, pw_hi), dilation, depthwise)
+    assert dx.shape == x.shape
+    dw = ops._conv_weight_grad(xp, g, *kernel, dilation, depthwise)
     inner = float(np.vdot(y, g))
     assert float(np.vdot(x, dx)) == pytest.approx(inner, rel=1e-12)
     assert float(np.vdot(w, dw)) == pytest.approx(inner, rel=1e-12)
 
 
-# (N, H, W, C), kernel side, dilation, padding; the depthwise kernel runs
-# at stride 1 only
+# (N, H, W, C), kernel side, dilation, padding
 _DW_CASES = {
     "3x3-c8": ((4, 16, 16, 8), 3, 1, "same"),
     "3x3-c16": ((2, 24, 20, 16), 3, 1, "same"),
@@ -91,7 +87,7 @@ def _dw_case(name, dtype):
     rng = np.random.default_rng(7)
     x = rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(k, k, 1, shape[3])).astype(dtype)
-    pads = [_axis(e, k, 1, dilation, padding) for e in shape[1:3]]
+    pads = [_axis(e, k, dilation, padding) for e in shape[1:3]]
     xp = np.pad(x, ((0, 0), pads[0][:2], pads[1][:2], (0, 0)))
     return x, w, xp, (pads[0][2], pads[1][2]), (k, dilation)
 
@@ -117,7 +113,7 @@ def test_depthwise_forward_is_the_plain_tap_sum(name):
             win = xp[:, u * dilation:, v * dilation:][:, :oh, :ow]
             term = win * w[u, v, 0]
             want = term if want is None else want + term
-    got = ops._conv(xp, w, oh, ow, 1, dilation, True)
+    got = ops._conv(xp, w, oh, ow, dilation, True)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
 
@@ -126,27 +122,22 @@ def test_depthwise_forward_is_the_plain_tap_sum(name):
 def test_depthwise_weight_gradient_matches_window_contraction(name):
     x, w, xp, (oh, ow), (k, dilation) = _dw_case(name, np.float64)
     g = np.random.default_rng(8).normal(size=(x.shape[0], oh, ow, x.shape[3]))
-    got = ops._conv_weight_grad(xp, g, k, k, 1, dilation, True)
+    got = ops._conv_weight_grad(xp, g, k, k, dilation, True)
     want = np.einsum("nhwuvc,nhwc->uvc",
-                     ops._window_view(xp, k, k, oh, ow, 1, dilation), g)
+                     ops._window_view(xp, k, k, oh, ow, dilation), g)
     np.testing.assert_allclose(got[:, :, 0, :], want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
 
 
-# (N, H, W, C_in), kernel side, C_out, stride, dilation; stride-2 rows run
-# _conv over a 'same' canvas, as conv2d_transpose's backward does, and
-# "transpose" runs conv2d_transpose, whose forward is a dense stride-1 _conv
-# over the zero-stuffed input. Each case splits into blocks under _SEAM_BUDGET, and
-# each block's product stays far above OpenBLAS's small-matrix cutoff
-# (M*N*K of about 1e6), as the default budget guarantees for every shape.
+# (N, H, W, C_in), kernel side, C_out, dilation. Each case splits into
+# blocks under _SEAM_BUDGET, and each block's product stays far above
+# OpenBLAS's small-matrix cutoff (M*N*K of about 1e6), as the default budget
+# guarantees for every shape.
 _DENSE_CASES = {
-    "image-over-block": ((1, 48, 48, 32), 3, 32, 1, 1),
-    "images-in-block": ((9, 12, 12, 32), 3, 32, 1, 1),
-    "uneven-row-blocks": ((1, 50, 40, 32), 3, 32, 1, 1),
-    "stride2": ((5, 37, 35, 32), 3, 32, 2, 1),
-    "dilation2": ((2, 40, 40, 32), 3, 32, 1, 2),
-    "1x1-stride2": ((6, 64, 64, 64), 1, 32, 2, 1),
-    "transpose": ((2, 24, 24, 32), 3, 32, 2, 1),
+    "image-over-block": ((1, 48, 48, 32), 3, 32, 1),
+    "images-in-block": ((9, 12, 12, 32), 3, 32, 1),
+    "uneven-row-blocks": ((1, 50, 40, 32), 3, 32, 1),
+    "dilation2": ((2, 40, 40, 32), 3, 32, 2),
 }
 _SEAM_BUDGET = 1 << 20
 
@@ -158,11 +149,11 @@ def _dense_calls(monkeypatch):
     calls = []
     conv = ops._conv
 
-    def recorded(xp, wd, oh, ow, stride, dilation, depthwise):
-        y = conv(xp, wd, oh, ow, stride, dilation, depthwise)
+    def recorded(xp, wd, oh, ow, dilation, depthwise):
+        y = conv(xp, wd, oh, ow, dilation, depthwise)
         if not depthwise:
             kh, kw = wd.shape[:2]
-            want = np.tensordot(ops._window_view(xp, kh, kw, oh, ow, stride, dilation),
+            want = np.tensordot(ops._window_view(xp, kh, kw, oh, ow, dilation),
                                 wd, axes=([3, 4, 5], [0, 1, 2]))
             calls.append(((xp, wd, oh, ow), y, want))
         return y
@@ -173,19 +164,11 @@ def _dense_calls(monkeypatch):
 
 
 def _run_dense(name):
-    shape, k, cout, stride, dilation = _DENSE_CASES[name]
+    shape, k, cout, dilation = _DENSE_CASES[name]
     rng = np.random.default_rng(9)
     x = rng.normal(size=shape).astype(np.float32)
-    if name == "transpose":
-        w = rng.normal(size=(k, k, cout, shape[3])).astype(np.float32)
-        return ops.conv2d_transpose(Tensor(x), Tensor(w), stride=stride).data
     w = rng.normal(size=(k, k, shape[3], cout)).astype(np.float32)
-    if stride == 1:
-        return ops.conv2d(Tensor(x), Tensor(w), dilation=dilation).data
-    (ph, ph_hi, oh), (pw, pw_hi, ow) = (
-        ops._conv_axis(e, k, stride, dilation) for e in shape[1:3])
-    return ops._conv(ops._canvas(x, (ph, ph_hi), (pw, pw_hi)), w, oh, ow,
-                     stride, dilation, False)
+    return ops.conv2d(Tensor(x), Tensor(w), dilation=dilation).data
 
 
 def test_dense_cases_cross_block_seams(monkeypatch):
@@ -215,16 +198,6 @@ def test_dense_blocks_equal_one_contraction(name, monkeypatch):
     assert y is got
     assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("kernel, stride", [(3, 2), (2, 2), (4, 2), (1, 2), (3, 3)])
-def test_conv2d_transpose_adjoint(kernel, stride):
-    x = _normal(3, 2, 3, 4, 3)
-    w = _normal(4, kernel, kernel, 2, 3)
-    inner, (ax, aw) = _adjoint(
-        lambda a, b: ops.conv2d_transpose(a, b, stride=stride), x, w)
-    assert ax == pytest.approx(inner, rel=1e-12)
-    assert aw == pytest.approx(inner, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape, factor", [

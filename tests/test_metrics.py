@@ -77,8 +77,9 @@ def test_threshold_tie_goes_foreground():
 
 
 def test_rejects_nonbinary_and_mismatched():
-    with pytest.raises(ValueError, match="binary"):
-        pixel_metrics(m([[0.5]]), m([[1]]))
+    for bad in (0.5, np.nan, 2.0):
+        with pytest.raises(ValueError, match="binary"):
+            pixel_metrics(m([[bad]]), m([[1]]))
     with pytest.raises(ValueError, match="mismatch"):
         pixel_metrics(m([[1, 0]]), m([[1], [0]]))
 

@@ -64,31 +64,6 @@ def test_conv2d_dilation_matches_inserted_zeros():
     np.testing.assert_allclose(y_dil.data[inner], y_dense.data[inner], rtol=1e-12)
 
 
-def test_conv2d_transpose_doubles_extent():
-    rng = np.random.default_rng(4)
-    x = t(rng.normal(size=(1, 3, 5, 2)))
-    w = t(rng.normal(size=(3, 3, 4, 2)))  # (kh, kw, c_out, c_in)
-    assert ops.conv2d_transpose(x, w, stride=2).shape == (1, 6, 10, 4)
-
-
-def test_conv2d_transpose_is_conv_input_gradient():
-    # forward transpose conv == backward of the matched stride-2 'same' conv
-    # (_conv over the padded canvas), with the conv's (kh,kw,cin,cout)
-    # weights reinterpreted as (cout,cin): <conv(x), g> == <x, convT(g)> for
-    # every x, so convT(g) is the gradient of x -> <conv(x), g>
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(1, 3, 3, 2))  # gradient-shaped input
-    w = rng.normal(size=(3, 3, 4, 2))
-    z = ops.conv2d_transpose(Tensor(g), Tensor(w), stride=2).data
-    pads = [ops._conv_axis(6, 3, 2, 1)[:2]] * 2
-    grad = np.zeros((1, 6, 6, 4))
-    for i in np.ndindex(grad.shape):  # the linear map's matrix, row by row
-        e = np.zeros_like(grad)
-        e[i] = 1.0
-        grad[i] = np.vdot(ops._conv(ops._canvas(e, *pads), w, 3, 3, 2, 1, False), g)
-    np.testing.assert_allclose(z, grad, rtol=1e-10, atol=1e-12)
-
-
 def test_batch_norm_train_standardizes():
     rng = np.random.default_rng(6)
     x = t(rng.normal(2.0, 3.0, size=(4, 8, 8, 3)))
@@ -340,10 +315,8 @@ def test_mac_counting_convolution():
                                     t(np.ones((3, 3, 3, 4))), b)),
     ("conv2d", lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
                                     t(np.ones((3, 3, 1, 3))), b, groups=3)),
-    ("conv2d_transpose", lambda b: ops.conv2d_transpose(
-        t(np.ones((1, 4, 4, 3))), t(np.ones((3, 3, 2, 3))), b)),
     ("dense", lambda b: ops.dense(t(np.ones((2, 5))), t(np.ones((5, 2))), b)),
-], ids=["conv2d-dense", "conv2d-depthwise", "conv2d_transpose", "dense"])
+], ids=["conv2d-dense", "conv2d-depthwise", "dense"])
 def test_bias_rejected_before_compute(op, make):
     width = make(None).shape[-1]
     with count_macs() as macs:
