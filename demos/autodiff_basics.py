@@ -9,15 +9,16 @@ from mcads import ops
 from mcads.params import Parameter, adam_step
 from mcads.tensor import Tape, Tensor, backward
 
-# A Tensor is a numpy array plus a gradient slot. Nothing is tracked until
+# A Tensor is a numpy array plus a .grad field. Nothing is tracked until
 # a Tape is active, so plain evaluation has no bookkeeping cost.
 x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 y = ops.sigmoid(x)
 print("sigmoid:", np.round(y.data, 4))
 print("tape that recorded y:", y.tape)
 
-# With a tape, every primitive appends a backward closure. backward()
-# replays them in reverse and fills .grad.
+# With a tape, every primitive appends a node: its output's gradient slot,
+# its inputs' gradient targets and a backward closure. backward() replays
+# them in reverse and fills the leaves' .grad.
 with Tape() as tape:
     z = ops.reduce_sum(ops.mul(ops.sigmoid(x), ops.sigmoid(x)))
 print("nodes on tape:", len(tape))

@@ -3,6 +3,9 @@
 Each op computes eagerly and returns through _emit, which checks the result
 for non-finite values and (when a Tape is active and an input is tracked)
 records a closure that maps the output gradient to per-input gradients.
+A closure captures only the arrays, shapes and dtypes its gradient reads,
+never a Tensor, so an activation no gradient reads is freed as soon as the
+forward drops it; relu and leaky_relu differentiate from their output.
 conv2d runs at stride 1 with 'same' padding, the model's only geometry and
 the only one the convolution kernels serve: dense as blocked im2col, the
 output walked in blocks whose windows are copied into one patch buffer,
@@ -261,12 +264,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
              "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
              "C_in with weights (kh, kw, 1, C_in)")
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
-    xd, pad_h, pad_w = x.data, _conv_axis(kh, dilation), _conv_axis(kw, dilation)
-    y = _conv(_canvas(xd, pad_h, pad_w), w.data, h, wdt, dilation, depthwise)
+    xd, wd = x.data, w.data
+    pad_h, pad_w = _conv_axis(kh, dilation), _conv_axis(kw, dilation)
+    y = _conv(_canvas(xd, pad_h, pad_w), wd, h, wdt, dilation, depthwise)
     add_macs(n * h * wdt * kh * kw * cg * cout)
     # the backward rebuilds the canvas rather than keep it alive on the tape
     return finish(y, lambda g: (
-        _conv_input_grad(g, w.data, pad_h, pad_w, dilation, depthwise),
+        _conv_input_grad(g, wd, pad_h, pad_w, dilation, depthwise),
         _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation,
                           depthwise)))
 
@@ -291,7 +295,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         _require(t.shape == (c,), "batch_norm", f"{name} shape {t.shape} != ({c},)")
     _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
     axes = (0, 1, 2)
-    xd = x.data
+    xd, gd = x.data, gamma.data
 
     if train:
         m = xd.size // c
@@ -303,7 +307,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         running_var.data = momentum * running_var.data + (1.0 - momentum) * var
         ivar = 1.0 / np.sqrt(var + eps)
         xhat *= ivar
-        y = np.multiply(gamma.data, xhat, out=sq)
+        y = np.multiply(gd, xhat, out=sq)
         y += beta.data
 
         def bwd(g):
@@ -316,7 +320,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             np.multiply(xhat, dgamma / m, out=dx)
             dx += dbeta / m
             np.subtract(g, dx, out=dx)
-            dx *= gamma.data * ivar
+            dx *= gd * ivar
             return dx, dgamma, dbeta
 
         return _emit("batch_norm", y, (x, gamma, beta), bwd)
@@ -325,12 +329,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     ivar = 1.0 / np.sqrt(running_var.data + eps)
     y = np.subtract(xd, mean)
     y *= ivar
-    y *= gamma.data
+    y *= gd
     y += beta.data
 
     def bwd_infer(g):
         xhat = (xd - mean) * ivar
-        return g * (gamma.data * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return g * (gd * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _emit("batch_norm", y, (x, gamma, beta), bwd_infer)
 
@@ -340,8 +344,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
 
 def relu(x: Tensor) -> Tensor:
+    # the gradients of relu and leaky_relu read their output, so the input
+    # can be freed: y > 0 exactly when x > 0, for any alpha in [0, 1]
     y = np.maximum(x.data, 0)
-    return _emit("relu", y, (x,), lambda g: (g * (x.data > 0),))
+    return _emit("relu", y, (x,), lambda g: (g * (y > 0),))
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
@@ -350,7 +356,7 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     y = np.multiply(xd, alpha)
     np.maximum(xd, y, out=y)  # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
     return _emit("leaky_relu", y, (x,),
-                 lambda g: (g * np.maximum(xd > 0, alpha, dtype=xd.dtype),))
+                 lambda g: (g * np.maximum(y > 0, alpha, dtype=y.dtype),))
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -411,13 +417,14 @@ def _pool(op: str, x: Tensor, xr: np.ndarray, kind: str, axis, shape) -> Tensor:
     and sum gradients broadcast back over the reduced axes; max and min
     gradients go to the tied extremes."""
     y = getattr(xr, kind)(axis=axis, keepdims=True)
+    kept, xr_shape, x_shape = y.shape, xr.shape, x.shape
     if kind in ("max", "min"):
         route = _tie_split(xr, y, axis)
     else:
         k = xr.size // y.size if kind == "mean" else 1
-        route = lambda g: np.broadcast_to(g / k, xr.shape)
+        route = lambda g: np.broadcast_to(g / k, xr_shape)
     return _emit(op, y.reshape(shape), (x,),
-                 lambda g: (route(g.reshape(y.shape)).reshape(x.shape),))
+                 lambda g: (route(g.reshape(kept)).reshape(x_shape),))
 
 
 def _windows(op: str, x: Tensor, size: int):
@@ -552,10 +559,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     lead = tuple(range(x.ndim - 1))
     finish = _bias_epilogue("dense", x, w, b, w.shape[1],
                             lambda g: g.sum(axis=lead))
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     add_macs(x.size // x.shape[-1] * w.shape[0] * w.shape[1])
-    return finish(y, lambda g: (g @ w.data.T,
-                                np.tensordot(x.data, g, axes=(lead, lead))))
+    return finish(y, lambda g: (g @ wd.T, np.tensordot(xd, g, axes=(lead, lead))))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -568,15 +575,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require(a.shape[-1] == b.shape[-2], "matmul",
              f"inner extents differ: {a.shape[-1]} vs {b.shape[-2]}")
     _same_dtype("matmul", a, b)
-    y = a.data @ b.data
+    ad, bd = a.data, b.data
+    y = ad @ bd
     batch = 1
     for s in a.shape[:-2]:
         batch *= s
     add_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
 
     def bwd(g):
-        da = g @ np.swapaxes(b.data, -1, -2)
-        db = np.swapaxes(a.data, -1, -2) @ g
+        da = g @ np.swapaxes(bd, -1, -2)
+        db = np.swapaxes(ad, -1, -2) @ g
         return da, db
 
     return _emit("matmul", y, (a, b), bwd)
@@ -591,23 +599,25 @@ def swap_last2(x: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("add", a, b)
+    a_shape, b_shape = a.shape, b.shape
     return _emit("add", a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with broadcasting; covers (N,1,1,C) channel gates
     and (N,H,W,1) spatial gates."""
     _same_dtype("mul", a, b)
-    return _emit("mul", a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+    ad, bd = a.data, b.data
+    return _emit("mul", ad * bd, (a, b),
+                 lambda g: (_unbroadcast(g * bd, ad.shape),
+                            _unbroadcast(g * ad, bd.shape)))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar (attention's 1/sqrt(d_k) and friends)."""
-    return _emit("scale", x.data * x.dtype.type(s), (x,),
-                 lambda g: (g * x.dtype.type(s),))
+    s = x.dtype.type(s)
+    return _emit("scale", x.data * s, (x,), lambda g: (g * s,))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -625,13 +635,15 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    x_shape = x.shape
     return record("reshape", Tensor(x.data.reshape(tuple(shape))), (x,),
-                  lambda g: (g.reshape(x.shape),))
+                  lambda g: (g.reshape(x_shape),))
 
 
 def reduce_sum(x: Tensor) -> Tensor:
+    x_shape = x.shape
     return _emit("reduce_sum", np.asarray(x.data.sum(), dtype=x.dtype), (x,),
-                 lambda g: (np.broadcast_to(g, x.shape),))
+                 lambda g: (np.broadcast_to(g, x_shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +662,11 @@ def bce_loss(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
     p = np.clip(pred.data, eps, 1.0 - eps)
     t = target.data
     y = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean()
-    m = pred.size
+    m, dtype = pred.size, pred.dtype
     inside = (pred.data > eps) & (pred.data < 1.0 - eps)
 
     def bwd(g):
         dp = g * inside * (p - t) / (p * (1.0 - p)) / m
-        return dp.astype(pred.dtype, copy=False), None
+        return dp.astype(dtype, copy=False), None
 
     return _emit("bce_loss", np.asarray(y, dtype=pred.dtype), (pred, target), bwd)

@@ -3,10 +3,13 @@
 Everything image-shaped is channels-last: batches are (N, H, W, C) arrays,
 float32 for training and float64 when checking gradients. Primitive ops
 (see ops.py) run eagerly on numpy and, while a Tape is active, append a
-backward closure per executed op. backward() pops and fires those closures
-in exact reverse execution order, accumulating into .grad across fan-out;
-each node and each intermediate's gradient is freed once used, so only
-leaves (parameters and inputs) keep .grad.
+node per executed op. A node holds no Tensor: only the output's gradient
+slot, one gradient target per input and the backward closure, which keeps
+only the arrays its gradient reads. An activation no closure reads is
+therefore freed as soon as the forward drops its Tensor. backward() pops
+and fires the nodes in exact reverse execution order, accumulating into
+the targets across fan-out; each node and each intermediate's gradient is
+freed once used, so only leaves (parameters and inputs) keep .grad.
 
 The active tape and the MAC counter are context-local: ops see only the
 tape and counter opened in their own thread (or context), and a new thread
@@ -69,16 +72,27 @@ def as_float_array(data, dtype=None) -> np.ndarray:
     return arr.astype(np.float32)
 
 
-class Tensor:
-    """A numpy array plus a gradient slot and the tape that recorded it."""
+class _Slot:
+    """Where backward accumulates the gradient of one op's output."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
+class Tensor:
+    """A numpy array plus its gradient, the tape that recorded it and, when
+    an op on that tape produced it, the gradient slot the tape fills."""
+
+    __slots__ = ("data", "grad", "requires_grad", "tape", "slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = as_float_array(data, dtype)
         self.grad = None
         self.requires_grad = requires_grad
         self.tape = None
+        self.slot = None
 
     @property
     def shape(self):
@@ -105,7 +119,8 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed primitives as (out, inputs, backward).
+    """Ordered record of executed primitives as (output slot, gradient
+    targets, backward); see record().
 
     Use as a context manager; ops executed inside record themselves when any
     input requires a gradient. A tape is single-use: backward() consumes it.
@@ -132,14 +147,20 @@ def record(op: str, out: Tensor, inputs, backward) -> Tensor:
 
     `backward` maps the output gradient to a tuple of per-input gradients
     (None for inputs that get nothing). No-op unless a tape is active and
-    some input is tracked.
+    some input is tracked. The node keeps no Tensor: `out` gets a fresh
+    slot, and each input is targeted through its slot if this tape produced
+    it, as itself if it is a tracked leaf, and not at all otherwise.
     """
     tape = _TAPE.get()
     if tape is None or not any(t.requires_grad for t in inputs):
         return out
     out.requires_grad = True
     out.tape = tape
-    tape._nodes.append((out, tuple(inputs), backward))
+    out.slot = _Slot()
+    targets = tuple(t.slot if t.tape is tape else
+                    t if t.requires_grad and t.tape is None else None
+                    for t in inputs)
+    tape._nodes.append((out.slot, targets, backward))
     return out
 
 
@@ -147,26 +168,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: populate .grad for every tensor the loss reaches.
 
     The loss must be a scalar recorded on `tape`. Gradients accumulate across
-    fan-out; each node is popped as it fires, with its output's .grad, so
+    fan-out; each node is popped as it fires, with its slot's gradient, so
     the tape ends empty and only leaves (tensors no op produced) keep .grad.
     """
     if loss.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.tape is not tape:
         raise ValueError("loss is not attached to this tape (detached graph)")
-    loss.grad = np.ones((), dtype=loss.dtype)
+    loss.slot.grad = np.ones((), dtype=loss.dtype)
     nodes = tape._nodes
     while nodes:
         # rebinding these names releases the previous node's closure and
         # captures before this one fires
-        out, inputs, node_backward = nodes.pop()
-        gout, out.grad = out.grad, None
+        slot, targets, node_backward = nodes.pop()
+        gout, slot.grad = slot.grad, None
         if gout is None:
             continue
-        for tensor, g in zip(inputs, node_backward(gout)):
-            if g is None or not tensor.requires_grad:
+        for target, g in zip(targets, node_backward(gout)):
+            if g is None or target is None:
                 continue
-            if tensor.grad is None:
-                tensor.grad = g
+            if target.grad is None:
+                target.grad = g
             else:
-                tensor.grad = tensor.grad + g
+                target.grad = target.grad + g

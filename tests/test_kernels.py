@@ -1,12 +1,15 @@
 """Backward kernels against the adjoint identity, the blocked depthwise
 kernel against plain tap sums, the blocked dense kernel against one
-contraction, and the layout of outputs.
+contraction, activation gradients taken from the output against the input
+mask, and the layout of outputs.
 
 The convolution kernels and bilinear_upsample are linear
 in each input, so for any output gradient g the input gradient dx must
 satisfy <op(x), g> == <x, dx> (and the same for the weights) to float64
 rounding.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +211,35 @@ def test_bilinear_upsample_adjoint(shape, factor):
     inner, (ax,) = _adjoint(lambda a: ops.bilinear_upsample(a, factor),
                             _normal(5, *shape))
     assert ax == pytest.approx(inner, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.01, 1.0], ids=lambda a: f"alpha{a}")
+def test_activation_gradient_reads_the_output(dtype, alpha):
+    """relu (alpha None) and leaky_relu take their gradient from their
+    output, so their input can be freed before backward; the gradient still
+    equals the input-mask form g * (x > 0), or g * max(x > 0, alpha), bit
+    for bit, at signed zeros, subnormals and +-1e30 too."""
+    info = np.finfo(dtype)
+    edge = [0.0, info.smallest_subnormal, 3 * info.smallest_subnormal,
+            info.tiny, 1e30]
+    rng = np.random.default_rng(7)
+    xd = np.concatenate([edge, np.negative(edge), rng.normal(size=64)]).astype(dtype)
+    g = rng.normal(size=xd.shape).astype(dtype)
+    leaf = Tensor(xd, requires_grad=True)
+    with Tape() as tape:
+        x = ops.scale(leaf, 1.0)  # op-produced, so only a closure can keep it
+        y = ops.relu(x) if alpha is None else ops.leaky_relu(x, alpha)
+        loss = ops.reduce_sum(ops.mul(y, Tensor(g)))
+    assert x.data.tobytes() == xd.tobytes()
+    input_data = weakref.ref(x.data)
+    del x
+    assert input_data() is None
+    backward(tape, loss)
+    mask = xd > 0 if alpha is None else np.maximum(xd > 0, alpha, dtype=dtype)
+    expected = g * mask
+    assert leaf.grad.dtype == expected.dtype
+    assert leaf.grad.tobytes() == expected.tobytes()
 
 
 def test_every_op_output_is_c_contiguous(monkeypatch):

@@ -168,17 +168,12 @@ def test_gradients_reset_between_steps(tmp_path):
         assert np.array_equal(trained[name], manual[name]), name
 
 
-def test_backward_frees_the_tape_as_it_runs(monkeypatch):
+def test_backward_frees_the_tape_as_it_runs(monkeypatch, desk_step):
     """backward releases each node as it fires: on the desk step, numpy's
     traced memory never climbs more than 10% above what the end of the
     forward holds, no padded conv canvas outlives its forward, and only
     leaves keep .grad afterwards."""
-    cfg = RunConfig.desk()
-    model = SegmentationModel(cfg.model)
-    rng = np.random.default_rng(12)
-    shape = (cfg.train.batch, cfg.data.patch, cfg.data.patch)
-    images = rng.uniform(size=shape + (3,)).astype(np.float32)
-    masks = (rng.uniform(size=shape + (1,)) > 0.5).astype(np.float32)
+    model, images, masks = desk_step
     canvases = []
     canvas = ops._canvas
 
@@ -207,11 +202,49 @@ def test_backward_frees_the_tape_as_it_runs(monkeypatch):
     with Tape() as tape:
         out = model.forward(images, train=True)
         loss, _ = model.loss(out, masks)
-    intermediates = [node[0] for node in tape._nodes]
+    slots = [slot for slot, _, _ in tape._nodes]
     backward(tape, loss)
     assert len(tape) == 0
-    assert all(t.grad is None for t in intermediates)
+    assert all(slot.grad is None for slot in slots)
+    assert all(t.grad is None for _, t in out.ordered())
     assert all(p.grad is not None for p in model.store.trainable_parameters())
+
+
+def test_forward_keeps_only_what_backward_reads(monkeypatch, desk_step):
+    """Before backward runs, the desk step keeps alive at most 0.6 of the
+    bytes its taped ops produced (views not counted): no node holds a
+    Tensor, so an output dies once the forward drops it unless a closure
+    reads it. A batch_norm output feeding leaky_relu (whose gradient reads
+    its own output) and an attention-score product are already gone."""
+    model, images, masks = desk_step
+    produced = []  # (op, weakref, nbytes) of each taped output
+    by_id = {}  # id(array) -> its entry; a dead array's id may be reused
+    watched = {"batch_norm -> leaky_relu": [], "matmul -> scale": []}
+    record = ops.record
+
+    def tracked(op, out, inputs, backward):
+        for t in inputs:
+            op_in, ref, _ = by_id.get(id(t.data), (None, None, 0))
+            edge = f"{op_in} -> {op}"
+            if edge in watched and ref() is t.data:
+                watched[edge].append(ref)
+        result = record(op, out, inputs, backward)
+        if out.tape is not None and out.data.base is None:
+            produced.append((op, weakref.ref(out.data), out.data.nbytes))
+            by_id[id(out.data)] = produced[-1]
+        return result
+
+    monkeypatch.setattr(ops, "record", tracked)
+    with Tape() as tape:
+        out = model.forward(images, train=True)
+        loss, _ = model.loss(out, masks)
+    monkeypatch.undo()
+    total = sum(nbytes for _, _, nbytes in produced)
+    alive = sum(nbytes for _, ref, nbytes in produced if ref() is not None)
+    assert alive <= 0.6 * total, (alive, total)
+    for edge, refs in watched.items():
+        assert refs and refs[0]() is None, edge
+    backward(tape, loss)
 
 
 # ---------------------------------------------------------------------------
