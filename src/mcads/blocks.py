@@ -31,10 +31,11 @@ class BlockConfig:
     attention_token_cap bounds the RLAB token count: maps whose H*W exceeds
     the cap are average-pooled (queries included) before attention and the
     attention output is bilinearly restored, trading exactness for memory
-    on large inputs. None disables the cap.
+    on large inputs. A cap of 2^28, the token count of the largest input
+    side the config admits, never pools.
     """
 
-    attention_token_cap: int | None = 1024
+    attention_token_cap: int = 1024
     bn_momentum: float = 0.99
 
 
@@ -186,11 +187,11 @@ class ResidualConvChain:
         return x
 
 
-def _cap_factor(h: int, w: int, cap: int | None) -> int:
+def _cap_factor(h: int, w: int, cap: int) -> int:
     """Smallest power-of-two pooling factor bringing h*w under the token cap.
     Factors must divide both extents; raises when they cannot."""
     f = 1
-    while cap is not None and (h // f) * (w // f) > cap:
+    while (h // f) * (w // f) > cap:
         f *= 2
         if h % f or w % f:
             raise ValueError(

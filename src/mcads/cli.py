@@ -19,6 +19,7 @@ import sys
 from . import gradcheck as gradcheck_mod
 from . import infer, metrics, netpbm, summary
 from .config import ConfigError, check_input_side, load_config
+from .data import check_channels
 from .network import SegmentationModel
 from .params import load_checkpoint
 from .tensor import NumericError
@@ -58,9 +59,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = load_config(args.config, args.set)
+    image = netpbm.read_image(args.image)
+    check_channels(image, cfg.model.encoder.input_channels, args.image)
     model = SegmentationModel(cfg.model)
     model.store.load_state(load_checkpoint(args.checkpoint))
-    image = netpbm.read_image(args.image)
     mask, prob = infer.predict_mask(
         model, image, patch=cfg.data.patch, stride=cfg.data.stride,
         threshold=cfg.eval.threshold)
@@ -88,6 +90,9 @@ def cmd_eval(args) -> int:
     for sid in sorted(pred_ids):
         pred = netpbm.read_mask(os.path.join(args.pred, sid + ".pgm"))
         gt = netpbm.read_mask(os.path.join(args.gt, sid + ".pgm"))
+        if pred.shape != gt.shape:
+            raise ValueError(f"{sid}: prediction shape {pred.shape[:2]} does "
+                             f"not match reference {gt.shape[:2]}")
         entries.append((sid, pred, gt))
     rep = metrics.report(entries)
     text = json.dumps(rep, indent=2)

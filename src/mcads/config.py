@@ -15,6 +15,7 @@ import operator
 import typing
 from dataclasses import dataclass, field
 
+from .blocks import UPSAMPLERS
 from .network import ModelConfig
 
 
@@ -78,56 +79,44 @@ def _apply_dict(obj, data: dict, path: str):
     """Assign `data` onto dataclass `obj`, rejecting unknown keys and values
     of the wrong kind for the field's declared type: non-booleans for a
     bool, non-numbers for a number (an int is fine for a float), non-strings
-    for a string, lists that change a tuple's length or hold anything but
-    integers (every tuple in the tree is per-stage counts or widths), and
-    for a dict (the upsampler map) anything but an object of strings."""
+    for a string, and lists that change a tuple's length or hold entries
+    unlike its default's (integers, or strings for the upsampler kinds)."""
     hints = typing.get_type_hints(type(obj))
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
         if key not in hints:
             raise ConfigError(f"unknown config key '{where}'")
-        if dataclasses.is_dataclass(hints[key]):
+        kind = hints[key]
+        if dataclasses.is_dataclass(kind):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{where}' must be an object")
             _apply_dict(getattr(obj, key), value, where)
             continue
-        current = getattr(obj, key)
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if value is None and type(None) in kinds:
-            pass
-        elif bool in kinds:
+        if kind is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"'{where}' must be true/false")
-        elif int in kinds or float in kinds:
-            want = "a number" if float in kinds else "an integer"
-            numbers = (int, float) if float in kinds else int
+        elif kind in (int, float):
+            want = "a number" if kind is float else "an integer"
+            numbers = (int, float) if kind is float else int
             if isinstance(value, bool) or not isinstance(value, numbers):
-                raise ConfigError(f"'{where}' must be {want}, got {value!r}")
-        elif tuple in kinds:
+                raise ConfigError(f"'{where}' must be {want}, got {json.dumps(value)}")
+        elif kind is tuple:
+            current = getattr(obj, key)
+            entry = type(current[0])
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"'{where}' must be a list")
-            if isinstance(current, tuple) and len(value) != len(current):
+                raise ConfigError(f"'{where}' must be a list, "
+                                  f"got {json.dumps(value)}")
+            if len(value) != len(current):
                 raise ConfigError(f"'{where}' needs {len(current)} values, "
                                   f"got {len(value)}")
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in value):
-                raise ConfigError(f"'{where}' must hold integers, "
+            if any(isinstance(v, bool) or not isinstance(v, entry) for v in value):
+                want = "integers" if entry is int else "strings"
+                raise ConfigError(f"'{where}' must hold {want}, "
                                   f"got {json.dumps(value)}")
             value = tuple(value)
-        elif str in kinds:
-            if not isinstance(value, str):
-                raise ConfigError(f"'{where}' must be a string, "
-                                  f"got {json.dumps(value)}")
-        elif dict in kinds:
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{where}' must be an object, "
-                                  f"got {json.dumps(value)}")
-            for k, v in sorted(value.items()):
-                if k not in current:
-                    raise ConfigError(f"unknown config key '{where}.{k}'")
-                if not isinstance(v, str):
-                    raise ConfigError(f"'{where}.{k}' must be a string, "
-                                      f"got {json.dumps(v)}")
-            value = {**current, **value}
+        elif not isinstance(value, str):
+            raise ConfigError(f"'{where}' must be a string, "
+                              f"got {json.dumps(value)}")
         setattr(obj, key, value)
 
 
@@ -159,17 +148,9 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
         _apply_dict(cfg, data, "")
     for item in overrides:
         key, value = _parse_override(item)
-        tree: dict = {}
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
-        _apply_dict(cfg, tree, "")
-    try:
-        cfg.model.decoder.kinds()
-    except ValueError as e:
-        raise ConfigError(f"model.decoder.upsampler: {e}") from None
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _apply_dict(cfg, value, "")
     _check_ranges(cfg)
     return cfg
 
@@ -185,9 +166,10 @@ _RANGES = (
     ("model.encoder.rsu_depths", lambda v: v >= 3, "at least 3"),
     ("model.encoder.stage_filters", lambda v: v >= 1, "at least 1"),
     ("model.encoder.input_channels", lambda v: v >= 1, "at least 1"),
+    ("model.decoder.upsampler", lambda v: v in UPSAMPLERS,
+     f"one of {', '.join(UPSAMPLERS)}"),
     ("model.decoder.rlab_iterations", lambda v: v >= 0, "at least 0"),
-    ("model.block.attention_token_cap", lambda v: v is None or v >= 1,
-     "at least 1 or null"),
+    ("model.block.attention_token_cap", lambda v: v >= 1, "at least 1"),
     ("model.block.bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]"),
     ("train.lr", lambda v: 0 < v < math.inf, "positive and finite"),
     ("train.batch", lambda v: v >= 1, "at least 1"),
@@ -232,6 +214,6 @@ def check_input_side(model: ModelConfig, side: int, name: str) -> None:
                           f"2^{pools}, at most {MAX_INPUT_SIDE}, got {side}")
     odd = side // (side & -side)
     attends = model.decoder.enable_rlab or enc.inner_attention
-    if attends and cap is not None and odd * odd > cap:
+    if attends and odd * odd > cap:
         raise ConfigError(f"'model.block.attention_token_cap' must be at least "
                           f"{odd * odd} for {name} {side}, got {cap}")

@@ -35,14 +35,22 @@ class Sample:
 
     def __post_init__(self):
         if self.image.ndim != 3:
-            raise ValueError(f"image must be (H,W,C), got {self.image.shape}")
+            raise ValueError(f"sample {self.id}: image must be (H,W,C), "
+                             f"got {self.image.shape}")
         if self.mask.shape != self.image.shape[:2] + (1,):
             raise ValueError(
-                f"mask shape {self.mask.shape} does not match "
-                f"image {self.image.shape}")
-        vals = np.unique(self.mask)
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            raise ValueError("mask must be strictly binary")
+                f"sample {self.id}: mask shape {self.mask.shape} does not "
+                f"match image {self.image.shape}")
+        # NaN equals neither 0 nor 1
+        if not np.array_equal(self.mask, self.mask.astype(bool)):
+            raise ValueError(f"sample {self.id}: mask must be strictly binary")
+
+
+def check_channels(image: np.ndarray, channels: int, name: str) -> None:
+    """Reject an (H,W,C) image the encoder cannot read, naming it `name`."""
+    if image.shape[2] != channels:
+        raise ValueError(f"{name}: {image.shape[2]}-channel image, but "
+                         f"model.encoder.input_channels is {channels}")
 
 
 def _padded_extent(extent: int, patch: int, stride: int) -> int:

@@ -7,39 +7,23 @@ supervises all six, and the shallowest (d1) is the model's final output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ops
 from .blocks import (AttentionFusion, BlockConfig, ConvBlock, DualAttentionBlock,
                      SegmentationHead, UPSAMPLERS)
 from .encoder import EncoderConfig
 
-# Decoder stages ordered deep to shallow: the key names the encoder level
-# whose feature the stage upsamples.
-STAGE_KEYS = ("bridge", "s4", "s3", "s2", "s1")
 HEAD_ORDER = ("b1", "d5", "d4", "d3", "d2", "d1")
 
 
 @dataclass
 class DecoderConfig:
-    upsampler: dict = field(default_factory=lambda: {
-        "bridge": "dsub", "s4": "dsub", "s3": "eub", "s2": "eub", "s1": "eub"})
+    upsampler: tuple = ("dsub", "dsub", "eub", "eub", "eub")  # d5 .. d1
     rlab_iterations: tuple = (5, 4, 3, 2, 1)  # d5 .. d1
     enable_upsampler: bool = True
     enable_rlab: bool = True
     enable_casab: bool = True
-
-    def kinds(self):
-        unknown = set(self.upsampler) - set(STAGE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown upsampler stage keys {sorted(unknown)}")
-        missing = set(STAGE_KEYS) - set(self.upsampler)
-        if missing:
-            raise ValueError(f"upsampler map missing stages {sorted(missing)}")
-        for key, kind in self.upsampler.items():
-            if kind not in UPSAMPLERS:
-                raise ValueError(f"unknown upsampler kind {kind!r} at {key!r}")
-        return [self.upsampler[k] for k in STAGE_KEYS]
 
 
 class DecoderStage:
@@ -47,6 +31,8 @@ class DecoderStage:
 
     def __init__(self, store, prefix, deeper_c, skip_c, kind, iterations,
                  dec_cfg: DecoderConfig, cfg: BlockConfig):
+        if kind not in UPSAMPLERS:
+            raise ValueError(f"{prefix}: unknown upsampler kind {kind!r}")
         if dec_cfg.enable_upsampler:
             self.up = UPSAMPLERS[kind](store, f"{prefix}.up.{kind}",
                                        deeper_c, skip_c, cfg)
@@ -97,8 +83,8 @@ class Decoder:
         # d(5 - i) maps width i to its skip's width i + 1 whatever the
         # toggles, so the ablated variants only change widths inside a stage.
         widths = tuple(enc_cfg.stage_filters)[::-1]
-        stages = zip(widths[:-1], widths[1:], dec_cfg.kinds(), dec_cfg.rlab_iterations,
-                     strict=True)
+        stages = zip(widths[:-1], widths[1:], dec_cfg.upsampler,
+                     dec_cfg.rlab_iterations, strict=True)
         self.stages = [DecoderStage(store, f"decoder.d{5 - i}", *stage, dec_cfg, cfg)
                        for i, stage in enumerate(stages)]
         self.heads = {name: SegmentationHead(store, f"decoder.head_{name}", c, cfg)

@@ -8,6 +8,8 @@ minimal header, e.g. b"P5\\n<w> <h>\\n255\\n" followed by the payload.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -41,27 +43,27 @@ def read_netpbm(path) -> np.ndarray:
     """Read a P5 or P6 file to a uint8 array, (H,W) or (H,W,3)."""
     with open(path, "rb") as f:
         data = f.read()
-    tokens, offset = _read_header_tokens(data, 4)
-    magic = tokens[0]
-    if magic not in (b"P5", b"P6"):
-        raise NetpbmError(f"unsupported NetPBM magic {magic!r}")
     try:
-        w, h, maxval = (int(t) for t in tokens[1:])
-    except ValueError as e:
-        raise NetpbmError(f"non-numeric NetPBM header field: {e}") from None
-    if w <= 0 or h <= 0:
-        raise NetpbmError(f"invalid NetPBM dimensions {w}x{h}")
-    if maxval != 255:
-        raise NetpbmError(f"only maxval 255 is supported, got {maxval}")
-    channels = 1 if magic == b"P5" else 3
-    need = w * h * channels
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise NetpbmError(f"truncated payload: {len(payload)} of {need} bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(h, w).copy()
-    return arr.reshape(h, w, 3).copy()
+        tokens, offset = _read_header_tokens(data, 4)
+        magic = tokens[0]
+        if magic not in (b"P5", b"P6"):
+            raise NetpbmError(f"unsupported NetPBM magic {magic!r}")
+        try:
+            w, h, maxval = (int(t) for t in tokens[1:])
+        except ValueError as e:
+            raise NetpbmError(f"non-numeric NetPBM header field: {e}") from None
+        if w <= 0 or h <= 0:
+            raise NetpbmError(f"invalid NetPBM dimensions {w}x{h}")
+        if maxval != 255:
+            raise NetpbmError(f"only maxval 255 is supported, got {maxval}")
+        shape = (h, w) if magic == b"P5" else (h, w, 3)
+        need = math.prod(shape)
+        payload = data[offset:offset + need]
+        if len(payload) < need:
+            raise NetpbmError(f"truncated payload: {len(payload)} of {need} bytes")
+        return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
+    except NetpbmError as e:
+        raise NetpbmError(f"{path}: {e}") from None
 
 
 def write_netpbm(path, arr: np.ndarray) -> None:
@@ -102,7 +104,7 @@ def read_mask(path) -> np.ndarray:
     """P5 mask to float32 {0,1} of shape (H,W,1); values >= 128 are fg."""
     arr = read_netpbm(path)
     if arr.ndim != 2:
-        raise NetpbmError("masks must be single-channel P5")
+        raise NetpbmError(f"{path}: masks must be single-channel P5")
     return (arr >= 128).astype(np.float32)[:, :, None]
 
 

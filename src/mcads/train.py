@@ -81,6 +81,9 @@ def _mean_loss(model, patches, batch: int) -> float:
 
 def run_training(cfg: RunConfig, out_dir: str) -> TrainResult:
     samples = load_samples(cfg)
+    for s in samples:
+        data_mod.check_channels(s.image, cfg.model.encoder.input_channels,
+                                f"sample {s.id}")
     train_samples, val_samples = split_samples(
         samples, cfg.train.val_fraction, cfg.train.seed)
     if not train_samples:

@@ -199,12 +199,10 @@ def test_05_upsampler_mix_parameter_ordering():
     """Swapping bilinear-conv upsamplers for depth-to-space ones, one stage
     at a time from the deepest, strictly grows the trainable total. The
     ordering is asserted, not the absolute counts."""
-    keys = ("bridge", "s4", "s3", "s2", "s1")
     totals = []
     for k in range(6):
-        mapping = {key: ("dsub" if i < k else "eub")
-                   for i, key in enumerate(keys)}
-        cfg = ModelConfig(decoder=DecoderConfig(upsampler=mapping))
+        kinds = tuple("dsub" if i < k else "eub" for i in range(5))  # d5 .. d1
+        cfg = ModelConfig(decoder=DecoderConfig(upsampler=kinds))
         totals.append(summary_report(cfg)["total_trainable"])
     assert all(a < b for a, b in zip(totals, totals[1:])), totals
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import re
 from pathlib import Path
@@ -76,10 +77,34 @@ def test_tuple_length_change_exits_1(capsys):
 def test_unknown_upsampler_kind_exits_1(capsys):
     # convtp, the transpose-conv baseline DSUB and EUB replace, is not a kind
     for kind in ("foo", "convtp"):
+        kinds = json.dumps(["dsub", "dsub", "eub", "eub", kind])  # d5 .. d1
         code, _, err = run(["summary", "--no-macs",
-                            "--set", f"model.decoder.upsampler.s1={kind}"], capsys)
+                            "--set", f"model.decoder.upsampler={kinds}"], capsys)
         assert code == 1
-        assert "model.decoder.upsampler" in err and "'s1'" in err
+        assert "'model.decoder.upsampler' entries must be one of" in err
+        assert f'"{kind}"' in err
+
+
+@pytest.mark.parametrize("override, key", [
+    ("model.decoder.upsampler.s1=eub", "model.decoder.upsampler"),
+    ('model.decoder.upsampler={"bridge": "dsub", "s4": "dsub", "s3": "eub", '
+     '"s2": "eub", "s1": "eub"}', "model.decoder.upsampler"),
+    ("model.block.attention_token_cap=null", "model.block.attention_token_cap"),
+], ids=["stage-key", "map", "cap-null"])
+def test_retired_spellings_exit_1(override, key, desk_json, tmp_path, capsys,
+                                  monkeypatch):
+    """The stage-keyed upsampler map and the null token cap are gone: each
+    is a config error naming its key, and nothing is written."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in (["summary", "--json", "s.json"], ["train", "--out", "run"]):
+        code, out, err = run(argv + ["--config", desk_json, "--set", override],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not os.listdir(work)
 
 
 @pytest.mark.parametrize("override, key", [
@@ -112,10 +137,12 @@ def test_removed_model_keys_exit_1(override, capsys):
      "model.decoder.upsampler"),
     (["summary", "--no-macs", "--set", "model.decoder.upsampler=[]"],
      "model.decoder.upsampler"),
-    (["summary", "--no-macs", "--set", 'model.decoder.upsampler.s1=["eub"]'],
-     "model.decoder.upsampler.s1"),
-    (["summary", "--no-macs", "--set", 'model.decoder.upsampler={"s2": 3}'],
-     "model.decoder.upsampler.s2"),
+    (["summary", "--no-macs", "--set",
+      'model.decoder.upsampler=["dsub","dsub","eub","eub",["eub"]]'],
+     "model.decoder.upsampler"),
+    (["summary", "--no-macs", "--set",
+      'model.decoder.upsampler=["dsub","dsub","eub",3,"eub"]'],
+     "model.decoder.upsampler"),
     (["train", "--set", "data.root=5"], "data.root"),
     (["train", "--set", "data.root=null"], "data.root"),
 ], ids=["map-null", "map-list", "kind-list", "kind-int", "root-int", "root-null"])
@@ -262,24 +289,19 @@ SWEEP_ALSO_NAMED = {"model.encoder.rsu_depths": ("data.patch",),
 
 
 def _sweep_names():
-    upsampler = RunConfig().model.decoder.upsampler
-    return (sorted(_config_keys(RunConfig()))
-            + [f"model.decoder.upsampler.{k}" for k in upsampler]
-            + ["--seed", "--input-size"])
+    return sorted(_config_keys(RunConfig())) + ["--seed", "--input-size"]
 
 
 def _sweep_values(name):
     """SWEEP_VALUES, plus 64 for a flag (a valid --input-size) and lists of
-    its own length for a tuple."""
+    its own length for a tuple, of integers and of strings (kinds or not)."""
     if name.startswith("--"):
         return SWEEP_VALUES + ["64"]
-    node = RunConfig()
-    for part in name.split("."):
-        node = node[part] if isinstance(node, dict) else getattr(node, part)
+    node = operator.attrgetter(name)(RunConfig())
     if not isinstance(node, tuple):
         return SWEEP_VALUES
     return SWEEP_VALUES + [json.dumps([v] * len(node))
-                           for v in (-1, 0, 1, 3) + HUGE]
+                           for v in (-1, 0, 1, 3, "eub", "convtp") + HUGE]
 
 
 def _sweep_argv(name, raw, config):
@@ -298,11 +320,8 @@ def _sweep_argv(name, raw, config):
 
 
 def _sweep_names_key(name, err):
-    """`err` names `name`, or its map and its quoted stage, or a key in
-    SWEEP_ALSO_NAMED."""
-    parent, _, leaf = name.rpartition(".")
-    return (name in err or f"{parent}: " in err and f"'{leaf}'" in err
-            or any(k in err for k in SWEEP_ALSO_NAMED.get(name, ())))
+    """`err` names `name` or a key in SWEEP_ALSO_NAMED."""
+    return name in err or any(k in err for k in SWEEP_ALSO_NAMED.get(name, ()))
 
 
 @pytest.mark.parametrize("name", _sweep_names())
@@ -363,6 +382,94 @@ def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     code, _, _ = run(["eval", "--pred", str(tmp_path / "void"),
                       "--gt", str(tmp_path / "void")], capsys)
     assert code == 2
+
+
+def _one_sample_dataset(root, channels=3, mask=None):
+    """Sample g, 64x64; a one-channel image is a P5 file named .ppm."""
+    (root / "images").mkdir(parents=True), (root / "masks").mkdir()
+    (sample,) = synth_dataset(1, 64, np.random.default_rng(9))
+    netpbm.write_image(root / "images" / "g.ppm", sample.image[:, :, :channels])
+    netpbm.write_mask(root / "masks" / "g.pgm",
+                      sample.mask if mask is None else mask)
+
+
+def test_train_on_one_channel_images_exits_2_before_writing(desk_json, tmp_path,
+                                                            capsys):
+    _one_sample_dataset(tmp_path / "ds", channels=1)
+    out_dir = tmp_path / "run"
+    code, out, err = run(["train", "--config", desk_json, "--out", str(out_dir),
+                          "--set", f'data.root="{tmp_path / "ds"}"'], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: sample g:")
+    assert "model.encoder.input_channels is 3" in err
+    assert not out_dir.exists()
+
+
+def test_predict_checks_channels_before_building_the_model(desk_json, tmp_path,
+                                                           capsys):
+    image = str(tmp_path / "gray.ppm")
+    netpbm.write_image(image, np.zeros((64, 64, 1), np.float32))
+    # the checkpoint does not exist, so the image must be checked first
+    code, _, err = run(["predict", "--config", desk_json,
+                        "--checkpoint", str(tmp_path / "nope.mct"),
+                        "--image", image, "--out", str(tmp_path / "m.pgm")],
+                       capsys)
+    assert code == 2
+    assert err.startswith(f"data error: {image}:")
+    assert "model.encoder.input_channels is 3" in err
+    assert not (tmp_path / "m.pgm").exists()
+
+
+def test_predict_truncated_image_names_it(desk_json, tmp_path, capsys):
+    image = tmp_path / "bad.ppm"
+    image.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    code, _, err = run(["predict", "--config", desk_json,
+                        "--checkpoint", str(tmp_path / "nope.mct"),
+                        "--image", str(image), "--out", str(tmp_path / "m.pgm")],
+                       capsys)
+    assert code == 2
+    assert err == f"data error: {image}: truncated payload: 10 of 48 bytes\n"
+
+
+def _eval_dirs(tmp_path):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    box = np.zeros((8, 8, 1), np.float32)
+    box[2:6, 2:6] = 1.0
+    for d in (pred_dir, gt_dir):
+        netpbm.write_mask(d / "a.pgm", box)
+        netpbm.write_mask(d / "b.pgm", box)
+    return pred_dir, gt_dir
+
+
+def test_eval_truncated_mask_names_it(tmp_path, capsys):
+    pred_dir, gt_dir = _eval_dirs(tmp_path)
+    bad = gt_dir / "b.pgm"
+    bad.write_bytes(bad.read_bytes()[:-64])
+    code, out, err = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == f"data error: {bad}: truncated payload: 0 of 64 bytes\n"
+
+
+def test_eval_shape_mismatch_names_the_id(tmp_path, capsys):
+    pred_dir, gt_dir = _eval_dirs(tmp_path)
+    netpbm.write_mask(pred_dir / "b.pgm", np.zeros((8, 9, 1), np.float32))
+    code, out, err = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: b: prediction shape (8, 9)")
+    assert "reference (8, 8)" in err
+
+
+def test_dataset_pair_mismatch_names_the_sample(desk_json, tmp_path, capsys):
+    _one_sample_dataset(tmp_path / "ds", mask=np.zeros((32, 32, 1), np.float32))
+    out_dir = tmp_path / "run"
+    code, _, err = run(["train", "--config", desk_json, "--out", str(out_dir),
+                        "--set", f'data.root="{tmp_path / "ds"}"'], capsys)
+    assert code == 2
+    assert err.startswith("data error: sample g: mask shape (32, 32, 1)")
+    assert not out_dir.exists()
 
 
 def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):

@@ -110,8 +110,12 @@ def test_reflect_pad_mirrors_content():
 
 def test_sample_validation():
     img = np.zeros((8, 8, 3), np.float32)
-    with pytest.raises(ValueError, match="binary"):
-        Sample(img, np.full((8, 8, 1), 0.5, np.float32), "bad")
+    for value in (0.5, 2.0, np.nan, -1.0):
+        mask = np.zeros((8, 8, 1), np.float32)
+        mask[3, 4] = value
+        with pytest.raises(ValueError, match="sample bad: mask must be strictly binary"):
+            Sample(img, mask, "bad")
+    Sample(img, np.ones((8, 8, 1), np.float32), "fine")
     with pytest.raises(ValueError, match="mask shape"):
         Sample(img, np.zeros((4, 4, 1), np.float32), "bad")
 

@@ -107,19 +107,21 @@ def test_forward_leaves_blocks_unchanged():
 
 
 def test_upsampler_map_validation():
-    with pytest.raises(ValueError, match="missing stages"):
-        DecoderConfig(upsampler={"bridge": "dsub"}).kinds()
-    with pytest.raises(ValueError, match="unknown upsampler stage"):
-        DecoderConfig(upsampler={"bridge": "dsub", "s4": "dsub", "s3": "eub",
-                                 "s2": "eub", "s1": "eub", "s0": "eub"}).kinds()
-    bad = {"bridge": "nearest", "s4": "dsub", "s3": "eub", "s2": "eub",
-           "s1": "eub"}
-    with pytest.raises(ValueError, match="unknown upsampler kind"):
-        DecoderConfig(upsampler=bad).kinds()
-    # the parameter-free bilinear is an ablation fallback, not a named kind
-    bad["bridge"] = "bilinear"
-    with pytest.raises(ValueError, match="unknown upsampler kind"):
-        DecoderConfig(upsampler=bad).kinds()
+    """The per-stage kinds, d5 .. d1, need one entry per stage and a known
+    kind at each."""
+    with pytest.raises(ValueError, match="zip"):
+        small_model(decoder=DecoderConfig(upsampler=("dsub",)))
+    with pytest.raises(ValueError, match="zip"):
+        small_model(decoder=DecoderConfig(upsampler=("dsub",) * 6))
+    bad = ["nearest", "dsub", "eub", "eub", "eub"]
+    with pytest.raises(ValueError, match="decoder.d5: unknown upsampler kind"):
+        small_model(decoder=DecoderConfig(upsampler=tuple(bad)))
+    # the parameter-free bilinear is an ablation fallback, not a named kind,
+    # and a kind is checked even when the learned upsamplers are off
+    bad[0] = "bilinear"
+    with pytest.raises(ValueError, match="unknown upsampler kind 'bilinear'"):
+        small_model(decoder=DecoderConfig(upsampler=tuple(bad),
+                                          enable_upsampler=False))
 
 
 def count_params(decoder_cfg):
