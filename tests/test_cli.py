@@ -286,10 +286,15 @@ SWEEP_GROWS = {"data.synth_n", "model.encoder.input_channels",
 # multiple data.patch must be, and --seed sets both seeds
 SWEEP_ALSO_NAMED = {"model.encoder.rsu_depths": ("data.patch",),
                     "--seed": ("train.seed", "model.seed")}
+# the per-stage paths of the retired stage-keyed upsampler map: no value of
+# theirs loads, and each error names the list key and the stage
+SWEEP_RETIRED = tuple(f"model.decoder.upsampler.{stage}"
+                      for stage in ("bridge", "s4", "s3", "s2", "s1"))
 
 
 def _sweep_names():
-    return sorted(_config_keys(RunConfig())) + ["--seed", "--input-size"]
+    return (sorted(_config_keys(RunConfig())) + list(SWEEP_RETIRED)
+            + ["--seed", "--input-size"])
 
 
 def _sweep_values(name):
@@ -297,6 +302,8 @@ def _sweep_values(name):
     its own length for a tuple, of integers and of strings (kinds or not)."""
     if name.startswith("--"):
         return SWEEP_VALUES + ["64"]
+    if name in SWEEP_RETIRED:
+        return SWEEP_VALUES + ['"eub"', '"dsub"']
     node = operator.attrgetter(name)(RunConfig())
     if not isinstance(node, tuple):
         return SWEEP_VALUES
@@ -320,7 +327,11 @@ def _sweep_argv(name, raw, config):
 
 
 def _sweep_names_key(name, err):
-    """`err` names `name` or a key in SWEEP_ALSO_NAMED."""
+    """`err` names `name` or a key in SWEEP_ALSO_NAMED; for a retired stage
+    path, the quoted list key and the stage."""
+    if name in SWEEP_RETIRED:
+        key, _, stage = name.rpartition(".")
+        return f"'{key}'" in err and f'"{stage}"' in err
     return name in err or any(k in err for k in SWEEP_ALSO_NAMED.get(name, ()))
 
 
@@ -346,6 +357,8 @@ def test_every_value_runs_or_exits_1_naming_its_key(name, desk_json, tmp_path,
             except Exception as e:
                 problems.append(f"{raw}: load_config raised {e!r}")
                 continue
+            if loads and name in SWEEP_RETIRED:
+                problems.append(f"{raw}: retired path loads")
             huge = name in SWEEP_GROWS and any(str(v) in raw for v in HUGE)
             if loads and (huge or name == "train.epochs"):
                 continue
