@@ -6,7 +6,8 @@ from .params import (CheckpointMismatch, Parameter, ParameterStore, adam_step,
 from .blocks import BlockConfig
 from .encoder import Encoder, EncoderConfig
 from .decoder import Decoder, DecoderConfig, SegmentationOutput
-from .network import ModelConfig, SegmentationModel
+from .config import ModelConfig
+from .network import SegmentationModel
 
 __version__ = "0.1.0"
 

@@ -61,8 +61,12 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config, args.set)
     image = netpbm.read_image(args.image)
     check_channels(image, cfg.model.encoder.input_channels, args.image)
+    for path in filter(None, (args.out, args.prob)):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"{path}: parent directory does not exist")
+    state = load_checkpoint(args.checkpoint)  # a missing file fails here
     model = SegmentationModel(cfg.model)
-    model.store.load_state(load_checkpoint(args.checkpoint))
+    model.store.load_state(state)
     mask, prob = infer.predict_mask(
         model, image, patch=cfg.data.patch, stride=cfg.data.stride,
         threshold=cfg.eval.threshold)

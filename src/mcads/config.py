@@ -1,7 +1,8 @@
 """Declarative run configuration: JSON file plus dotted --set overrides.
 
 The dataclass tree mirrors the JSON shape. Unknown keys anywhere are
-rejected with their full path. Defaults are the full-scale training
+rejected with their full path; check() judges every value, for load_config
+and for SegmentationModel alike. Defaults are the full-scale training
 settings (Adam lr 1e-4, batch 8, 256/128 patches, 64..512 filters);
 RunConfig.desk() shrinks everything to laptop scale.
 """
@@ -11,17 +12,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import typing
 from dataclasses import dataclass, field
 
-from .blocks import UPSAMPLERS
-from .network import ModelConfig
+from .blocks import UPSAMPLERS, BlockConfig
+from .decoder import DecoderConfig
+from .encoder import EncoderConfig
 
 
 class ConfigError(ValueError):
     """Unparseable config, unknown key, wrong-kind value, or malformed
     override."""
+
+
+@dataclass
+class ModelConfig:
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    decoder: DecoderConfig = field(default_factory=DecoderConfig)
+    block: BlockConfig = field(default_factory=BlockConfig)
+    seed: int = 0
 
 
 @dataclass
@@ -76,48 +85,20 @@ class RunConfig:
 
 
 def _apply_dict(obj, data: dict, path: str):
-    """Assign `data` onto dataclass `obj`, rejecting unknown keys and values
-    of the wrong kind for the field's declared type: non-booleans for a
-    bool, non-numbers for a number (an int is fine for a float), non-strings
-    for a string, and lists that change a tuple's length or hold entries
-    unlike its default's (integers, or strings for the upsampler kinds)."""
+    """Place `data` onto dataclass `obj`, rejecting unknown keys and
+    non-object sections; JSON lists become tuples. check() judges the
+    values."""
     hints = typing.get_type_hints(type(obj))
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
         if key not in hints:
             raise ConfigError(f"unknown config key '{where}'")
-        kind = hints[key]
-        if dataclasses.is_dataclass(kind):
+        if dataclasses.is_dataclass(hints[key]):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{where}' must be an object")
             _apply_dict(getattr(obj, key), value, where)
-            continue
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"'{where}' must be true/false")
-        elif kind in (int, float):
-            want = "a number" if kind is float else "an integer"
-            numbers = (int, float) if kind is float else int
-            if isinstance(value, bool) or not isinstance(value, numbers):
-                raise ConfigError(f"'{where}' must be {want}, got {json.dumps(value)}")
-        elif kind is tuple:
-            current = getattr(obj, key)
-            entry = type(current[0])
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"'{where}' must be a list, "
-                                  f"got {json.dumps(value)}")
-            if len(value) != len(current):
-                raise ConfigError(f"'{where}' needs {len(current)} values, "
-                                  f"got {len(value)}")
-            if any(isinstance(v, bool) or not isinstance(v, entry) for v in value):
-                want = "integers" if entry is int else "strings"
-                raise ConfigError(f"'{where}' must hold {want}, "
-                                  f"got {json.dumps(value)}")
-            value = tuple(value)
-        elif not isinstance(value, str):
-            raise ConfigError(f"'{where}' must be a string, "
-                              f"got {json.dumps(value)}")
-        setattr(obj, key, value)
+        else:
+            setattr(obj, key, tuple(value) if isinstance(value, list) else value)
 
 
 def _parse_override(item: str):
@@ -151,52 +132,87 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
         for part in reversed(key.split(".")):
             value = {part: value}
         _apply_dict(cfg, value, "")
-    _check_ranges(cfg)
+    check(cfg, "")
+    check_input_side(cfg.model, cfg.data.patch, "data.patch")
+    if not 1 <= cfg.data.stride <= cfg.data.patch:
+        raise ConfigError(f"'data.stride' must be in 1..data.patch "
+                          f"({cfg.data.patch}), got {cfg.data.stride}")
     return cfg
 
 
 # Largest square input side: one 64-channel float32 map at 2^14 is 69 GB.
 MAX_INPUT_SIDE = 1 << 14
-# (key, rule, wording) for every value with a range; a tuple's rule holds for
+# key: (rule, wording) for every value with a range; a tuple's rule holds for
 # each entry. RSU blocks need depth >= 3, epochs may be 0 (an initial
 # checkpoint only), and synthetic images must survive the encoder's five 2x
 # pools.
-_RANGES = (
-    ("model.seed", lambda v: v >= 0, "at least 0"),
-    ("model.encoder.rsu_depths", lambda v: v >= 3, "at least 3"),
-    ("model.encoder.stage_filters", lambda v: v >= 1, "at least 1"),
-    ("model.encoder.input_channels", lambda v: v >= 1, "at least 1"),
-    ("model.decoder.upsampler", lambda v: v in UPSAMPLERS,
-     f"one of {', '.join(UPSAMPLERS)}"),
-    ("model.decoder.rlab_iterations", lambda v: v >= 0, "at least 0"),
-    ("model.block.attention_token_cap", lambda v: v >= 1, "at least 1"),
-    ("model.block.bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]"),
-    ("train.lr", lambda v: 0 < v < math.inf, "positive and finite"),
-    ("train.batch", lambda v: v >= 1, "at least 1"),
-    ("train.epochs", lambda v: v >= 0, "at least 0"),
-    ("train.seed", lambda v: v >= 0, "at least 0"),
-    ("train.val_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
-    ("data.synth_n", lambda v: v >= 1, "at least 1"),
-    ("data.synth_hw", lambda v: 0 < v <= MAX_INPUT_SIDE and v % 32 == 0,
-     f"a positive multiple of 32, at most {MAX_INPUT_SIDE}"),
-    ("data.synth_seed", lambda v: v >= 0, "at least 0"),
-    ("eval.threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
-)
+_RANGES = {
+    "model.seed": (lambda v: v >= 0, "at least 0"),
+    "model.encoder.rsu_depths": (lambda v: v >= 3, "at least 3"),
+    "model.encoder.stage_filters": (lambda v: v >= 1, "at least 1"),
+    "model.encoder.input_channels": (lambda v: v >= 1, "at least 1"),
+    "model.decoder.upsampler": (lambda v: v in UPSAMPLERS,
+                                f"one of {', '.join(UPSAMPLERS)}"),
+    "model.decoder.rlab_iterations": (lambda v: v >= 0, "at least 0"),
+    "model.block.attention_token_cap": (lambda v: v >= 1, "at least 1"),
+    "model.block.bn_momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "train.lr": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "train.batch": (lambda v: v >= 1, "at least 1"),
+    "train.epochs": (lambda v: v >= 0, "at least 0"),
+    "train.seed": (lambda v: v >= 0, "at least 0"),
+    "train.val_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "data.synth_n": (lambda v: v >= 1, "at least 1"),
+    "data.synth_hw": (lambda v: 0 < v <= MAX_INPUT_SIDE and v % 32 == 0,
+                      f"a positive multiple of 32, at most {MAX_INPUT_SIDE}"),
+    "data.synth_seed": (lambda v: v >= 0, "at least 0"),
+    "eval.threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
 
 
-def _check_ranges(cfg: RunConfig) -> None:
-    """Reject, before any compute, values outside _RANGES, a patch that is
-    not an input side (check_input_side), and a stride outside 1..patch."""
-    for key, rule, wording in _RANGES:
-        value = operator.attrgetter(key)(cfg)
-        each = isinstance(value, tuple)
-        if not all(rule(v) for v in (value if each else (value,))):
-            raise ConfigError(f"'{key}'{' entries' if each else ''} must be "
-                              f"{wording}, got {json.dumps(value)}")
-    check_input_side(cfg.model, cfg.data.patch, "data.patch")
-    if not 1 <= cfg.data.stride <= cfg.data.patch:
-        raise ConfigError(f"'data.stride' must be in 1..data.patch "
-                          f"({cfg.data.patch}), got {cfg.data.stride}")
+def _show(value) -> str:
+    return json.dumps(value, default=repr)  # repr: a non-JSON API value
+
+
+def check(section, path: str) -> None:
+    """Judge every value of config dataclass `section` at dotted key `path`
+    ("" for a RunConfig): its kind from the declared type (true/false, a
+    number, an integer, a string, or a list keeping its default's length and
+    entry type), then its _RANGES row. Raises ConfigError naming the key."""
+    hints = typing.get_type_hints(type(section))
+    for f in dataclasses.fields(section):
+        where = f"{path}.{f.name}" if path else f.name
+        kind, value = hints[f.name], getattr(section, f.name)
+        if dataclasses.is_dataclass(kind):
+            if not isinstance(value, kind):
+                raise ConfigError(f"'{where}' must be an object")
+            check(value, where)
+            continue
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise ConfigError(f"'{where}' must be true/false")
+        elif kind in (int, float):
+            want = "a number" if kind is float else "an integer"
+            numbers = (int, float) if kind is float else int
+            if isinstance(value, bool) or not isinstance(value, numbers):
+                raise ConfigError(f"'{where}' must be {want}, got {_show(value)}")
+        elif kind is tuple:
+            entry = type(f.default[0])
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"'{where}' must be a list, got {_show(value)}")
+            if len(value) != len(f.default):
+                raise ConfigError(f"'{where}' needs {len(f.default)} values, "
+                                  f"got {len(value)}")
+            if any(isinstance(v, bool) or not isinstance(v, entry) for v in value):
+                want = "integers" if entry is int else "strings"
+                raise ConfigError(f"'{where}' must hold {want}, "
+                                  f"got {_show(value)}")
+        elif not isinstance(value, str):
+            raise ConfigError(f"'{where}' must be a string, got {_show(value)}")
+        rule, wording = _RANGES.get(where, (None, None))
+        each = kind is tuple
+        if rule and not all(rule(v) for v in (value if each else (value,))):
+            raise ConfigError(f"'{where}'{' entries' if each else ''} must be "
+                              f"{wording}, got {_show(value)}")
 
 
 def check_input_side(model: ModelConfig, side: int, name: str) -> None:

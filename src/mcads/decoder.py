@@ -31,8 +31,6 @@ class DecoderStage:
 
     def __init__(self, store, prefix, deeper_c, skip_c, kind, iterations,
                  dec_cfg: DecoderConfig, cfg: BlockConfig):
-        if kind not in UPSAMPLERS:
-            raise ValueError(f"{prefix}: unknown upsampler kind {kind!r}")
         if dec_cfg.enable_upsampler:
             self.up = UPSAMPLERS[kind](store, f"{prefix}.up.{kind}",
                                        deeper_c, skip_c, cfg)

@@ -28,15 +28,6 @@ class EncoderConfig:
     casab_per_stage: bool = True
     input_channels: int = 3
 
-    def mids(self):
-        """Per-stage mid widths max(out // 2, 1), after checking both
-        per-stage tuples have six entries (raises ValueError otherwise)."""
-        if not len(self.stage_filters) == len(self.rsu_depths) == 6:
-            raise ValueError("encoder config needs six stages, got "
-                             f"{len(self.stage_filters)} stage_filters and "
-                             f"{len(self.rsu_depths)} rsu_depths")
-        return tuple(max(f // 2, 1) for f in self.stage_filters)
-
     def input_pools(self) -> int:
         """How often an input side is halved, so it must divide by 2 to this
         power: five 2x pools between the stages, and depth - 2 more inside
@@ -70,8 +61,6 @@ class RSU:
 
     def __init__(self, store, prefix, cin, cout, mid, depth, *, dilated,
                  inner_attention, cfg: BlockConfig):
-        if depth < 3:
-            raise ValueError(f"RSU depth must be >= 3, got {depth}")
         self.dilated = dilated
         self.convin = _ConvUnit(store, f"{prefix}.convin", cin, cout, 1, cfg)
         enc_dil = [2 ** i if dilated else 1 for i in range(depth - 1)]
@@ -137,18 +126,17 @@ class Encoder:
     """Stages s1..s5 + bridge with 2x2 max pooling between them."""
 
     def __init__(self, store, cfg: EncoderConfig, block_cfg: BlockConfig):
-        filters = tuple(cfg.stage_filters)
-        depths = tuple(cfg.rsu_depths)
-        mids = cfg.mids()
         names = ["s1", "s2", "s3", "s4", "s5", "bridge"]
+        stages = zip(names, cfg.stage_filters, cfg.rsu_depths)
         self.stages = []
         cin = cfg.input_channels
-        for i, name in enumerate(names):
+        for i, (name, cout, depth) in enumerate(stages):
+            # the RSU's inner width is half the stage width, at least 1
             self.stages.append(EncoderStage(
-                store, f"encoder.{name}", cin, filters[i], mids[i], depths[i],
+                store, f"encoder.{name}", cin, cout, max(cout // 2, 1), depth,
                 dilated=i >= 4, inner_attention=cfg.inner_attention,
                 casab=cfg.casab_per_stage, cfg=block_cfg))
-            cin = filters[i]
+            cin = cout
         self.input_channels = cfg.input_channels
         self.input_multiple = 2 ** cfg.input_pools()
 

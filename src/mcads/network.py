@@ -2,29 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .blocks import BlockConfig
-from .decoder import Decoder, DecoderConfig, SegmentationOutput, supervision_loss
-from .encoder import Encoder, EncoderConfig
+from . import config
+from .config import ModelConfig
+from .decoder import Decoder, SegmentationOutput, supervision_loss
+from .encoder import Encoder
 from .params import ParameterStore
 from .tensor import Tensor
 
 
-@dataclass
-class ModelConfig:
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder: DecoderConfig = field(default_factory=DecoderConfig)
-    block: BlockConfig = field(default_factory=BlockConfig)
-    seed: int = 0
-
-
 class SegmentationModel:
-    """Owns the parameter store; forward is a pure function of the inputs."""
+    """Owns the parameter store; forward is a pure function of the inputs.
+    The config passes the same check as load_config's (ConfigError naming
+    the key) before any parameter is created."""
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        config.check(cfg, "model")
         self.cfg = cfg
         self.store = ParameterStore(cfg.seed, dtype)
         self.encoder = Encoder(self.store, cfg.encoder, cfg.block)

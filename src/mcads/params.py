@@ -19,8 +19,6 @@ from .tensor import Tensor, guard_finite
 
 def he_uniform(shape, fan_in: int, rng: np.random.Generator,
                dtype=np.float32) -> np.ndarray:
-    if fan_in <= 0:
-        raise ValueError(f"he_uniform: fan_in must be positive, got {fan_in}")
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcads import netpbm, params
+from mcads import cli, netpbm, params
 from mcads.cli import build_parser, main
-from mcads.config import MAX_INPUT_SIDE, ConfigError, RunConfig, load_config
+from mcads.config import (MAX_INPUT_SIDE, ConfigError, RunConfig, _apply_dict,
+                          _parse_override, load_config)
 from mcads.data import synth_dataset
 from mcads.network import SegmentationModel
 from mcads.params import load_checkpoint
@@ -384,6 +385,78 @@ def test_every_value_runs_or_exits_1_naming_its_key(name, desk_json, tmp_path,
         if not ok or "Traceback" in err:
             problems.append(f"{raw}: exit {code}, wrote {written}, {err!r}")
     assert not problems, "\n".join(problems)
+
+
+# widths and depths small enough that every accepted sweep value builds fast
+SMALL_MODEL = {"model": {"encoder": {"stage_filters": [4, 4, 8, 8, 8, 8],
+                                     "rsu_depths": [3, 3, 3, 3, 3, 3]},
+                         "decoder": {"rlab_iterations": [1, 1, 1, 1, 1]}}}
+
+
+@pytest.mark.parametrize("name", sorted(k for k in _config_keys(RunConfig())
+                                        if k.startswith("model.")))
+def test_python_api_checks_what_load_config_checks(name):
+    """Each sweep value of a model key, placed in a small model config as
+    load_config places it, is accepted by both load_config and
+    SegmentationModel, or rejected by both with the same ConfigError. The
+    rules that also read data.patch belong to load_config alone, and the
+    huge values of SWEEP_GROWS are not built."""
+    problems = []
+    for raw in _sweep_values(name):
+        if name in SWEEP_GROWS and any(str(v) in raw for v in HUGE):
+            continue
+        try:
+            load_config(overrides=[f"{name}={raw}"])
+            loaded = None
+        except ConfigError as e:
+            loaded = str(e)
+        if loaded and "data.patch" in loaded:
+            continue
+        cfg = RunConfig()
+        _apply_dict(cfg, SMALL_MODEL, "")
+        key, value = _parse_override(f"{name}={raw}")
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _apply_dict(cfg, value, "")
+        try:
+            SegmentationModel(cfg.model)
+            built = None
+        except ConfigError as e:
+            built = str(e)
+        except Exception as e:
+            built = repr(e)
+        if built != loaded:
+            problems.append(f"{raw}: load_config {loaded!r}, model {built!r}")
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("missing", ["out", "prob", "checkpoint"])
+def test_predict_checks_its_paths_before_building_the_model(
+        missing, desk_json, tmp_path, capsys, monkeypatch):
+    """A missing directory for --out or --prob, or a missing --checkpoint,
+    exits 2 naming the path before the model is built, writing nothing."""
+    cfg = load_config(desk_json)
+    paths = {"out": tmp_path / "m.pgm", "prob": tmp_path / "p.pgm",
+             "checkpoint": tmp_path / "init.mct"}
+    params.save_checkpoint(paths["checkpoint"],
+                           SegmentationModel(cfg.model).store.state())
+    (sample,) = synth_dataset(1, 64, np.random.default_rng(3))
+    netpbm.write_image(tmp_path / "img.ppm", sample.image)
+    paths[missing] = tmp_path / "nodir" / paths[missing].name
+    before = sorted(os.listdir(tmp_path))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "SegmentationModel", no_build)
+    code, out, err = run(["predict", "--config", desk_json,
+                          "--checkpoint", str(paths["checkpoint"]),
+                          "--image", str(tmp_path / "img.ppm"),
+                          "--out", str(paths["out"]),
+                          "--prob", str(paths["prob"])], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error:") and str(paths[missing]) in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_missing_files_exit_2(desk_json, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcads.blocks import BlockConfig
+from mcads.config import ConfigError
 from mcads.decoder import HEAD_ORDER, DecoderConfig
 from mcads.network import ModelConfig, SegmentationModel
 from mcads.encoder import EncoderConfig
@@ -108,18 +109,19 @@ def test_forward_leaves_blocks_unchanged():
 
 def test_upsampler_map_validation():
     """The per-stage kinds, d5 .. d1, need one entry per stage and a known
-    kind at each."""
-    with pytest.raises(ValueError, match="zip"):
-        small_model(decoder=DecoderConfig(upsampler=("dsub",)))
-    with pytest.raises(ValueError, match="zip"):
-        small_model(decoder=DecoderConfig(upsampler=("dsub",) * 6))
+    kind at each; the model entry names the key."""
+    for kinds in (("dsub",), ("dsub",) * 6):
+        with pytest.raises(ConfigError, match=r"'model\.decoder\.upsampler' "
+                           rf"needs 5 values, got {len(kinds)}"):
+            small_model(decoder=DecoderConfig(upsampler=kinds))
     bad = ["nearest", "dsub", "eub", "eub", "eub"]
-    with pytest.raises(ValueError, match="decoder.d5: unknown upsampler kind"):
+    entries = r"'model\.decoder\.upsampler' entries must be one of dsub, eub"
+    with pytest.raises(ConfigError, match=entries + r', got \["nearest"'):
         small_model(decoder=DecoderConfig(upsampler=tuple(bad)))
     # the parameter-free bilinear is an ablation fallback, not a named kind,
     # and a kind is checked even when the learned upsamplers are off
     bad[0] = "bilinear"
-    with pytest.raises(ValueError, match="unknown upsampler kind 'bilinear'"):
+    with pytest.raises(ConfigError, match=entries + r', got \["bilinear"'):
         small_model(decoder=DecoderConfig(upsampler=tuple(bad),
                                           enable_upsampler=False))
 

@@ -5,7 +5,9 @@ import pytest
 
 from mcads import ops
 from mcads.blocks import BlockConfig
+from mcads.config import ConfigError, ModelConfig
 from mcads.encoder import RSU, Encoder, EncoderConfig
+from mcads.network import SegmentationModel
 from mcads.params import ParameterStore
 from mcads.tensor import Tensor
 
@@ -46,10 +48,12 @@ def test_rsu_rejects_tiny_input():
 
 
 def test_rsu_rejects_depth_below_three():
-    store = ParameterStore(seed=3)
-    with pytest.raises(ValueError, match="depth"):
-        RSU(store, "rsu", 3, 8, 4, 2, dilated=False, inner_attention=False,
-            cfg=CFG)
+    """The model entry rejects an RSU depth of 2 in any stage, naming the
+    key, before it creates a parameter."""
+    cfg = ModelConfig(encoder=small_config(rsu_depths=(4, 4, 3, 3, 3, 2)))
+    with pytest.raises(ConfigError, match=r"'model\.encoder\.rsu_depths' "
+                       r"entries must be at least 3, got \[4, 4, 3, 3, 3, 2\]"):
+        SegmentationModel(cfg)
 
 
 def test_rsu_outer_residual():
@@ -122,9 +126,13 @@ def test_encoder_full_width_registry():
 
 
 def test_encoder_needs_six_stages():
-    store = ParameterStore(seed=8)
-    with pytest.raises(ValueError, match="six stages"):
-        Encoder(store, EncoderConfig(stage_filters=(4, 4, 8)), CFG)
+    """Both per-stage tuples need six entries; the model entry names the
+    key whose length is wrong."""
+    for key, value in (("stage_filters", (4, 4, 8)), ("rsu_depths", (3,) * 7)):
+        cfg = ModelConfig(encoder=small_config(**{key: value}))
+        with pytest.raises(ConfigError, match=rf"'model\.encoder\.{key}' "
+                           rf"needs 6 values, got {len(value)}"):
+            SegmentationModel(cfg)
 
 
 def test_dilated_stages_skip_internal_pooling():
