@@ -5,12 +5,22 @@ name (e.g. "decoder.d4.rlab.rb1.conv3.w"). The store owns the RNG used at
 init time, so identical seeds and construction order give bit-identical
 models. BN running statistics are non-trainable entries in the same store,
 which is how they reach checkpoints.
+
+He draws wait until a parameter's data is first read: create() allocates
+zeros (calloc-backed, so no page is touched) and queues the array; the first
+read of any queued parameter draws the whole queue in creation order, so the
+weights are those an eager draw would give. A load_state that passes its
+checks drops the queue undrawn, so building a model to load a checkpoint
+into never draws a weight. load_checkpoint reads each payload straight into
+a fresh array, and load_state copies it into the parameter's own.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -23,11 +33,32 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+class _PendingInit:
+    """He draws a store has queued but not yet run.
+
+    Holds arrays only, never a Parameter or the store: a reference back
+    would make a cycle, and every dropped model would then live until the
+    cyclic garbage collector ran."""
+
+    __slots__ = ("rng", "queue", "lock")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.queue: list[tuple[np.ndarray, int]] = []  # (array, fan_in)
+        self.lock = threading.Lock()
+
+    def draw(self) -> None:
+        with self.lock:
+            for arr, fan_in in self.queue:
+                arr[...] = he_uniform(arr.shape, fan_in, self.rng, arr.dtype)
+            self.queue.clear()
+
+
 class Parameter(Tensor):
     """A named tensor with Adam state. Non-trainable parameters (BN running
     stats) are carried for checkpointing but never receive gradients."""
 
-    __slots__ = ("name", "trainable", "m", "v", "step")
+    __slots__ = ("name", "trainable", "m", "v", "step", "_array", "_init")
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
@@ -36,6 +67,20 @@ class Parameter(Tensor):
         self.m = None  # first/second Adam moments, allocated on first step
         self.v = None
         self.step = 0
+        self._init = None  # the store's _PendingInit until the first read
+
+    @property
+    def data(self) -> np.ndarray:
+        """The array; the first read runs the store's queued He draws."""
+        init = self._init
+        if init is not None:
+            init.draw()
+            self._init = None
+        return self._array
+
+    @data.setter
+    def data(self, value) -> None:
+        self._array = value
 
     def __repr__(self):
         kind = "" if self.trainable else ", frozen"
@@ -49,23 +94,22 @@ class ParameterStore:
         self._params: dict[str, Parameter] = {}
         self.rng = np.random.default_rng(seed)
         self.dtype = np.dtype(dtype)
+        self._pending = _PendingInit(self.rng)
 
     def create(self, name: str, shape, init, trainable: bool = True,
                fan_in: int | None = None) -> Parameter:
         """Register one parameter. `init` is "he" (needs fan_in), "zeros" or
-        "ones"."""
+        "ones". A He draw waits until the first read of any parameter's
+        data, and a load_state that passes its checks drops it undrawn."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        shape = tuple(shape)
-        if init == "he":
-            data = he_uniform(shape, fan_in, self.rng, self.dtype)
-        elif init == "zeros":
-            data = np.zeros(shape, dtype=self.dtype)
-        elif init == "ones":
-            data = np.ones(shape, dtype=self.dtype)
-        else:
+        if init not in ("he", "zeros", "ones"):
             raise ValueError(f"unknown init {init!r}")
-        p = Parameter(name, data, trainable)
+        fill = np.ones if init == "ones" else np.zeros
+        p = Parameter(name, fill(tuple(shape), dtype=self.dtype), trainable)
+        if init == "he":
+            self._pending.queue.append((p._array, fan_in))
+            p._init = self._pending
         self._params[name] = p
         return p
 
@@ -105,22 +149,27 @@ class ParameterStore:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install checkpoint arrays; any name/shape disagreement is listed."""
+        """Copy checkpoint arrays into the parameters' own, cast to the
+        store's dtype; any name/shape disagreement is listed first and
+        changes nothing. Queued He draws are dropped, never run."""
         problems = []
         for name in state:
             if name not in self._params:
                 problems.append(f"unexpected tensor {name!r}")
         for name, p in self._params.items():
+            shape = p._array.shape  # not p.shape: that read would draw
             if name not in state:
                 problems.append(f"missing tensor {name!r}")
-            elif tuple(state[name].shape) != p.shape:
+            elif tuple(state[name].shape) != shape:
                 problems.append(
                     f"shape mismatch for {name!r}: checkpoint "
-                    f"{tuple(state[name].shape)} vs model {p.shape}")
+                    f"{tuple(state[name].shape)} vs model {shape}")
         if problems:
             raise CheckpointMismatch("\n".join(problems))
+        with self._pending.lock:  # a draw already running finishes first
+            self._pending.queue.clear()
         for name, p in self._params.items():
-            p.data = state[name].astype(self.dtype, copy=True)
+            np.copyto(p._array, state[name], casting="unsafe")
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +263,57 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a .mct file, each payload straight into a fresh array. Sizes
+    come from the header, and each is checked against the file's length
+    before anything that size is allocated."""
     with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
+        size = os.fstat(f.fileno()).st_size
+        off = 0
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"checkpoint {path}: truncated ({len(blob)} bytes, "
-                             f"needs at least {off + n})")
-        off += n
-        return blob[off - n:off]
+        def reserve(n: int) -> None:
+            nonlocal off
+            if off + n > size:
+                raise ValueError(f"checkpoint {path}: truncated ({size} bytes, "
+                                 f"needs at least {off + n})")
+            off += n
 
-    def unpack(fmt: str):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+        def take(n: int) -> bytes:
+            reserve(n)
+            data = f.read(n)
+            if len(data) != n:  # the file shrank since fstat
+                raise ValueError(f"checkpoint {path}: truncated while reading")
+            return data
 
-    magic = take(4)
-    if magic != MAGIC:
-        raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
-    (count,) = unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        name = take(name_len).decode("utf-8")
-        (rank,) = unpack("<B")
-        shape = unpack(f"<{rank}I")
-        (code,) = unpack("<B")
-        if code not in _DTYPE_CODES:
-            raise ValueError(f"checkpoint {path}: unknown dtype code {code}")
-        dtype = _DTYPE_CODES[code]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        tensors[name] = np.frombuffer(take(n_bytes), dtype=dtype).reshape(shape).copy()
-    if off != len(blob):
-        raise ValueError(f"checkpoint {path}: {len(blob) - off} trailing bytes")
+        def unpack(fmt: str):
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        magic = take(4)
+        if magic != MAGIC:
+            raise ValueError(f"checkpoint {path}: bad magic {magic!r}")
+        (count,) = unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"checkpoint {path}: tensor name is not "
+                                 f"UTF-8 ({e})") from None
+            (rank,) = unpack("<B")
+            shape = unpack(f"<{rank}I")
+            (code,) = unpack("<B")
+            if code not in _DTYPE_CODES:
+                raise ValueError(f"checkpoint {path}: unknown dtype code {code}")
+            dtype = _DTYPE_CODES[code]
+            n_bytes = math.prod(shape) * dtype.itemsize  # Python ints: no wrap
+            reserve(n_bytes)
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as e:  # more dimensions than numpy allows
+                raise ValueError(f"checkpoint {path}: tensor {name!r}: {e}") from None
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+                raise ValueError(f"checkpoint {path}: truncated while reading")
+            tensors[name] = arr
+        if off != size:
+            raise ValueError(f"checkpoint {path}: {size - off} trailing bytes")
     return tensors

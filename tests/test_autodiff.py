@@ -1,16 +1,23 @@
 """Tape mechanics, parameter store, Adam, checkpoints, and gradient checks."""
 
 import collections
+import gc
 import inspect
 import os
+import struct
+import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from mcads import ops
+from mcads.config import RunConfig
 from mcads.gradcheck import PRIMITIVE_TOL, check_gradients, primitive_cases
-from mcads.params import (CheckpointMismatch, Parameter, ParameterStore,
+from mcads.network import SegmentationModel
+from mcads.params import (MAGIC, CheckpointMismatch, Parameter, ParameterStore,
                           adam_step, he_uniform, load_checkpoint,
                           save_checkpoint)
 from mcads.tensor import Tape, Tensor, backward, count_macs
@@ -159,6 +166,108 @@ def test_store_seeded_determinism():
     np.testing.assert_array_equal(a["v"].data, b["v"].data)
 
 
+# (name, shape, init) in creation order; the zeros entry sits between draws
+ENTRIES = [("a", (3, 3, 2, 4), "he"), ("z", (4,), "zeros"),
+          ("b", (5,), "he"), ("c", (2, 7), "he")]
+
+
+def _fan_in(shape):
+    return int(np.prod(shape[:-1])) or 1
+
+
+def _deferred_store(seed=21, entries=ENTRIES):
+    s = ParameterStore(seed=seed)
+    for name, shape, init in entries:
+        s.create(name, shape, init, fan_in=_fan_in(shape))
+    return s
+
+
+def _eager(seed=21, entries=ENTRIES):
+    """What drawing each He parameter at create() would give."""
+    rng = np.random.default_rng(seed)
+    return {name: he_uniform(shape, _fan_in(shape), rng)
+            if init == "he" else np.zeros(shape, np.float32)
+            for name, shape, init in entries}
+
+
+def test_deferred_draws_follow_creation_order():
+    s = _deferred_store()
+    for name, want in reversed(_eager().items()):  # the last-made read first
+        assert s[name].dtype == want.dtype
+        np.testing.assert_array_equal(s[name].data, want)
+
+
+def test_full_load_state_never_draws():
+    s = _deferred_store()
+    arrays = {name: s[name]._array for name in s.names()}
+    state = {name: np.full(shape, 0.5) for name, shape, _ in ENTRIES}  # f64
+    s.load_state(state)
+    fresh = np.random.default_rng(21).bit_generator.state
+    assert s.rng.bit_generator.state == fresh
+    for name, arr in arrays.items():
+        assert s[name].data is arr  # copied in place, cast to the store's dtype
+        assert arr.dtype == np.float32 and np.all(arr == 0.5)
+    assert s.rng.bit_generator.state == fresh  # reads after the load draw nothing
+
+
+def test_checkpoint_mismatch_keeps_the_queued_draws():
+    s = _deferred_store()
+    state = {name: np.ones(shape) for name, shape, _ in ENTRIES}
+    state["c"] = np.ones((7, 2))
+    with pytest.raises(CheckpointMismatch, match="'c'"):
+        s.load_state(state)
+    assert s.rng.bit_generator.state == np.random.default_rng(21).bit_generator.state
+    for name, want in _eager().items():
+        np.testing.assert_array_equal(s[name].data, want)
+
+
+def test_concurrent_first_reads_see_the_eager_draw():
+    entries = [(f"p{i}", (8, 16), "he") for i in range(200)]
+    want = _eager(entries=entries)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            s = _deferred_store(entries=entries)
+            names = s.names()
+            barrier = threading.Barrier(2)
+            seen = [{}, {}]
+
+            def read(order, out):
+                barrier.wait(timeout=10)
+                for name in order:
+                    out[name] = s[name].data.copy()
+
+            threads = [threading.Thread(target=read, args=(order, out))
+                       for order, out in ((names, seen[0]),
+                                          (names[::-1], seen[1]))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            for out in seen:
+                assert out.keys() == want.keys()
+                for name, arr in out.items():
+                    np.testing.assert_array_equal(arr, want[name])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_dropped_model_is_freed_without_the_cyclic_collector():
+    # a queued draw must not tie a parameter back to its store: with that
+    # cycle, every replaced model would live until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        model = SegmentationModel(RunConfig.desk().model)
+        store = weakref.ref(model.store)
+        del model
+        assert store() is None
+    finally:
+        gc.enable()
+
+
 def test_store_rejects_duplicates():
     s = ParameterStore(seed=0)
     s.create("w", (1,), "zeros")
@@ -295,6 +404,70 @@ def test_checkpoint_rejects_truncation(tmp_path):
         with pytest.raises(ValueError, match="truncated") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+
+def _header(name, shape):
+    """One float32 record's header, as save_checkpoint writes it."""
+    encoded = name.encode("utf-8")
+    return (struct.pack("<H", len(encoded)) + encoded
+            + struct.pack(f"<B{len(shape)}IB", len(shape), *shape, 0))
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((2**32 - 1, 2**32 - 1), "truncated"),  # int64 bytes wrap to -34 GB
+    ((2**16,) * 4, "truncated"),            # and to 0 bytes
+    ((0,) * 65, "dimension"),               # empty, but beyond numpy's rank
+], ids=["bytes_wrap_negative", "bytes_wrap_zero", "rank_65"])
+def test_checkpoint_header_extents(tmp_path, shape, match):
+    path = tmp_path / "huge.mct"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + _header("w", shape))
+    with pytest.raises(ValueError, match=match) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_header_alone_allocates_nothing(tmp_path):
+    path = tmp_path / "huge.mct"
+    blob = MAGIC + struct.pack("<I", 1) + _header("w", (2**32 - 1,) * 4) + b"\0"
+    assert len(blob) == 30
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_checkpoint_mutations_fail_cleanly(tmp_path):
+    """Flipped, cut and inserted bytes give a dict or a ValueError naming the
+    file, never another exception."""
+    path = tmp_path / "model.mct"
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.zeros(3, dtype=np.float64)})
+    blob = path.read_bytes()
+    rng = np.random.default_rng(17)
+    mutants = [blob[:i] + bytes([blob[i] ^ x]) + blob[i + 1:]
+               for i in range(len(blob)) for x in (0x01, 0x80, 0xFF)]
+    for _ in range(300):
+        i = int(rng.integers(len(blob) + 1))
+        extra = rng.integers(256, size=int(rng.integers(1, 9)), dtype=np.uint8)
+        mutants.append(blob[:i] + extra.tobytes() + blob[i:])
+        mutants.append(blob[:i] + blob[i + int(rng.integers(1, 9)):])
+    outcomes = collections.Counter()
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        try:
+            tensors = load_checkpoint(path)
+        except ValueError as e:
+            assert str(path) in str(e), e
+            outcomes["error"] += 1
+        else:
+            assert isinstance(tensors, dict)
+            outcomes["dict"] += 1
+    assert outcomes["error"] and outcomes["dict"]  # flipped payloads still load
 
 
 def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
