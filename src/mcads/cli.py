@@ -45,6 +45,13 @@ def _add_config(p):
                    help="dotted config override, value parsed as JSON")
 
 
+def _check_out_dirs(*paths) -> None:
+    """Raise naming the first output path whose directory is missing."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"{path}: parent directory does not exist")
+
+
 def cmd_train(args) -> int:
     seeds = [] if args.seed is None else [f"train.seed={args.seed}",
                                           f"model.seed={args.seed}"]
@@ -61,9 +68,7 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config, args.set)
     image = netpbm.read_image(args.image)
     check_channels(image, cfg.model.encoder.input_channels, args.image)
-    for path in filter(None, (args.out, args.prob)):
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(f"{path}: parent directory does not exist")
+    _check_out_dirs(args.out, args.prob)
     state = load_checkpoint(args.checkpoint)  # a missing file fails here
     model = SegmentationModel(cfg.model)
     model.store.load_state(state)
@@ -85,6 +90,7 @@ def _mask_ids(directory):
 
 
 def cmd_eval(args) -> int:
+    _check_out_dirs(args.out)
     pred_ids = _mask_ids(args.pred)
     gt_ids = _mask_ids(args.gt)
     if pred_ids != gt_ids:
@@ -126,6 +132,7 @@ def cmd_summary(args) -> int:
     if args.input_size is not None:
         check_input_side(cfg.model, args.input_size, "--input-size")
         hw = args.input_size
+    _check_out_dirs(args.json)
     rep = summary.summary_report(cfg.model, input_hw=None if args.no_macs else hw)
     print(summary.format_table(rep))
     if args.json:

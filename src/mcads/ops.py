@@ -6,18 +6,19 @@ records a closure that maps the output gradient to per-input gradients.
 A closure captures only the arrays, shapes and dtypes its gradient reads,
 never a Tensor, so an activation no gradient reads is freed as soon as the
 forward drops it; relu and leaky_relu differentiate from their output.
-conv2d runs at stride 1 with 'same' padding, the model's only geometry and
-the only one the convolution kernels serve: dense as blocked im2col, the
-output walked in blocks whose windows are copied into one patch buffer,
-reused across blocks, and multiplied by the weights into the output in one
-BLAS call per block; depthwise as a cache-blocked loop over the kernel taps.
-Both share one block plan. Input gradients are the forward's own kernel
-over the padded output gradient with the spatially flipped weights. Bilinear
-upsampling differentiates through two interpolation-matrix products.
-Train-mode batch norm uses the closed form of its gradient; eval-mode batch
-norm and leaky_relu compute in place in their one fresh output. Every op
-returns a C-contiguous array: a strided result changes the summation order
-of the BLAS calls downstream.
+conv2d runs odd kernels at stride 1 with 'same' padding, which pads each
+axis equally on both sides: the model's only geometry and the only one the
+convolution kernels serve. Dense convs run as blocked im2col, the output
+walked in blocks whose windows are copied into one patch buffer, reused
+across blocks, and multiplied by the weights into the output in one BLAS
+call per block; depthwise as a cache-blocked loop over the kernel taps.
+Both share one block plan. Input gradients are the forward's own kernel over
+the output gradient's 'same' canvas with the spatially flipped weights.
+Bilinear upsampling differentiates through two interpolation-matrix
+products. Train-mode batch norm uses the closed form of its gradient;
+eval-mode batch norm and leaky_relu compute in place in their one fresh
+output. Every op returns a C-contiguous array: a strided result changes the
+summation order of the BLAS calls downstream.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ def _emit(op: str, y: np.ndarray, inputs, backward) -> Tensor:
 # convolution machinery
 
 
-def _conv_axis(k: int, dilation: int):
-    """Return (pad_lo, pad_hi) for one spatial axis under stride-1 'same'
-    padding, which keeps the extent."""
-    total = dilation * (k - 1)
-    return total // 2, total - total // 2
+def _conv_axis(k: int, dilation: int) -> int:
+    """The pad on each side of one axis under stride-1 'same' padding,
+    which keeps the extent of an odd kernel side `k`."""
+    return dilation * (k - 1) // 2
 
 
 def _window_view(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
@@ -83,15 +83,14 @@ def _window_view(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
     return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
 
 
-def _canvas(a: np.ndarray, pad_h: tuple, pad_w: tuple) -> np.ndarray:
-    """Zero-pad the spatial axes of `a` by (lo, hi) each; `a` itself when
-    there is nothing to pad."""
-    if not any(pad_h + pad_w):
+def _canvas(a: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
+    """Zero-pad the spatial axes of `a` by pad_h and pad_w on each side;
+    `a` itself when there is nothing to pad."""
+    if not (pad_h or pad_w):
         return a
     n, h, w, c = a.shape
-    out = np.zeros((n, pad_h[0] + h + pad_h[1], pad_w[0] + w + pad_w[1], c),
-                   dtype=a.dtype)
-    out[:, pad_h[0]:pad_h[0] + h, pad_w[0]:pad_w[0] + w, :] = a
+    out = np.zeros((n, h + 2 * pad_h, w + 2 * pad_w, c), dtype=a.dtype)
+    out[:, pad_h:pad_h + h, pad_w:pad_w + w, :] = a
     return out
 
 
@@ -151,7 +150,7 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
 
 
-def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, dilation: int,
+def _conv(xp: np.ndarray, wd: np.ndarray, dilation: int,
           depthwise: bool) -> np.ndarray:
     """Slide (kh, kw, C_in, C_out) weights, or depthwise (kh, kw, 1, C)
     ones, over a padded canvas: the fresh (N, oh, ow, C_out) correlation.
@@ -172,6 +171,7 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, dilation: int,
     broadcast (C,) vector would keep numpy from merging the W and C axes.
     """
     kh, kw, cin, c = wd.shape
+    oh, ow = xp.shape[1] - dilation * (kh - 1), xp.shape[2] - dilation * (kw - 1)
     if not depthwise:
         n, k = xp.shape[0], kh * kw * cin
         wm = wd.reshape(k, c)
@@ -196,22 +196,6 @@ def _conv(xp: np.ndarray, wd: np.ndarray, oh: int, ow: int, dilation: int,
         else:
             out += np.multiply(win, wt[u, v], out=buf)
     return y
-
-
-def _conv_input_grad(g: np.ndarray, wd: np.ndarray, pad_h: tuple, pad_w: tuple,
-                     dilation: int, depthwise: bool) -> np.ndarray:
-    """Gradient of _conv w.r.t. its unpadded input, from the output gradient
-    `g` and the (lo, hi) pads of the canvas the forward read. Tap u carries
-    output pixel i to input pixel i + u*dilation - lo, so this is the
-    correlation of `g`, padded on each side by the kernel's reach less that
-    side's canvas pad ((hi, lo) under 'same'), with the flipped kernel
-    (channel axes swapped when dense)."""
-    reach_h, reach_w = dilation * (wd.shape[0] - 1), dilation * (wd.shape[1] - 1)
-    gp = _canvas(g, (reach_h - pad_h[0], reach_h - pad_h[1]),
-                 (reach_w - pad_w[0], reach_w - pad_w[1]))
-    wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
-    return _conv(gp, wf, gp.shape[1] - reach_h, gp.shape[2] - reach_w, dilation,
-                 depthwise)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
@@ -249,7 +233,7 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
            groups: int = 1) -> Tensor:
     """Stride-1 2D convolution with 'same' padding, NHWC input,
-    (kh, kw, C_in/groups, C_out) weights.
+    (kh, kw, C_in/groups, C_out) weights; kh and kw must be odd.
 
     groups is 1 (dense) or C_in (depthwise: a single-channel kernel axis and
     C_out == C_in); the model uses no other grouping.
@@ -263,14 +247,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
              "conv2d", f"groups {groups}, C_in {cin}, weights {w.shape}: need "
              "groups 1 with weights (kh, kw, C_in, C_out), or depthwise groups "
              "C_in with weights (kh, kw, 1, C_in)")
+    _require(kh % 2 == kw % 2 == 1, "conv2d",
+             f"kernel sides must be odd, got weights {w.shape}")
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
     xd, wd = x.data, w.data
     pad_h, pad_w = _conv_axis(kh, dilation), _conv_axis(kw, dilation)
-    y = _conv(_canvas(xd, pad_h, pad_w), wd, h, wdt, dilation, depthwise)
+    y = _conv(_canvas(xd, pad_h, pad_w), wd, dilation, depthwise)
     add_macs(n * h * wdt * kh * kw * cg * cout)
-    # the backward rebuilds the canvas rather than keep it alive on the tape
+    # the backward rebuilds x's canvas rather than keep it alive on the tape
+    wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
     return finish(y, lambda g: (
-        _conv_input_grad(g, wd, pad_h, pad_w, dilation, depthwise),
+        _conv(_canvas(g, pad_h, pad_w), wf, dilation, depthwise),
         _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation,
                           depthwise)))
 

@@ -176,8 +176,12 @@ class ParameterStore:
 # optimizer
 
 
-def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(params, lr: float) -> None:
     """One bias-corrected Adam update over trainable parameters with grads.
 
     Updates each parameter's data and moments in place through two scratch
@@ -203,17 +207,17 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
             p.m = np.zeros_like(p.data)
             p.v = np.zeros_like(p.data)
         p.step += 1
-        np.multiply(g, 1.0 - beta1, out=a)
-        p.m *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        p.m *= ADAM_BETA1
         p.m += a                                      # m = b1*m + (1-b1)*g
         np.multiply(g, g, out=a)
-        a *= 1.0 - beta2
-        p.v *= beta2
+        a *= 1.0 - ADAM_BETA2
+        p.v *= ADAM_BETA2
         p.v += a                                      # v = b2*v + (1-b2)*g*g
-        np.divide(p.v, 1.0 - beta2 ** p.step, out=b)
+        np.divide(p.v, 1.0 - ADAM_BETA2 ** p.step, out=b)
         np.sqrt(b, out=b)
-        b += eps                                      # sqrt(vhat) + eps
-        np.divide(p.m, 1.0 - beta1 ** p.step, out=a)
+        b += ADAM_EPS                                 # sqrt(vhat) + eps
+        np.divide(p.m, 1.0 - ADAM_BETA1 ** p.step, out=a)
         a *= lr
         a /= b                                        # lr * mhat / (...)
         guard_finite("adam_step", a)

@@ -592,6 +592,39 @@ def test_eval_out_is_a_directory_exits_2(tmp_path, capsys):
     assert err.startswith("data error:") and str(tmp_path) in err
 
 
+def test_eval_out_in_missing_dir_exits_2_before_scoring(tmp_path, capsys,
+                                                        monkeypatch):
+    pred_dir, gt_dir = _eval_dirs(tmp_path)
+    target = tmp_path / "nodir" / "r.json"
+    before = sorted(os.listdir(tmp_path))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a mask was read")
+
+    monkeypatch.setattr(netpbm, "read_mask", no_read)
+    code, out, err = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                          "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error:") and str(target) in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_summary_json_in_missing_dir_exits_2_before_the_report(
+        desk_json, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "nodir" / "s.json"
+    before = sorted(os.listdir(tmp_path))
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("the report was built")
+
+    monkeypatch.setattr(cli.summary, "summary_report", no_report)
+    code, out, err = run(["summary", "--config", desk_json,
+                          "--json", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error:") and str(target) in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_train_epoch_zero_checkpoint_is_init(desk_json, tmp_path, capsys):
     """The checkpoint is the fresh model of --seed, which wins over a
     --set of model.seed."""

@@ -43,10 +43,16 @@ def test_conv2d_depthwise_group_separation():
 
 
 def test_conv2d_rejects_general_groups():
-    # only dense (groups=1) and depthwise (groups=C_in) convs are supported
+    # only dense (groups=1) and depthwise (groups=C_in) convs with odd
+    # kernel sides are supported, and the check runs before any compute
     x = t(np.ones((1, 4, 4, 4)))
-    with pytest.raises(ValueError, match="groups"):
-        ops.conv2d(x, t(np.ones((3, 3, 2, 4))), groups=2)
+    rows = [((3, 3, 2, 4), 2, "groups"),
+            ((2, 3, 4, 4), 1, r"^conv2d: .*odd.*\(2, 3, 4, 4\)")]
+    with count_macs() as macs:
+        for shape, groups, match in rows:
+            with pytest.raises(ValueError, match=match):
+                ops.conv2d(x, t(np.ones(shape)), groups=groups)
+    assert macs["macs"] == 0
 
 
 def test_conv2d_dilation_matches_inserted_zeros():
