@@ -142,6 +142,15 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
 
 # Largest square input side: one 64-channel float32 map at 2^14 is 69 GB.
 MAX_INPUT_SIDE = 1 << 14
+# Widest stage: a 3x3 conv between two stages this wide holds 9 * 2^32
+# weights (155 GB float32), so no wider model can be built.
+MAX_STAGE_FILTERS = 1 << 16
+# Most RB iterations per decoder stage; each builds its own convs and BN, so
+# the count sets both the parameter count and the depth (the paper uses 5..1).
+MAX_RLAB_ITERATIONS = 1 << 10
+# Most synthetic images: the set is made whole before the first step, and
+# 2^16 images at the smallest side (32) already hold 1 GB.
+MAX_SYNTH_N = 1 << 16
 # key: (rule, wording) for every value with a range; a tuple's rule holds for
 # each entry. RSU blocks need depth >= 3, epochs may be 0 (an initial
 # checkpoint only), and synthetic images must survive the encoder's five 2x
@@ -149,11 +158,13 @@ MAX_INPUT_SIDE = 1 << 14
 _RANGES = {
     "model.seed": (lambda v: v >= 0, "at least 0"),
     "model.encoder.rsu_depths": (lambda v: v >= 3, "at least 3"),
-    "model.encoder.stage_filters": (lambda v: v >= 1, "at least 1"),
+    "model.encoder.stage_filters": (lambda v: 1 <= v <= MAX_STAGE_FILTERS,
+                                    f"from 1 to {MAX_STAGE_FILTERS}"),
     "model.encoder.input_channels": (lambda v: v >= 1, "at least 1"),
     "model.decoder.upsampler": (lambda v: v in UPSAMPLERS,
                                 f"one of {', '.join(UPSAMPLERS)}"),
-    "model.decoder.rlab_iterations": (lambda v: v >= 0, "at least 0"),
+    "model.decoder.rlab_iterations": (lambda v: 0 <= v <= MAX_RLAB_ITERATIONS,
+                                      f"from 0 to {MAX_RLAB_ITERATIONS}"),
     "model.block.attention_token_cap": (lambda v: v >= 1, "at least 1"),
     "model.block.bn_momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "train.lr": (lambda v: 0 < v < math.inf, "positive and finite"),
@@ -161,7 +172,7 @@ _RANGES = {
     "train.epochs": (lambda v: v >= 0, "at least 0"),
     "train.seed": (lambda v: v >= 0, "at least 0"),
     "train.val_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "data.synth_n": (lambda v: v >= 1, "at least 1"),
+    "data.synth_n": (lambda v: 1 <= v <= MAX_SYNTH_N, f"from 1 to {MAX_SYNTH_N}"),
     "data.synth_hw": (lambda v: 0 < v <= MAX_INPUT_SIDE and v % 32 == 0,
                       f"a positive multiple of 32, at most {MAX_INPUT_SIDE}"),
     "data.synth_seed": (lambda v: v >= 0, "at least 0"),

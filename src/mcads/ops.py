@@ -19,9 +19,27 @@ products. Train-mode batch norm uses the closed form of its gradient;
 eval-mode batch norm and leaky_relu compute in place in their one fresh
 output. Every op returns a C-contiguous array: a strided result changes the
 summation order of the BLAS calls downstream.
+
+The memory-bound kernels run block by block, the blocks (of _block_plan,
+sized for a core's L2 cache) dealt between the calling thread and one
+worker thread per further core (_deal): the depthwise tap loop, forward and
+input gradient; eval-mode batch norm; relu and leaky_relu; the conv and
+dense bias epilogue; and the bilinear forward, which writes its output rows
+from small reused scratch. The finite guard checks each block as it is
+finished, while it is still in cache, and the op raises only once every
+thread is done. Each output element gets the same float32 operations in the
+same order whichever thread runs it, so results are byte-identical to one
+core. Three things stay serial: the depthwise weight gradient and train-mode
+batch norm's channel statistics, whose sums run across blocks in a fixed
+order, and everything that calls BLAS, which already runs its own threads.
+Maps too small to give every thread several blocks run in the caller.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -52,16 +70,106 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _emit(op: str, y: np.ndarray, inputs, backward) -> Tensor:
+def _emit(op: str, y: np.ndarray, inputs, backward, guarded: bool = False) -> Tensor:
     """The one exit of every op that computes values: guard, wrap, record.
 
+    `guarded` says _deal's finite guard already checked every block of y.
     Layout ops (reshape and friends) only move values an earlier op already
     checked, so they call record directly. `record` is looked up in this
     module's globals at call time, so a wrapper swapped in for ops.record
     sees every op.
     """
-    guard_finite(op, y)
+    if not guarded:
+        guard_finite(op, y)
     return record(op, Tensor(y), inputs, backward)
+
+
+# ---------------------------------------------------------------------------
+# blocks dealt over the cores
+
+
+# Blocks per thread below which _deal runs every block in the caller: over
+# two cores, maps of 1-2 MB (4-8 blocks) ran slower dealt than in one thread,
+# 4 MB about even, and 8 MB and up 1.1-1.6x faster.
+_DEAL_MIN_BLOCKS = 8
+# (executor, workers): one worker thread per core this process may run on,
+# beside the calling thread; no executor on one core. Made on first use and
+# forgotten in a forked child, which inherits none of the threads.
+_EXECUTOR = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _executor():
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            _EXECUTOR = (ThreadPoolExecutor(cores - 1) if cores > 1 else None, cores - 1)
+        return _EXECUTOR
+
+
+def _forget_executor():
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR, _EXECUTOR_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _deal(op: str | None, blocks, body, scratch: int = 0, dtype=None) -> None:
+    """Run body(block, buf) for every block, each in one thread: in this one
+    alone when there are fewer than _DEAL_MIN_BLOCKS per thread, else dealt,
+    one at a time as each thread comes free, between this thread and the
+    pool's workers. Each thread passes every block it takes the same `buf`,
+    an np.empty(scratch, dtype) made here (None when scratch is 0). body
+    returns the output it wrote; unless op is None the finite guard checks
+    that at once, while it is still in cache. Returns, or raises the first
+    failure, only once every thread is done, so no worker still writes into
+    an output its caller has dropped.
+
+    A body must compute each output element from its inputs alone, so the
+    results do not depend on which thread ran which block: work that sums
+    across blocks (channel statistics, the depthwise weight gradient) stays
+    serial, and so does BLAS, which runs its own threads.
+    """
+    pool, workers = _executor()
+    dealt = pool is not None and len(blocks) >= _DEAL_MIN_BLOCKS * (workers + 1)
+    parts = workers + 1 if dealt else 1
+    bufs = [np.empty(scratch, dtype) if scratch else None for _ in range(parts)]
+    lock, todo = threading.Lock(), iter(blocks)
+
+    def part(buf):
+        while True:
+            with lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            out = body(block, buf)
+            if op is not None:
+                guard_finite(op, out)
+
+    futures = [pool.submit(part, buf) for buf in bufs[1:]]
+    try:
+        part(bufs[0])
+    finally:
+        # a worker still queued behind another caller's blocks is dropped
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+
+
+def _row_blocks(*arrays):
+    """The arrays, of one shape, as 2-D views whose rows run along the last
+    axis, and the row slices of the blocks of _block_plan at _BLOCK_BYTES."""
+    a = arrays[0]
+    c = a.shape[-1] if a.ndim else 1
+    rows = a.size // c if c else 0
+    _, blocks = _block_plan(1, rows, c * a.itemsize, _BLOCK_BYTES)
+    return ([t.reshape(rows, c) for t in arrays],
+            [slice(r, r + br) for _, _, r, br in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +202,10 @@ def _canvas(a: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     return out
 
 
-# Output bytes per block of the depthwise tap loop: a block, its scratch
-# product and the canvas rows its taps read stay in a core's L2 cache.
-_DW_BLOCK_BYTES = 1 << 18
+# Output bytes per block of the kernels _deal runs (the depthwise tap loop,
+# bilinear upsampling and the elementwise passes): a block, its scratch and
+# the input rows it reads stay in a core's L2 cache.
+_BLOCK_BYTES = 1 << 18
 # Patch-matrix bytes per block of a dense conv: large enough that each
 # block's matrix product runs at full BLAS speed even at small extents.
 _IM2COL_BLOCK_BYTES = 1 << 24
@@ -115,7 +224,10 @@ def _block_plan(n: int, oh: int, row_bytes: int, budget: int):
     bytes, one output row costing `row_bytes`: runs of whole images when one
     image fits, else runs of rows of one image, split evenly so no block is
     a short remainder. Returns (the most output rows a block holds, at most
-    n * oh; the blocks as (first image, images, first row, rows))."""
+    n * oh; the blocks as (first image, images, first row, rows)); an empty
+    output has no blocks."""
+    if not n * oh * row_bytes:
+        return 0, []
     rows = max(1, budget // row_bytes)
     if rows >= oh:
         blocks = [(i, bn, 0, oh) for i, bn in _even_runs(n, rows // oh)]
@@ -124,23 +236,22 @@ def _block_plan(n: int, oh: int, row_bytes: int, budget: int):
     return max(bn * br for _, bn, _, br in blocks), blocks
 
 
-def _dw_taps(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, dilation: int):
-    """Walk a stride-1 depthwise correlation's (N, oh, ow, C) output in the
-    blocks of _block_plan at _DW_BLOCK_BYTES. For each block and each tap
-    (u, v), in row-major order, yields (the block's index into the output,
-    (u, v), the canvas window that tap reads for the block, a scratch array
-    of the block's shape)."""
-    n, c = xp.shape[0], xp.shape[3]
-    cap, blocks = _block_plan(n, oh, ow * c * xp.itemsize, _DW_BLOCK_BYTES)
-    scratch = np.empty(cap * ow * c, dtype=xp.dtype)
-    for i, bn, r, br in blocks:
-        block = (slice(i, i + bn), slice(r, r + br))
-        buf = scratch[:bn * br * ow * c].reshape(bn, br, ow, c)
-        for u in range(kh):
-            h0 = r + u * dilation
-            for v in range(kw):
-                w0 = v * dilation
-                yield block, (u, v), xp[i:i + bn, h0:h0 + br, w0:w0 + ow], buf
+def _dw_plan(xp: np.ndarray, oh: int, ow: int):
+    """_block_plan at _BLOCK_BYTES of a stride-1 depthwise correlation's
+    (N, oh, ow, C) output, read from the canvas xp."""
+    return _block_plan(xp.shape[0], oh, ow * xp.shape[3] * xp.itemsize, _BLOCK_BYTES)
+
+
+def _dw_taps(xp: np.ndarray, block, kh: int, kw: int, ow: int, dilation: int):
+    """For one block (first image, images, first row, rows) of _dw_plan,
+    yields each tap (u, v) in row-major order with the canvas window it
+    reads for the block."""
+    i, bn, r, br = block
+    for u in range(kh):
+        h0 = r + u * dilation
+        for v in range(kw):
+            w0 = v * dilation
+            yield u, v, xp[i:i + bn, h0:h0 + br, w0:w0 + ow]
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -164,9 +275,10 @@ def _conv(xp: np.ndarray, wd: np.ndarray, dilation: int,
     and the even split keeps every block at a quarter of the budget or
     more. A 1x1 conv's canvas is its patch matrix already.
 
-    Depthwise, per block of _dw_taps, the first tap's product is written
-    straight into the output and each later one is added on, so every
-    output sums its taps in row-major (u, v) order. Each tap's weights are
+    Depthwise, per block of _dw_plan (dealt over the cores), the first
+    tap's product is written straight into the output and each later one is
+    added on, so every output sums its taps in row-major (u, v) order, in
+    whichever thread runs its block. Each tap's weights are
     tiled along W once, so the product runs over contiguous OW*C rows: a
     broadcast (C,) vector would keep numpy from merging the W and C axes.
     """
@@ -189,12 +301,20 @@ def _conv(xp: np.ndarray, wd: np.ndarray, dilation: int,
         return y.reshape(n, oh, ow, c)
     wt = np.ascontiguousarray(np.broadcast_to(wd[:, :, :1], (kh, kw, ow, c)))
     y = np.empty((xp.shape[0], oh, ow, c), dtype=xp.dtype)
-    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, dilation):
-        out = y[block]
-        if u == v == 0:
-            np.multiply(win, wt[u, v], out=out)
-        else:
-            out += np.multiply(win, wt[u, v], out=buf)
+
+    def block_taps(block, scratch):
+        i, bn, r, br = block
+        out = y[i:i + bn, r:r + br]
+        buf = scratch[:out.size].reshape(out.shape)
+        for u, v, win in _dw_taps(xp, block, kh, kw, ow, dilation):
+            if u == v == 0:
+                np.multiply(win, wt[u, v], out=out)
+            else:
+                out += np.multiply(win, wt[u, v], out=buf)
+        return out
+
+    cap, blocks = _dw_plan(xp, oh, ow)
+    _deal(None, blocks, block_taps, cap * ow * c, xp.dtype)
     return y
 
 
@@ -206,9 +326,16 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     if not depthwise:
         patches = _window_view(xp, kh, kw, oh, ow, dilation)
         return np.tensordot(patches, g, axes=([0, 1, 2], [0, 1, 2]))
+    # serial: each tap's channel sums add up over the blocks in plan order
     dw = np.zeros((kh, kw, 1, c), dtype=g.dtype)
-    for block, (u, v), win, buf in _dw_taps(xp, kh, kw, oh, ow, dilation):
-        dw[u, v, 0] += _channel_sum(np.multiply(win, g[block], out=buf))
+    cap, blocks = _dw_plan(xp, oh, ow)
+    scratch = np.empty(cap * ow * c, dtype=xp.dtype)
+    for block in blocks:
+        i, bn, r, br = block
+        gb = g[i:i + bn, r:r + br]
+        buf = scratch[:gb.size].reshape(gb.shape)
+        for u, v, win in _dw_taps(xp, block, kh, kw, ow, dilation):
+            dw[u, v, 0] += _channel_sum(np.multiply(win, gb, out=buf))
     return dw
 
 
@@ -224,8 +351,9 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
     _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
 
     def finish(y, bwd):
-        y += b.data
-        return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)))
+        (yv,), blocks = _row_blocks(y)
+        _deal(op, blocks, lambda s, _: np.add(yv[s], b.data, out=yv[s]))
+        return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)), True)
 
     return finish
 
@@ -312,18 +440,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
         return _emit("batch_norm", y, (x, gamma, beta), bwd)
 
-    mean = running_mean.data
+    mean, bd = running_mean.data, beta.data
     ivar = 1.0 / np.sqrt(running_var.data + eps)
-    y = np.subtract(xd, mean)
-    y *= ivar
-    y *= gd
-    y += beta.data
+    y = np.empty(xd.shape, xd.dtype)
+    (xv, yv), blocks = _row_blocks(xd, y)
+
+    def normalize(s, _):
+        yb = np.subtract(xv[s], mean, out=yv[s])
+        yb *= ivar
+        yb *= gd
+        yb += bd
+        return yb
+
+    _deal("batch_norm", blocks, normalize)
 
     def bwd_infer(g):
         xhat = (xd - mean) * ivar
         return g * (gd * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _emit("batch_norm", y, (x, gamma, beta), bwd_infer)
+    return _emit("batch_norm", y, (x, gamma, beta), bwd_infer, True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +468,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 def relu(x: Tensor) -> Tensor:
     # the gradients of relu and leaky_relu read their output, so the input
     # can be freed: y > 0 exactly when x > 0, for any alpha in [0, 1]
-    y = np.maximum(x.data, 0)
-    return _emit("relu", y, (x,), lambda g: (g * (y > 0),))
+    y = np.empty(x.shape, x.dtype)
+    (xv, yv), blocks = _row_blocks(x.data, y)
+    _deal("relu", blocks, lambda s, _: np.maximum(xv[s], 0, out=yv[s]))
+    return _emit("relu", y, (x,), lambda g: (g * (y > 0),), True)
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     _require(0.0 <= alpha <= 1.0, "leaky_relu", f"alpha must be in [0, 1], got {alpha}")
-    xd = x.data
-    y = np.multiply(xd, alpha)
-    np.maximum(xd, y, out=y)  # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
+    y = np.empty(x.shape, x.dtype)
+    (xv, yv), blocks = _row_blocks(x.data, y)
+
+    def rectify(s, _):
+        # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
+        xb = xv[s]
+        return np.maximum(xb, np.multiply(xb, alpha, out=yv[s]), out=yv[s])
+
+    _deal("leaky_relu", blocks, rectify)
     return _emit("leaky_relu", y, (x,),
-                 lambda g: (g * np.maximum(y > 0, alpha, dtype=y.dtype),))
+                 lambda g: (g * np.maximum(y > 0, alpha, dtype=y.dtype),), True)
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -483,14 +626,33 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     xd = x.data
     i0, i1, fy = _bilinear_axis(oh, h, factor, xd.dtype)
     j0, j1, fx = _bilinear_axis(ow, w, factor, xd.dtype)
-    wy0 = (1.0 - fy)[None, :, None, None]
-    wy1 = fy[None, :, None, None]
-    wx0 = (1.0 - fx)[None, None, :, None]
-    wx1 = fx[None, None, :, None]
-    # np.take gathers into C order; fancy indexing an inner axis would leave
-    # the products (and y) strided
-    rows = np.take(xd, i0, axis=1) * wy0 + np.take(xd, i1, axis=1) * wy1
-    y = np.take(rows, j0, axis=2) * wx0 + np.take(rows, j1, axis=2) * wx1
+    wy0, wy1 = (1.0 - fy)[:, None, None], fy[:, None, None]
+    wx0, wx1 = (1.0 - fx)[:, None], fx[:, None]
+    y = np.empty((n, oh, ow, c), dtype=xd.dtype)
+
+    def interpolate(block, scratch):
+        # rows then columns: every output is (a*wy0 + b*wy1) of the two
+        # input rows it reads, then (p*wx0 + q*wx1) of two of those sums
+        i, bn, r, br = block
+        xb, out, rs = xd[i:i + bn], y[i:i + bn, r:r + br], slice(r, r + br)
+        m = bn * br * w * c
+        rows = scratch[:m].reshape(bn, br, w, c)
+        other = scratch[m:2 * m].reshape(bn, br, w, c)
+        # mode "clip" (the indices are in range) keeps np.take from
+        # buffering its output
+        np.take(xb, i0[rs], axis=1, out=rows, mode="clip")
+        rows *= wy0[rs]
+        rows += np.multiply(np.take(xb, i1[rs], axis=1, out=other, mode="clip"),
+                            wy1[rs], out=other)
+        cols = scratch[2 * m:2 * m + out.size].reshape(out.shape)
+        np.take(rows, j0, axis=2, out=out, mode="clip")
+        out *= wx0
+        out += np.multiply(np.take(rows, j1, axis=2, out=cols, mode="clip"),
+                           wx1, out=cols)
+        return out
+
+    cap, blocks = _block_plan(n, oh, ow * c * xd.itemsize, _BLOCK_BYTES)
+    _deal("bilinear_upsample", blocks, interpolate, cap * (2 * w + ow) * c, xd.dtype)
 
     def bwd(g):
         ax = _interp_matrix(j0, j1, fx, w)
@@ -498,7 +660,7 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
         drows = np.matmul(ax.T, g)  # (n, oh, w, c)
         return ((ay.T @ drows.reshape(n, oh, w * c)).reshape(n, h, w, c),)
 
-    return _emit("bilinear_upsample", y, (x,), bwd)
+    return _emit("bilinear_upsample", y, (x,), bwd, True)
 
 
 def _d2s(arr: np.ndarray, block: int) -> np.ndarray:

@@ -39,7 +39,9 @@ def guard_finite(op: str, arr: np.ndarray) -> None:
     """Abort at the op that produced a NaN/Inf instead of surfacing later.
 
     Two reductions and no temporary array: max propagates NaN and +inf, min
-    propagates -inf, so both are finite exactly when every element is.
+    propagates -inf, so both are finite exactly when every element is. The
+    kernels that ops runs block by block call it on each finished block, in
+    the thread that wrote it; the op raises the error in its caller.
     """
     if not (arr.size == 0 or (np.isfinite(arr.max()) and np.isfinite(arr.min()))):
         raise NumericError(f"non-finite value produced by op '{op}'")

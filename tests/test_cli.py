@@ -13,7 +13,8 @@ import pytest
 
 from mcads import cli, netpbm, params
 from mcads.cli import build_parser, main
-from mcads.config import (MAX_INPUT_SIDE, ConfigError, RunConfig, _apply_dict,
+from mcads.config import (MAX_INPUT_SIDE, MAX_RLAB_ITERATIONS, MAX_STAGE_FILTERS,
+                          MAX_SYNTH_N, ConfigError, RunConfig, _apply_dict,
                           _parse_override, load_config)
 from mcads.data import synth_dataset
 from mcads.network import SegmentationModel
@@ -281,8 +282,11 @@ SWEEP_VALUES = ["null", "true", "false", "0", "1", "-1", "1e308", "1e400",
 # a HUGE value here loads but would run or allocate without bound, so it goes
 # through load_config only (train.epochs stays out of the CLI runs, which pin
 # it to 0)
-SWEEP_GROWS = {"data.synth_n", "model.encoder.input_channels",
-               "model.encoder.stage_filters", "model.decoder.rlab_iterations"}
+SWEEP_GROWS = {"model.encoder.input_channels"}
+# the first value past each upper bound of a size: it must not load
+SWEEP_PAST_BOUND = {"data.synth_n": MAX_SYNTH_N + 1,
+                    "model.encoder.stage_filters": MAX_STAGE_FILTERS + 1,
+                    "model.decoder.rlab_iterations": MAX_RLAB_ITERATIONS + 1}
 # an error may name the key whose rule the value broke: deeper RSUs raise the
 # multiple data.patch must be, and --seed sets both seeds
 SWEEP_ALSO_NAMED = {"model.encoder.rsu_depths": ("data.patch",),
@@ -299,17 +303,19 @@ def _sweep_names():
 
 
 def _sweep_values(name):
-    """SWEEP_VALUES, plus 64 for a flag (a valid --input-size) and lists of
-    its own length for a tuple, of integers and of strings (kinds or not)."""
+    """SWEEP_VALUES, plus 64 for a flag (a valid --input-size), lists of
+    its own length for a tuple, of integers and of strings (kinds or not),
+    and the key's SWEEP_PAST_BOUND value (as a list for a tuple)."""
     if name.startswith("--"):
         return SWEEP_VALUES + ["64"]
     if name in SWEEP_RETIRED:
         return SWEEP_VALUES + ['"eub"', '"dsub"']
     node = operator.attrgetter(name)(RunConfig())
+    past = (SWEEP_PAST_BOUND[name],) if name in SWEEP_PAST_BOUND else ()
     if not isinstance(node, tuple):
-        return SWEEP_VALUES
+        return SWEEP_VALUES + [str(v) for v in past]
     return SWEEP_VALUES + [json.dumps([v] * len(node))
-                           for v in (-1, 0, 1, 3, "eub", "convtp") + HUGE]
+                           for v in (-1, 0, 1, 3, "eub", "convtp") + HUGE + past]
 
 
 def _sweep_argv(name, raw, config):
@@ -360,6 +366,10 @@ def test_every_value_runs_or_exits_1_naming_its_key(name, desk_json, tmp_path,
                 continue
             if loads and name in SWEEP_RETIRED:
                 problems.append(f"{raw}: retired path loads")
+            past = SWEEP_PAST_BOUND.get(name)
+            if loads and past is not None and str(past) in raw:
+                problems.append(f"{raw}: loads past its bound")
+                continue
             huge = name in SWEEP_GROWS and any(str(v) in raw for v in HUGE)
             if loads and (huge or name == "train.epochs"):
                 continue

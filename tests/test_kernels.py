@@ -91,7 +91,7 @@ def _dw_case(name, dtype):
 
 
 def test_depthwise_cases_cross_block_seams():
-    block = ops._DW_BLOCK_BYTES
+    block = ops._BLOCK_BYTES
     n, h, w, c = _DW_CASES["image-over-block"][0]
     assert h * w * c * 4 > block
     n, h, w, c = _DW_CASES["images-in-block"][0]
@@ -244,10 +244,10 @@ def test_every_op_output_is_c_contiguous(monkeypatch):
     emit = ops._emit
     seen = {}
 
-    def checked(op, y, inputs, backward):
+    def checked(op, y, inputs, backward, guarded=False):
         if all(t.data.flags.c_contiguous for t in inputs):
             seen[op] = seen.get(op, True) and y.flags.c_contiguous
-        return emit(op, y, inputs, backward)
+        return emit(op, y, inputs, backward, guarded)
 
     monkeypatch.setattr(ops, "_emit", checked)
     for _, case in gradcheck.primitive_cases():
