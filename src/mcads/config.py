@@ -143,7 +143,8 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
 # Largest square input side: one 64-channel float32 map at 2^14 is 69 GB.
 MAX_INPUT_SIDE = 1 << 14
 # Widest stage: a 3x3 conv between two stages this wide holds 9 * 2^32
-# weights (155 GB float32), so no wider model can be built.
+# weights (155 GB float32), so no wider model can be built. It caps the
+# input channels too, which the first stage reads the same way.
 MAX_STAGE_FILTERS = 1 << 16
 # Most RB iterations per decoder stage; each builds its own convs and BN, so
 # the count sets both the parameter count and the depth (the paper uses 5..1).
@@ -160,7 +161,8 @@ _RANGES = {
     "model.encoder.rsu_depths": (lambda v: v >= 3, "at least 3"),
     "model.encoder.stage_filters": (lambda v: 1 <= v <= MAX_STAGE_FILTERS,
                                     f"from 1 to {MAX_STAGE_FILTERS}"),
-    "model.encoder.input_channels": (lambda v: v >= 1, "at least 1"),
+    "model.encoder.input_channels": (lambda v: 1 <= v <= MAX_STAGE_FILTERS,
+                                     f"from 1 to {MAX_STAGE_FILTERS}"),
     "model.decoder.upsampler": (lambda v: v in UPSAMPLERS,
                                 f"one of {', '.join(UPSAMPLERS)}"),
     "model.decoder.rlab_iterations": (lambda v: 0 <= v <= MAX_RLAB_ITERATIONS,

@@ -11,7 +11,9 @@ Surface convention: a boundary pixel is a foreground pixel with at least
 one background 4-neighbor, where pixels beyond the image border count as
 background. HD95 is the 95th percentile (linear interpolation) of the
 pooled directed nearest-boundary distances in both directions; ASD is the
-mean of the same pool. Both are symmetric by construction.
+mean of the same pool. Both are symmetric by construction. A boundary pixel
+that is also on the other mask's boundary is at distance 0 without a
+query; every other one gets its exact nearest distance from a KD-tree.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ def _as_binary(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
+    if arr.dtype == bool:
+        return arr
     b = arr.astype(bool)
     if not np.array_equal(arr, b):  # one pass; NaN equals neither 0 nor 1
         raise ValueError(f"{name} must be binary, found values {np.unique(arr)[:5]}")
@@ -54,16 +58,19 @@ def threshold(pred_prob, t: float = 0.5) -> np.ndarray:
     return (pred_prob >= t).astype(np.float32)
 
 
-def confusion(pred, gt) -> ConfusionCounts:
+def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     p = _as_binary(pred, "pred")
     g = _as_binary(gt, "gt")
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
+    return p, g
+
+
+def confusion(pred, gt) -> ConfusionCounts:
+    p, g = _pair(pred, gt)
     tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
-    tn = int(np.count_nonzero(~p & ~g))
-    return ConfusionCounts(tp, fp, fn, tn)
+    n_p, n_g = int(np.count_nonzero(p)), int(np.count_nonzero(g))
+    return ConfusionCounts(tp, n_p - tp, n_g - tp, p.size - n_p - n_g + tp)
 
 
 def _ratio(num: int, den: int, empty_value: float) -> float:
@@ -85,20 +92,27 @@ def pixel_metrics(pred, gt) -> dict:
 def boundary_pixels(mask) -> np.ndarray:
     """(K,2) row/col coordinates of foreground pixels touching background."""
     m = _as_binary(mask, "mask")
-    padded = np.pad(m, 1, mode="constant")
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(m & ~interior)
+    edge = m.copy()  # a foreground pixel on the border touches the outside
+    edge[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
+    return np.stack(np.divmod(np.flatnonzero(edge), m.shape[1]), axis=1)
 
 
 def surface_metrics(pred, gt, spacing: float = 1.0) -> dict:
-    pb = boundary_pixels(pred)
-    gb = boundary_pixels(gt)
+    p, g = _pair(pred, gt)
+    pb, gb = boundary_pixels(p), boundary_pixels(g)
     if len(pb) == 0 or len(gb) == 0:
         raise EmptyMaskError("surface distance undefined for an empty mask")
-    d_pg, _ = cKDTree(gb).query(pb)
-    d_gp, _ = cKDTree(pb).query(gb)
-    pooled = np.concatenate([d_pg, d_gp]) * spacing
+    pooled = np.zeros(len(pb) + len(gb))  # shared boundary pixels stay 0
+    on_other = np.empty(p.shape, bool)
+    for pts, other, out in ((pb, gb, pooled[:len(pb)]), (gb, pb, pooled[len(pb):])):
+        on_other.fill(False)
+        on_other[other[:, 0], other[:, 1]] = True
+        off = ~on_other[pts[:, 0], pts[:, 1]]
+        if off.any():
+            # sliding-midpoint splits build about twice as fast; queries stay exact
+            tree = cKDTree(other, balanced_tree=False, compact_nodes=False)
+            out[off] = tree.query(pts[off])[0]
+    pooled *= spacing
     return {
         "hd95": float(np.percentile(pooled, 95)),
         "asd": float(pooled.mean()),
@@ -115,6 +129,7 @@ def report(entries) -> dict:
     per_image = []
     skipped = 0
     for sid, pred, gt in entries:
+        pred, gt = _pair(pred, gt)
         row = {"id": sid}
         row.update(pixel_metrics(pred, gt))
         try:

@@ -1,7 +1,11 @@
 """Pixel and surface metrics against closed-form fixtures and brute force."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from mcads.metrics import (ConfusionCounts, EmptyMaskError, boundary_pixels,
                            confusion, pixel_metrics, report, surface_metrics,
@@ -77,11 +81,21 @@ def test_threshold_tie_goes_foreground():
 
 
 def test_rejects_nonbinary_and_mismatched():
-    for bad in (0.5, np.nan, 2.0):
-        with pytest.raises(ValueError, match="binary"):
-            pixel_metrics(m([[bad]]), m([[1]]))
-    with pytest.raises(ValueError, match="mismatch"):
-        pixel_metrics(m([[1, 0]]), m([[1], [0]]))
+    """Every scoring entry point names the mask holding a non-binary value
+    and rejects mismatched shapes."""
+    good = np.zeros((5, 5), np.float32)
+    good[1:4, 1:4] = 1.0
+    for score in (pixel_metrics, surface_metrics,
+                  lambda p, g: report([("x", p, g)])):
+        for bad in (0.5, np.nan, 2.0):
+            for which in ("pred", "gt"):
+                broken = good.copy()
+                broken[2, 2] = bad
+                pair = {"pred": good, "gt": good, which: broken}
+                with pytest.raises(ValueError, match=f"^{which} must be binary"):
+                    score(pair["pred"], pair["gt"])
+        with pytest.raises(ValueError, match="mismatch"):
+            score(m([[1, 0]]), m([[1], [0]]))
 
 
 def test_boundary_pixels_fixture():
@@ -154,7 +168,6 @@ def test_asd_bounded_by_directed_means():
     a = (rng.uniform(size=(12, 12)) > 0.5).astype(np.float32)
     b = (rng.uniform(size=(12, 12)) > 0.5).astype(np.float32)
     pb, gb = boundary_pixels(a), boundary_pixels(b)
-    from scipy.spatial import cKDTree
     d_pg = cKDTree(gb).query(pb)[0].mean()
     d_gp = cKDTree(pb).query(gb)[0].mean()
     got = surface_metrics(a, b)["asd"]
@@ -174,12 +187,129 @@ def test_report_shape_and_skips():
     mask = np.zeros((6, 6), np.float32)
     mask[2:4, 2:4] = 1.0
     empty = np.zeros((6, 6), np.float32)
-    out = report([("a", mask, mask), ("b", empty, mask), ("c", empty, empty)])
-    assert [r["id"] for r in out["per_image"]] == ["a", "b", "c"]
-    assert out["skipped_surface"] == 2
+    out = report([("a", mask, mask), ("b", empty, mask), ("c", empty, empty),
+                  ("d", mask, empty)])
+    assert [r["id"] for r in out["per_image"]] == ["a", "b", "c", "d"]
+    assert out["skipped_surface"] == 3
     assert "hd95" in out["per_image"][0]
-    assert "hd95" not in out["per_image"][1]
+    assert not any("hd95" in r for r in out["per_image"][1:])
     assert out["aggregate"]["hd95"] == out["per_image"][0]["hd95"]
     # pixel metrics aggregate over all three
     expect_iou = np.mean([r["iou"] for r in out["per_image"]])
     assert out["aggregate"]["iou"] == pytest.approx(expect_iou)
+
+
+def reference_boundary(mask):
+    """boundary_pixels() as first written: np.pad, then argwhere."""
+    padded = np.pad(mask, 1, mode="constant")
+    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
+                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    return np.argwhere(mask & ~interior)
+
+
+def reference_report(entries):
+    """report() as first written: four masked confusion passes, the
+    reference boundaries, and a default cKDTree over every boundary pixel."""
+    def ratio(num, den, empty_value):
+        return num / den if den else empty_value
+
+    per_image, skipped = [], 0
+    for sid, pred, gt in entries:
+        p, g = (np.asarray(a).reshape(np.shape(a)[:2]).astype(bool) for a in (pred, gt))
+        tp, fp = int(np.count_nonzero(p & g)), int(np.count_nonzero(p & ~g))
+        fn, tn = int(np.count_nonzero(~p & g)), int(np.count_nonzero(~p & ~g))
+        row = {"id": sid,
+               "iou": ratio(tp, tp + fp + fn, 1.0),
+               "dice": ratio(2 * tp, 2 * tp + fp + fn, 1.0),
+               "precision": ratio(tp, tp + fp, 1.0 if fn == 0 else 0.0),
+               "recall": ratio(tp, tp + fn, 1.0 if fp == 0 else 0.0),
+               "for_rate": ratio(fn, fn + tn, 0.0)}
+        pb, gb = reference_boundary(p), reference_boundary(g)
+        if len(pb) and len(gb):
+            pooled = np.concatenate([cKDTree(gb).query(pb)[0], cKDTree(pb).query(gb)[0]])
+            row.update(hd95=float(np.percentile(pooled, 95)), asd=float(pooled.mean()))
+        else:
+            skipped += 1
+        per_image.append(row)
+    aggregate = {key: float(np.mean([r[key] for r in per_image if key in r]))
+                 for key in ("iou", "dice", "precision", "recall", "for_rate", "hd95", "asd")
+                 if any(key in r for r in per_image)}
+    return {"per_image": per_image, "aggregate": aggregate, "skipped_surface": skipped}
+
+
+def blob_pair(rng, hw, kind):
+    """A ground-truth mask of random ellipses and a prediction derived from it
+    by a shift, a dilation, an erosion, or dropping and adding blobs."""
+    def blobs(count):
+        yy, xx = np.mgrid[:hw, :hw]
+        mask = np.zeros((hw, hw), bool)
+        for _ in range(count):
+            cy, cx = rng.uniform(0, hw, size=2)
+            a, b = rng.uniform(0.03 * hw, 0.2 * hw, size=2)
+            mask |= ((yy - cy) / a) ** 2 + ((xx - cx) / b) ** 2 <= 1.0
+        return mask
+
+    count = int(rng.integers(1, 12))
+    gt = blobs(count)
+    if kind == "shift":
+        pred = np.roll(gt, tuple(int(s) for s in rng.integers(-6, 7, size=2)), axis=(0, 1))
+    elif kind == "dilate":
+        pred = ndimage.binary_dilation(gt, iterations=3)
+    elif kind == "erode":
+        pred = ndimage.binary_erosion(gt, iterations=2)
+    else:  # drop_add
+        pred = gt & ~blobs(count // 2 + 1) | blobs(count // 2 + 1)
+    return pred, gt
+
+
+def assert_same_report(entries):
+    # float reprs round-trip, so equal JSON means every score is equal bit
+    # for bit (and -0.0 differs from 0.0), as `mcads eval --out` writes it
+    assert json.dumps(report(entries)) == json.dumps(reference_report(entries))
+
+
+def test_report_is_bit_identical_to_the_reference_on_random_pairs():
+    rng = np.random.default_rng(21)
+    entries = []
+    for i in range(24):
+        hw = int(rng.integers(64, 201))
+        pred, gt = blob_pair(rng, hw, ("shift", "dilate", "erode", "drop_add")[i % 4])
+        if i % 2:  # as netpbm.read_mask gives them
+            pred, gt = (a.astype(np.float32)[:, :, None] for a in (pred, gt))
+        entries.append((f"pair{i}", pred, gt))
+    assert_same_report(entries)
+
+
+def test_report_is_bit_identical_on_edge_cases():
+    rng = np.random.default_rng(22)
+    one = np.ones((1, 1), bool)
+    dot = np.zeros((9, 7), bool)
+    dot[4, 3] = True
+    border = np.zeros((12, 10), bool)
+    border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
+    left, right = np.zeros((8, 8), bool), np.zeros((8, 8), bool)
+    left[2:6, :3], right[1:7, 5:] = True, True
+    cases = [(one, one), (one, ~one),
+             (rng.uniform(size=(1, 9)) > 0.4, rng.uniform(size=(1, 9)) > 0.4),
+             (rng.uniform(size=(9, 1)) > 0.4, rng.uniform(size=(9, 1)) > 0.4),
+             (rng.uniform(size=(2, 2)) > 0.3, np.ones((2, 2), bool)),
+             (np.ones((6, 5), bool), np.ones((6, 5), bool)), (dot, np.ones((9, 7), bool)),
+             (dot, dot), (border, np.ones((12, 10), bool)), (border, border[::-1, ::-1]),
+             (left, right), (right, left)]
+    blob, _ = blob_pair(rng, 80, "shift")
+    cases.append((blob, blob))  # every distance is 0
+    entries = [(f"case{i}", p, g) for i, (p, g) in enumerate(cases)]
+    entries += [(f"f{sid}", p.astype(np.float32)[:, :, None], g.astype(np.float32)[:, :, None])
+                for sid, p, g in entries]
+    assert_same_report(entries)
+    identical = report([("same", blob, blob)])["per_image"][0]
+    assert identical["hd95"] == identical["asd"] == 0.0
+
+
+def test_boundary_pixels_match_argwhere_order():
+    rng = np.random.default_rng(23)
+    for shape in ((1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (17, 29)):
+        mask = rng.uniform(size=shape) > 0.3
+        got, want = boundary_pixels(mask), reference_boundary(mask)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
