@@ -47,7 +47,7 @@ class TrainSettings:
 class DataSettings:
     root: str = ""  # dataset directory; empty selects the synthetic set
     synth_n: int = 8
-    synth_hw: int = 64
+    synth_hw: int = 256
     synth_seed: int = 8
     patch: int = 256
     stride: int = 128
@@ -79,6 +79,7 @@ class RunConfig:
         cfg.model.block.attention_token_cap = 256
         cfg.model.block.bn_momentum = 0.85
         cfg.train.batch = 4
+        cfg.data.synth_hw = 64
         cfg.data.patch = 64
         cfg.data.stride = 32
         return cfg

@@ -10,9 +10,8 @@ He draws wait until a parameter's data is first read: create() allocates
 zeros (calloc-backed, so no page is touched) and queues the array; the first
 read of any queued parameter draws the whole queue in creation order, so the
 weights are those an eager draw would give. A load_state that passes its
-checks drops the queue undrawn, so building a model to load a checkpoint
-into never draws a weight. load_checkpoint reads each payload straight into
-a fresh array, and load_state copies it into the parameter's own.
+checks drops the queue undrawn and takes ownership of the arrays it is given
+(load_checkpoint's fresh ones, never copied); state() returns copies.
 """
 
 from __future__ import annotations
@@ -146,12 +145,13 @@ class ParameterStore:
         return total
 
     def state(self) -> dict[str, np.ndarray]:
+        """A copy of every parameter's array, keyed by name."""
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy checkpoint arrays into the parameters' own, cast to the
-        store's dtype; any name/shape disagreement is listed first and
-        changes nothing. Queued He draws are dropped, never run."""
+        """Take ownership of the arrays (np.require copies one of another
+        dtype, misaligned, non-C or read-only) and drop queued He draws; a
+        name/shape disagreement is listed first and changes nothing."""
         problems = []
         for name in state:
             if name not in self._params:
@@ -169,7 +169,7 @@ class ParameterStore:
         with self._pending.lock:  # a draw already running finishes first
             self._pending.queue.clear()
         for name, p in self._params.items():
-            np.copyto(p._array, state[name], casting="unsafe")
+            p.data = np.require(state[name], self.dtype, ("A", "C", "W"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     name length + UTF-8 name, u8 rank, u32 extents, u8 dtype code (0=f32,
     1=f64) and the row-major little-endian payload.
 
-    The bytes go to a temp file beside `path` that replaces it only once
-    complete, so a failed save leaves any earlier file intact."""
+    The bytes go to a synced temp file beside `path` that replaces it only
+    once complete, so a failed save or a power loss leaves a whole file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -260,6 +260,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 f.write(struct.pack("<B", code))
                 f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+            f.flush()
+            os.fsync(f.fileno())  # on disk before the rename publishes it
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when the write or the rename failed

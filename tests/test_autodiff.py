@@ -3,8 +3,10 @@
 import collections
 import gc
 import inspect
+import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -198,26 +200,44 @@ def test_deferred_draws_follow_creation_order():
 
 
 def test_full_load_state_never_draws():
+    """load_state adopts a float32, C-contiguous, writable array as it is and
+    copies any other into an owned, writable, C-contiguous float32 array;
+    the RNG is never touched."""
     s = _deferred_store()
-    arrays = {name: s[name]._array for name in s.names()}
-    state = {name: np.full(shape, 0.5) for name, shape, _ in ENTRIES}  # f64
-    s.load_state(state)
     fresh = np.random.default_rng(21).bit_generator.state
+    given = {"a": np.full((3, 3, 2, 4), 0.5, np.float32),           # adopted
+             "z": np.arange(4.0) / 3,                                # float64
+             "b": np.arange(5, dtype=np.float32),                    # read-only
+             "c": np.asfortranarray(np.ones((2, 7), np.float32))}    # F-order
+    given["b"].flags.writeable = False
+    want = {name: arr.astype(np.float32) for name, arr in given.items()}
+    s.load_state(given)
     assert s.rng.bit_generator.state == fresh
-    for name, arr in arrays.items():
-        assert s[name].data is arr  # copied in place, cast to the store's dtype
-        assert arr.dtype == np.float32 and np.all(arr == 0.5)
+    assert s["a"].data is given["a"]
+    for name in "zbc":
+        arr = s[name].data
+        assert not np.shares_memory(arr, given[name])
+        assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+    for name, arr in want.items():
+        assert s[name].dtype == np.float32
+        np.testing.assert_array_equal(s[name].data, arr)
+    for p in s.parameters():
+        p.grad = np.ones_like(p.data)
+    adam_step(s.parameters(), lr=0.1)
+    for name, arr in want.items():
+        np.testing.assert_allclose(s[name].data, arr - 0.1, rtol=1e-6, atol=1e-6)
     assert s.rng.bit_generator.state == fresh  # reads after the load draw nothing
 
 
 def test_checkpoint_mismatch_keeps_the_queued_draws():
     s = _deferred_store()
-    state = {name: np.ones(shape) for name, shape, _ in ENTRIES}
-    state["c"] = np.ones((7, 2))
+    state = {name: np.ones(shape, np.float32) for name, shape, _ in ENTRIES}
+    state["c"] = np.ones((7, 2), np.float32)
     with pytest.raises(CheckpointMismatch, match="'c'"):
         s.load_state(state)
     assert s.rng.bit_generator.state == np.random.default_rng(21).bit_generator.state
     for name, want in _eager().items():
+        assert not np.shares_memory(s[name].data, state[name])  # none adopted
         np.testing.assert_array_equal(s[name].data, want)
 
 
@@ -470,7 +490,7 @@ def test_checkpoint_mutations_fail_cleanly(tmp_path):
     assert outcomes["error"] and outcomes["dict"]  # flipped payloads still load
 
 
-def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "model.mct"
     good = {"w": np.arange(4, dtype=np.float32)}
     save_checkpoint(path, good)
@@ -480,7 +500,76 @@ def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
                                "steps": np.arange(3)})  # int64: unsupported
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.mct"]
+
+    def fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", fsync)  # the disk fails after the write
+    with pytest.raises(OSError, match="Input/output"):
+        save_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.mct"]
     np.testing.assert_array_equal(load_checkpoint(path)["w"], good["w"])
+
+
+def test_checkpoint_save_syncs_before_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "model.mct"
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)})
+    st = path.stat()  # the renamed file is the one synced, every byte flushed
+    assert calls == [("fsync", st.st_ino, st.st_size),
+                     ("replace", f"{path}.tmp", str(path))]
+
+
+# The child reads its peak RSS from VmHWM: getrusage's ru_maxrss keeps the
+# larger peak of the test process across the exec.
+LOAD_RSS_CHILD = """
+import sys
+from mcads.params import ParameterStore, load_checkpoint
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmHWM:"))
+
+store = ParameterStore(seed=0)
+for i in range({count}):
+    store.create(f"w{{i}}", {shape}, "he", fan_in={fan_in})
+before = peak()
+store.load_state(load_checkpoint(sys.argv[1]))
+print((peak() - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs Linux's /proc/self/status")
+def test_load_keeps_one_copy_of_the_weights(tmp_path):
+    """A fresh process that builds a 64 MB store of He weights and loads a
+    checkpoint into it grows its peak RSS by the payload once, not twice."""
+    count, shape = 8, (512, 4096)  # 8 MiB of float32 each
+    rng = np.random.default_rng(3)
+    path = tmp_path / "big.mct"
+    save_checkpoint(path, {f"w{i}": he_uniform(shape, 512, rng) for i in range(count)})
+    payload = count * math.prod(shape) * 4
+    child = LOAD_RSS_CHILD.format(count=count, shape=shape, fan_in=512)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    grown = int(out.stdout)
+    assert payload <= grown < 1.5 * payload, (grown, payload)
 
 
 def test_load_state_mismatch_is_exhaustive(tmp_path):

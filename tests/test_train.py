@@ -1,6 +1,7 @@
 """Training loop and patch-based inference."""
 
 import csv
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -81,6 +82,20 @@ def test_load_samples_uses_synthetic_when_no_root():
     samples = load_samples(cfg)
     assert len(samples) == cfg.data.synth_n
     assert samples[0].image.shape == (32, 32, 3)
+
+
+def test_default_synthetic_set_fills_its_patch_lattice():
+    """The default synthetic images are as large as the default patch, so
+    training on them never sees mirrored padding."""
+    cfg = RunConfig().data
+    grid = data_mod.plan_patches((cfg.synth_hw, cfg.synth_hw), cfg.patch, cfg.stride)
+    assert grid.padded_hw == grid.original_hw
+
+
+def test_desk_data_settings_are_unchanged():
+    assert dataclasses.asdict(RunConfig.desk().data) == {
+        "root": "", "synth_n": 8, "synth_hw": 64, "synth_seed": 8,
+        "patch": 64, "stride": 32}
 
 
 # ---------------------------------------------------------------------------
