@@ -1,7 +1,7 @@
 """Overlapping-patch pipeline, augmentation, dataset IO, synthetic data.
 
-Images are float32 (H,W,C) in [0,1]; masks are float32 (H,W,1) strictly
-{0,1}. Patch extraction reflect-pads up to the smallest size where the
+Images are float32 (H,W,C) in [0,1]; masks are bool (H,W,1), made so once by
+Sample. Patch extraction reflect-pads up to the smallest size where the
 patch lattice fits exactly, and reassembly averages every prediction that
 covers a pixel, so identity predictions reconstruct the input on the
 original region.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from . import netpbm
+from . import metrics, netpbm
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class Sample:
             raise ValueError(
                 f"sample {self.id}: mask shape {self.mask.shape} does not "
                 f"match image {self.image.shape}")
-        # NaN equals neither 0 nor 1
-        if not np.array_equal(self.mask, self.mask.astype(bool)):
-            raise ValueError(f"sample {self.id}: mask must be strictly binary")
+        self.mask = metrics.as_binary(self.mask, f"sample {self.id}: mask")
 
 
 def check_channels(image: np.ndarray, channels: int, name: str) -> None:
@@ -161,7 +159,7 @@ def _synth_one(rng: np.random.Generator, hw: int):
     body = gaussian_filter(mask.astype(np.float64), 1.0)
     image = background[:, :, None] + body[:, :, None] * tint
     image = np.clip(image, 0.0, 1.0).astype(np.float32)
-    return image, mask.astype(np.float32)[:, :, None]
+    return image, mask[:, :, None]
 
 
 def synth_dataset(n: int, hw: int, rng: np.random.Generator):
@@ -177,7 +175,7 @@ def synth_dataset(n: int, hw: int, rng: np.random.Generator):
     for i, child in enumerate(rng.spawn(n)):
         while True:
             image, mask = _synth_one(child, hw)
-            frac = float(mask.mean())
+            frac = float(mask.mean(dtype=np.float32))  # float32 keeps seeded sets
             if 0.06 <= frac <= 0.45:
                 break
         samples.append(Sample(image, mask, f"synth{i:03d}"))

@@ -28,7 +28,7 @@ def predict_probabilities(model: SegmentationModel, image: np.ndarray, *,
 def predict_mask(model: SegmentationModel, image: np.ndarray, *,
                  patch: int, stride: int, threshold: float = 0.5,
                  batch: int = 4):
-    """(binary mask, probability map) for one image."""
+    """(bool (H,W,1) mask, float32 (H,W,1) probability map) for one image."""
     prob = predict_probabilities(model, image, patch=patch, stride=stride,
                                  batch=batch)
     return metrics.threshold(prob, threshold), prob

@@ -40,10 +40,10 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def _as_binary(arr, name: str) -> np.ndarray:
+def as_binary(arr, name: str) -> np.ndarray:
+    """The one mask check: a bool array is returned as it is, a numeric {0,1}
+    array as bool; any other value raises ValueError naming `name`."""
     arr = np.asarray(arr)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
     if arr.dtype == bool:
         return arr
     b = arr.astype(bool)
@@ -52,15 +52,18 @@ def _as_binary(arr, name: str) -> np.ndarray:
     return b
 
 
+def _plane(mask, name: str) -> np.ndarray:  # (H,W,1) drops its channel axis
+    m = as_binary(mask, name)
+    return m[:, :, 0] if m.ndim == 3 and m.shape[2] == 1 else m
+
+
 def threshold(pred_prob, t: float = 0.5) -> np.ndarray:
-    """Probabilities to {0,1} float mask; ties (== t) go to foreground."""
-    pred_prob = np.asarray(pred_prob)
-    return (pred_prob >= t).astype(np.float32)
+    """Probabilities to a bool mask of their shape; ties (== t) are foreground."""
+    return np.asarray(pred_prob) >= t
 
 
 def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_binary(pred, "pred")
-    g = _as_binary(gt, "gt")
+    p, g = _plane(pred, "pred"), _plane(gt, "gt")
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
     return p, g
@@ -91,7 +94,7 @@ def pixel_metrics(pred, gt) -> dict:
 
 def boundary_pixels(mask) -> np.ndarray:
     """(K,2) row/col coordinates of foreground pixels touching background."""
-    m = _as_binary(mask, "mask")
+    m = _plane(mask, "mask")
     edge = m.copy()  # a foreground pixel on the border touches the outside
     edge[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
     return np.stack(np.divmod(np.flatnonzero(edge), m.shape[1]), axis=1)

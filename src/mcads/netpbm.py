@@ -101,15 +101,13 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    """P5 mask to float32 {0,1} of shape (H,W,1); values >= 128 are fg."""
+    """P5 mask to a bool array of shape (H,W,1); values >= 128 are fg."""
     arr = read_netpbm(path)
     if arr.ndim != 2:
         raise NetpbmError(f"{path}: masks must be single-channel P5")
-    return (arr >= 128).astype(np.float32)[:, :, None]
+    return arr[:, :, None] >= 128
 
 
 def write_mask(path, mask: np.ndarray) -> None:
-    mask = np.asarray(mask)
-    if mask.ndim == 3:
-        mask = mask[:, :, 0]
-    write_netpbm(path, np.where(mask >= 0.5, 255, 0).astype(np.uint8))
+    """Bool mask, or floats where >= 0.5 is fg, to P5 bytes 0/255."""
+    write_netpbm(path, np.where(np.asarray(mask) >= 0.5, 255, 0).astype(np.uint8))

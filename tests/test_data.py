@@ -64,7 +64,8 @@ def test_identity_reassembly():
     s = checkerboard_sample(hw=100)  # forces reflect padding to 128
     grid = plan_patches((100, 100), 64, 32)
     patches = extract_patches(s, grid)
-    rebuilt = reassemble([p.mask for p in patches], grid)
+    # reassemble averages probabilities; a mask's patches go in as floats
+    rebuilt = reassemble([p.mask.astype(np.float32) for p in patches], grid)
     assert rebuilt.shape == (100, 100, 1)
     assert np.abs(rebuilt - s.mask).max() < 1e-12
 
@@ -113,9 +114,15 @@ def test_sample_validation():
     for value in (0.5, 2.0, np.nan, -1.0):
         mask = np.zeros((8, 8, 1), np.float32)
         mask[3, 4] = value
-        with pytest.raises(ValueError, match="sample bad: mask must be strictly binary"):
+        with pytest.raises(ValueError, match="^sample bad: mask must be binary"):
             Sample(img, mask, "bad")
-    Sample(img, np.ones((8, 8, 1), np.float32), "fine")
+    # a float32 {0,1} mask is stored as bool; a bool mask is kept as it is
+    mask = np.zeros((8, 8, 1), np.float32)
+    mask[2:5, 3] = 1.0
+    fine = Sample(img, mask, "fine")
+    assert fine.mask.dtype == bool and fine.mask.shape == (8, 8, 1)
+    np.testing.assert_array_equal(fine.mask, mask)
+    assert Sample(img, fine.mask, "kept").mask is fine.mask
     with pytest.raises(ValueError, match="mask shape"):
         Sample(img, np.zeros((4, 4, 1), np.float32), "bad")
 
@@ -239,7 +246,8 @@ def test_mask_read_threshold(tmp_path):
     arr = np.array([[0, 127, 128, 255]], dtype=np.uint8)
     netpbm.write_netpbm(tmp_path / "m.pgm", arr)
     mask = netpbm.read_mask(tmp_path / "m.pgm")
-    np.testing.assert_array_equal(mask[..., 0], [[0.0, 0.0, 1.0, 1.0]])
+    assert mask.dtype == bool and mask.shape == (1, 4, 1)
+    np.testing.assert_array_equal(mask[..., 0], [[False, False, True, True]])
 
 
 def test_write_mask_binarizes(tmp_path):

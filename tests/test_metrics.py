@@ -7,6 +7,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from mcads import netpbm
 from mcads.metrics import (ConfusionCounts, EmptyMaskError, boundary_pixels,
                            confusion, pixel_metrics, report, surface_metrics,
                            threshold)
@@ -74,7 +75,9 @@ def test_iou_symmetry_dice_symmetry():
 
 def test_threshold_tie_goes_foreground():
     probs = np.array([[0.49, 0.5, 0.51]], dtype=np.float32)
-    np.testing.assert_array_equal(threshold(probs, 0.5), [[0.0, 1.0, 1.0]])
+    mask = threshold(probs, 0.5)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, [[False, True, True]])
     # monotone in t: raising the threshold can only shrink the mask
     counts = [threshold(probs, t).sum() for t in (0.3, 0.5, 0.7)]
     assert counts == sorted(counts, reverse=True)
@@ -268,16 +271,29 @@ def assert_same_report(entries):
     assert json.dumps(report(entries)) == json.dumps(reference_report(entries))
 
 
-def test_report_is_bit_identical_to_the_reference_on_random_pairs():
+def test_report_is_bit_identical_to_the_reference_on_random_pairs(tmp_path):
     rng = np.random.default_rng(21)
     entries = []
     for i in range(24):
         hw = int(rng.integers(64, 201))
         pred, gt = blob_pair(rng, hw, ("shift", "dilate", "erode", "drop_add")[i % 4])
-        if i % 2:  # as netpbm.read_mask gives them
+        if i % 2:  # (H,W,1) float32 {0,1}
             pred, gt = (a.astype(np.float32)[:, :, None] for a in (pred, gt))
         entries.append((f"pair{i}", pred, gt))
     assert_same_report(entries)
+    # through the files `mcads eval` reads: bool (H,W,1) masks back from P5
+    as_float, read_back = [], []
+    for sid, pred, gt in entries:
+        pair = []
+        for kind, mask in (("pred", pred), ("gt", gt)):
+            path = tmp_path / f"{sid}-{kind}.pgm"
+            netpbm.write_mask(path, mask)
+            pair.append(netpbm.read_mask(path))
+        assert all(a.dtype == bool and a.ndim == 3 for a in pair)
+        read_back.append((sid, *pair))
+        as_float.append((sid, *(a.reshape(a.shape[:2] + (1,)).astype(np.float32)
+                                for a in (pred, gt))))
+    assert json.dumps(report(read_back)) == json.dumps(report(as_float))
 
 
 def test_report_is_bit_identical_on_edge_cases():

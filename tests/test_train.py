@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -183,6 +185,22 @@ def test_gradients_reset_between_steps(tmp_path):
         assert np.array_equal(trained[name], manual[name]), name
 
 
+def test_bool_masks_train_like_float32_masks(desk_step):
+    """One desk training step on bool masks gives the loss and every
+    parameter's gradient of the float32 masks with the same values, byte
+    for byte: the loss turns either into the same float32 targets."""
+    model, images, masks = desk_step
+    runs = []
+    for target in (masks.astype(bool), masks):
+        fresh = SegmentationModel(model.cfg)
+        with Tape() as tape:
+            loss, _ = fresh.loss(fresh.forward(images, train=True), target)
+        backward(tape, loss)
+        runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in
+                                             fresh.store.trainable_parameters()])
+    assert runs[0] == runs[1]
+
+
 def test_backward_frees_the_tape_as_it_runs(monkeypatch, desk_step):
     """backward releases each node as it fires: on the desk step, numpy's
     traced memory never climbs more than 10% above what the end of the
@@ -300,7 +318,7 @@ def test_predict_mask_is_thresholded_probability():
     image = np.random.default_rng(4).uniform(0, 1, (32, 32, 3)).astype(np.float32)
     mask, prob = predict_mask(model, image, patch=32, stride=32, threshold=0.5)
     assert np.array_equal(mask, threshold(prob, 0.5))
-    assert set(np.unique(mask)) <= {0, 1}
+    assert mask.dtype == bool and mask.shape == (32, 32, 1)
 
 
 def test_predict_rejects_flat_image():
@@ -309,3 +327,23 @@ def test_predict_rejects_flat_image():
     with pytest.raises(ValueError, match=r"\(H,W,C\)"):
         predict_probabilities(model, np.zeros((32, 32), np.float32),
                               patch=32, stride=32)
+
+
+TRAIN_MEMORY = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                            "train_memory.py")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs Linux's /proc/self/status")
+def test_train_memory_reads_its_own_peak():
+    """tools/train_memory.py reports its own peak RSS, not the larger one of
+    the process that started it (Linux keeps ru_maxrss across execve)."""
+    held = np.ones(200 * 2**20 // 8)  # this process touches about 200 MB
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    child = ("import runpy, sys; "
+             "print(runpy.run_path(sys.argv[1])['peak_rss_mb']())")
+    out = subprocess.run([sys.executable, "-c", child, TRAIN_MEMORY],
+                         env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert held.sum() == held.size
+    assert 0 < float(out.stdout) < 150

@@ -4,9 +4,9 @@ Runs the default 113 M-parameter model (RunConfig()) at batch 1 on a
 uniform image and a random mask (seed 4), both --size pixels square: each
 step zeroes the gradients, runs the taped forward and the loss, the
 backward and one Adam update. After each step it prints the loss, the
-backward's seconds and the peak resident set size so far (ru_maxrss).
-Exits 1 when that peak exceeds LIMIT_MB, the 4 GB the 256x256 step must
-fit in.
+backward's seconds and the process's peak resident set size so far
+(VmHWM). Exits 1 when that peak exceeds LIMIT_MB, the 4 GB the 256x256
+step must fit in.
 
     PYTHONPATH=src python3 tools/train_memory.py --size 256
 """
@@ -30,8 +30,18 @@ LIMIT_MB = 4000
 
 
 def peak_rss_mb() -> float:
-    # Linux reports ru_maxrss in KiB
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    """This process's peak RSS. Linux keeps ru_maxrss across execve, so it
+    can hold the peak of the process that started this one; VmHWM cannot.
+    Without /proc, ru_maxrss is read (bytes on macOS, KiB elsewhere)."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
 def main() -> int:
@@ -43,7 +53,7 @@ def main() -> int:
     model = SegmentationModel(cfg.model)
     rng = np.random.default_rng(4)
     image = rng.uniform(size=(1, args.size, args.size, 3)).astype(np.float32)
-    mask = (rng.uniform(size=(1, args.size, args.size, 1)) > 0.5).astype(np.float32)
+    mask = rng.uniform(size=(1, args.size, args.size, 1)) > 0.5
     params = model.store.trainable_parameters()
     for step in range(1, STEPS + 1):
         model.store.zero_grads()
