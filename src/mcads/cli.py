@@ -19,7 +19,7 @@ import sys
 from . import gradcheck as gradcheck_mod
 from . import infer, metrics, netpbm, summary
 from .config import ConfigError, check_input_side, load_config
-from .data import check_channels
+from .data import check_channels, paired_ids
 from .network import SegmentationModel
 from .params import load_checkpoint
 from .tensor import NumericError
@@ -82,28 +82,13 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _mask_ids(directory):
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"not a directory: {directory}")
-    return {os.path.splitext(f)[0] for f in os.listdir(directory)
-            if f.endswith(".pgm")}
-
-
 def cmd_eval(args) -> int:
     _check_out_dirs(args.out)
-    pred_ids = _mask_ids(args.pred)
-    gt_ids = _mask_ids(args.gt)
-    if pred_ids != gt_ids:
-        raise FileNotFoundError(
-            f"prediction/ground-truth id mismatch: {sorted(pred_ids ^ gt_ids)}")
     entries = []
-    for sid in sorted(pred_ids):
-        pred = netpbm.read_mask(os.path.join(args.pred, sid + ".pgm"))
-        gt = netpbm.read_mask(os.path.join(args.gt, sid + ".pgm"))
-        if pred.shape != gt.shape:
-            raise ValueError(f"{sid}: prediction shape {pred.shape[:2]} does "
-                             f"not match reference {gt.shape[:2]}")
-        entries.append((sid, pred, gt))
+    for sid in paired_ids(args.pred, ".pgm", args.gt, ".pgm"):
+        entries.append((sid,
+                        netpbm.read_mask(os.path.join(args.pred, sid + ".pgm")),
+                        netpbm.read_mask(os.path.join(args.gt, sid + ".pgm"))))
     rep = metrics.report(entries)
     text = json.dumps(rep, indent=2)
     if args.out:

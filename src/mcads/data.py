@@ -182,21 +182,27 @@ def synth_dataset(n: int, hw: int, rng: np.random.Generator):
     return samples
 
 
+def paired_ids(dir_a, ext_a: str, dir_b, ext_b: str) -> list:
+    """Sorted ids with both `dir_a/<id><ext_a>` and `dir_b/<id><ext_b>`; a
+    missing directory or an unpaired id raises FileNotFoundError naming it."""
+    sides = []
+    for directory, ext in ((dir_a, ext_a), (dir_b, ext_b)):
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(f"not a directory: {directory}")
+        sides.append({f[:-len(ext)] for f in os.listdir(directory)
+                      if f.endswith(ext)})
+    if sides[0] != sides[1]:
+        raise FileNotFoundError(f"unpaired ids between {dir_a} and {dir_b}: "
+                                f"{sorted(sides[0] ^ sides[1])}")
+    return sorted(sides[0])
+
+
 def load_dataset(root):
     """Read `images/<id>.ppm` + `masks/<id>.pgm` pairs, sorted by id."""
     img_dir = os.path.join(root, "images")
     mask_dir = os.path.join(root, "masks")
-    if not os.path.isdir(img_dir) or not os.path.isdir(mask_dir):
-        raise FileNotFoundError(f"{root} needs images/ and masks/ subdirs")
-    img_ids = {os.path.splitext(f)[0] for f in os.listdir(img_dir)
-               if f.endswith(".ppm")}
-    mask_ids = {os.path.splitext(f)[0] for f in os.listdir(mask_dir)
-                if f.endswith(".pgm")}
-    if img_ids != mask_ids:
-        missing = sorted(img_ids ^ mask_ids)
-        raise FileNotFoundError(f"unpaired dataset ids: {missing}")
     samples = []
-    for sid in sorted(img_ids):
+    for sid in paired_ids(img_dir, ".ppm", mask_dir, ".pgm"):
         image = netpbm.read_image(os.path.join(img_dir, sid + ".ppm"))
         mask = netpbm.read_mask(os.path.join(mask_dir, sid + ".pgm"))
         samples.append(Sample(image, mask, sid))

@@ -54,7 +54,9 @@ def as_binary(arr, name: str) -> np.ndarray:
 
 def _plane(mask, name: str) -> np.ndarray:  # (H,W,1) drops its channel axis
     m = as_binary(mask, name)
-    return m[:, :, 0] if m.ndim == 3 and m.shape[2] == 1 else m
+    if m.ndim < 2 or m.shape[2:] not in ((), (1,)):
+        raise ValueError(f"{name} must be (H, W) or (H, W, 1), got shape {m.shape}")
+    return m[:, :, 0] if m.ndim == 3 else m
 
 
 def threshold(pred_prob, t: float = 0.5) -> np.ndarray:
@@ -65,7 +67,8 @@ def threshold(pred_prob, t: float = 0.5) -> np.ndarray:
 def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     p, g = _plane(pred, "pred"), _plane(gt, "gt")
     if p.shape != g.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
+        raise ValueError(f"prediction shape {p.shape} does not match "
+                         f"reference {g.shape}")
     return p, g
 
 
@@ -125,6 +128,7 @@ def surface_metrics(pred, gt, spacing: float = 1.0) -> dict:
 def report(entries) -> dict:
     """Evaluate (id, pred_mask, gt_mask) triples into the JSON report shape.
 
+    A pair that cannot be scored raises ValueError prefixed with its id.
     Pixel metrics are always present; surface metrics are omitted for pairs
     where either mask is empty, and counted in skipped_surface. Aggregates
     are unweighted means over the images that have each metric.
@@ -132,7 +136,10 @@ def report(entries) -> dict:
     per_image = []
     skipped = 0
     for sid, pred, gt in entries:
-        pred, gt = _pair(pred, gt)
+        try:
+            pred, gt = _pair(pred, gt)
+        except ValueError as e:
+            raise ValueError(f"{sid}: {e}") from e
         row = {"id": sid}
         row.update(pixel_metrics(pred, gt))
         try:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mcads
 from mcads import cli, netpbm, params
 from mcads.cli import build_parser, main
 from mcads.config import (MAX_INPUT_SIDE, MAX_RLAB_ITERATIONS, MAX_STAGE_FILTERS,
@@ -434,11 +435,18 @@ def test_python_api_checks_what_load_config_checks(name):
     assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("missing", ["out", "prob", "checkpoint"])
+def test_network_takes_model_config_from_config():
+    """network.py imports ModelConfig from config.py, not the reverse: the
+    class the Python API exports is the one load_config fills."""
+    assert mcads.ModelConfig is mcads.network.ModelConfig is mcads.config.ModelConfig
+
+
+@pytest.mark.parametrize("bad", ["out", "prob", "checkpoint", "huge"])
 def test_predict_checks_its_paths_before_building_the_model(
-        missing, desk_json, tmp_path, capsys, monkeypatch):
-    """A missing directory for --out or --prob, or a missing --checkpoint,
-    exits 2 naming the path before the model is built, writing nothing."""
+        bad, desk_json, tmp_path, capsys, monkeypatch):
+    """A missing directory for --out or --prob, a missing --checkpoint, or
+    a huge one, whose header extents overflow int64, exits 2 naming the
+    path before the model is built, writing nothing."""
     cfg = load_config(desk_json)
     paths = {"out": tmp_path / "m.pgm", "prob": tmp_path / "p.pgm",
              "checkpoint": tmp_path / "init.mct"}
@@ -446,7 +454,11 @@ def test_predict_checks_its_paths_before_building_the_model(
                            SegmentationModel(cfg.model).store.state())
     (sample,) = synth_dataset(1, 64, np.random.default_rng(3))
     netpbm.write_image(tmp_path / "img.ppm", sample.image)
-    paths[missing] = tmp_path / "nodir" / paths[missing].name
+    if bad == "huge":  # one float32 record "w" of shape (2**32 - 1, 2**32 - 1)
+        paths["huge"] = paths["checkpoint"]
+        paths["huge"].write_bytes(b"MCT1\1\0\0\0\1\0w\2" + b"\xff" * 8 + b"\0")
+    else:
+        paths[bad] = tmp_path / "nodir" / paths[bad].name
     before = sorted(os.listdir(tmp_path))
 
     def no_build(*args, **kwargs):
@@ -459,7 +471,7 @@ def test_predict_checks_its_paths_before_building_the_model(
                           "--out", str(paths["out"]),
                           "--prob", str(paths["prob"])], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("data error:") and str(paths[missing]) in err
+    assert err.startswith("data error:") and str(paths[bad]) in err
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -722,7 +734,7 @@ def test_eval_report_and_skips(tmp_path, capsys):
     byid = {r["id"]: r for r in rep["per_image"]}
     assert byid["a"]["iou"] == 1.0 and byid["a"]["hd95"] == 0.0
     assert byid["b"]["iou"] == 0.0 and "hd95" not in byid["b"]
-    assert json.loads(out) == rep
+    assert report_path.read_text() == out
 
 
 def test_eval_id_mismatch_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Pixel and surface metrics against closed-form fixtures and brute force."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,20 +86,32 @@ def test_threshold_tie_goes_foreground():
 
 def test_rejects_nonbinary_and_mismatched():
     """Every scoring entry point names the mask holding a non-binary value
-    and rejects mismatched shapes."""
+    or more than one channel, and rejects mismatched shapes; report puts
+    the pair's id in front."""
     good = np.zeros((5, 5), np.float32)
     good[1:4, 1:4] = 1.0
-    for score in (pixel_metrics, surface_metrics,
-                  lambda p, g: report([("x", p, g)])):
-        for bad in (0.5, np.nan, 2.0):
-            for which in ("pred", "gt"):
+    two = np.stack([good, good], axis=2)  # (5, 5, 2): the square per channel
+    for score, prefix in ((pixel_metrics, ""), (surface_metrics, ""),
+                          (lambda p, g: report([("x", p, g)]), "x: ")):
+        for which in ("pred", "gt"):
+            for bad in (0.5, np.nan, 2.0):
                 broken = good.copy()
                 broken[2, 2] = bad
                 pair = {"pred": good, "gt": good, which: broken}
-                with pytest.raises(ValueError, match=f"^{which} must be binary"):
+                with pytest.raises(ValueError,
+                                   match=f"^{prefix}{which} must be binary"):
                     score(pair["pred"], pair["gt"])
-        with pytest.raises(ValueError, match="mismatch"):
+            pair = {"pred": good, "gt": good, which: two}
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{prefix}{which} must be (H, W) or (H, W, 1), "
+                    "got shape (5, 5, 2)")):
+                score(pair["pred"], pair["gt"])
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{prefix}prediction shape (1, 2) does not match "
+                "reference (2, 1)")):
             score(m([[1, 0]]), m([[1], [0]]))
+    with pytest.raises(ValueError, match=r"^mask must be \(H, W\)"):
+        boundary_pixels(two)
 
 
 def test_boundary_pixels_fixture():
