@@ -19,9 +19,7 @@ import numpy as np
 from . import ops
 from .params import ParameterStore
 
-LEAKY_SLOPE = 0.01
 CAM_REDUCTION = 8  # CAM bottleneck: C -> max(C // 8, 1) -> C
-BN_EPS = 1e-3
 
 
 @dataclass
@@ -67,7 +65,7 @@ class BatchNorm:
 
     def __call__(self, x, train: bool):
         return ops.batch_norm(x, self.gamma, self.beta, self.mean, self.var,
-                              train=train, eps=BN_EPS, momentum=self.momentum)
+                              train=train, momentum=self.momentum)
 
 
 class ConvBlock:
@@ -80,8 +78,8 @@ class ConvBlock:
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", cout, cfg)
 
     def __call__(self, x, train: bool):
-        y = ops.leaky_relu(self.bn1(self.dwc(x), train), LEAKY_SLOPE)
-        return ops.leaky_relu(self.bn2(self.pwc(y), train), LEAKY_SLOPE)
+        y = ops.leaky_relu(self.bn1(self.dwc(x), train))
+        return ops.leaky_relu(self.bn2(self.pwc(y), train))
 
 
 class DepthToSpaceUpsample:
@@ -95,7 +93,7 @@ class DepthToSpaceUpsample:
         self.cb = ConvBlock(store, f"{prefix}.cb", cout, cout, cfg)
 
     def __call__(self, x, train: bool):
-        y = ops.depth_to_space(ops.relu(self.expand(x)), 2)
+        y = ops.depth_to_space(ops.relu(self.expand(x)))
         y = ops.relu(self.post(y))
         return self.cb(y, train)
 
@@ -183,7 +181,7 @@ class ResidualConvChain:
     def __call__(self, x, train: bool):
         for conv3, conv1, bn in self.steps:
             y = ops.add(x, conv1(conv3(x)))
-            x = bn(ops.leaky_relu(y, LEAKY_SLOPE), train)
+            x = bn(ops.leaky_relu(y), train)
         return x
 
 
@@ -248,7 +246,7 @@ class AttentionFusion:
         k = ops.dense(tokens, self.wk, self.bk)
         v = ops.dense(tokens, self.wv, self.bv)
         att = ops.softmax(ops.scale(ops.matmul(q, ops.swap_last2(k)),
-                                    1.0 / np.sqrt(c)), axis=-1)
+                                    1.0 / np.sqrt(c)))
         o = ops.reshape(ops.matmul(att, v), (n, th, tw, c))
         if factor > 1:
             o = ops.bilinear_upsample(o, factor)

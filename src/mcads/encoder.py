@@ -89,7 +89,7 @@ class RSU:
         cur = x0
         for i, unit in enumerate(self.enc):
             if i > 0 and not self.dilated:
-                cur = ops.max_pool2d(cur, 2)
+                cur = ops.max_pool2d(cur)
             cur = unit(cur, train)
             skips.append(cur)
         d = self.bottom(skips[-1], train)
@@ -156,5 +156,5 @@ class Encoder:
             y = stage(cur, train)
             feats.append(y)
             if i < len(self.stages) - 1:
-                cur = ops.max_pool2d(y, 2)
+                cur = ops.max_pool2d(y)
         return feats

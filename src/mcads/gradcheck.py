@@ -175,10 +175,10 @@ def primitive_cases():
         ("batch_norm_train", 22, partial(ops.batch_norm, train=True), *bn),
         ("batch_norm_infer", 22, partial(ops.batch_norm, train=False), *bn),
         ("relu", 40, ops.relu, xs),
-        ("leaky_relu", 41, partial(ops.leaky_relu, alpha=0.01), xs),
+        ("leaky_relu", 41, ops.leaky_relu, xs),
         ("sigmoid", 42, ops.sigmoid, x),
         ("swish", 43, ops.swish, x),
-        ("softmax", 24, partial(ops.softmax, axis=-1), _normal(3, 6, scale=2.0)),
+        ("softmax", 24, ops.softmax, _normal(3, 6, scale=2.0)),
         ("pool_global_avg", 44, partial(ops.pool_global, kind="avg"), x),
         ("pool_global_max", 45, partial(ops.pool_global, kind="max"),
          _distinct(2, 4, 4, 3)),
@@ -190,16 +190,14 @@ def primitive_cases():
          _distinct(2, 3, 3, 4)),
         ("pool_channel_sum", 49, partial(ops.pool_channel, kind="sum"),
          _normal(2, 3, 3, 4)),
-        ("max_pool2d", 50, partial(ops.max_pool2d, size=2), _distinct(2, 4, 6, 3)),
+        ("max_pool2d", 50, ops.max_pool2d, _distinct(2, 4, 6, 3)),
         ("avg_pool2d", 51, partial(ops.avg_pool2d, factor=2), _normal(2, 4, 6, 3)),
         ("bilinear_upsample_x2", 28, partial(ops.bilinear_upsample, factor=2),
          _normal(2, 3, 4, 3)),
         ("bilinear_upsample_x3", 29, partial(ops.bilinear_upsample, factor=3),
          _normal(2, 3, 4, 3)),
-        ("depth_to_space", 52, partial(ops.depth_to_space, block=2),
-         _normal(1, 3, 3, 8)),
-        ("space_to_depth", 53, partial(ops.space_to_depth, block=2),
-         _normal(1, 4, 6, 3)),
+        ("depth_to_space", 52, ops.depth_to_space, _normal(1, 3, 3, 8)),
+        ("space_to_depth", 53, ops.space_to_depth, _normal(1, 4, 6, 3)),
         ("dense", 30, ops.dense, _normal(2, 3, 5), _normal(5, 4, scale=0.5),
          _normal(4, scale=0.2)),
         ("matmul", 32, ops.matmul, _normal(2, 3, 4), _normal(2, 4, 5)),

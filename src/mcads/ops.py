@@ -18,7 +18,10 @@ Bilinear upsampling differentiates through two interpolation-matrix
 products. Train-mode batch norm uses the closed form of its gradient;
 eval-mode batch norm and leaky_relu compute in place in their one fresh
 output. Every op returns a C-contiguous array: a strided result changes the
-summation order of the BLAS calls downstream.
+summation order of the BLAS calls downstream. This module is the one place
+for the numbers the architecture fixes, which no op takes as an argument:
+LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2 max pooling,
+depth-to-space by block 2, and softmax over the last axis.
 
 The memory-bound kernels run block by block, the blocks (of _block_plan,
 sized for a core's L2 cache) dealt between the calling thread and one
@@ -44,6 +47,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from .tensor import Tensor, add_macs, guard_finite, record
+
+LEAKY_SLOPE = 0.01
+BN_EPS = 1e-3
+BCE_CLAMP = 1e-7
 
 
 def _require(cond: bool, op: str, msg: str) -> None:
@@ -339,15 +346,12 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
-                   bias_grad):
-    """Check the operands' dtypes and the optional (width,) bias of an
-    affine op before any compute. Returns finish(y, bwd): it adds the bias
-    in place to the fresh output y and emits it; bwd(g) gives (dx, dw) and
-    bias_grad(g) the bias gradient."""
-    _same_dtype(op, *((x, w) if b is None else (x, w, b)))
-    if b is None:
-        return lambda y, bwd: _emit(op, y, (x, w), bwd)
+def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_grad):
+    """Check the operands' dtypes and the (width,) bias of an affine op
+    before any compute. Returns finish(y, bwd): it adds the bias in place to
+    the fresh output y and emits it; bwd(g) gives (dx, dw) and bias_grad(g)
+    the bias gradient."""
+    _same_dtype(op, x, w, b)
     _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
 
     def finish(y, bwd):
@@ -358,10 +362,10 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor | None, width: int,
     return finish
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
+def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
            groups: int = 1) -> Tensor:
     """Stride-1 2D convolution with 'same' padding, NHWC input,
-    (kh, kw, C_in/groups, C_out) weights; kh and kw must be odd.
+    (kh, kw, C_in/groups, C_out) weights and (C_out,) bias; kh, kw odd.
 
     groups is 1 (dense) or C_in (depthwise: a single-channel kernel axis and
     C_out == C_in); the model uses no other grouping.
@@ -395,9 +399,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, dilation: int = 1,
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, *, train: bool, eps: float = 1e-3,
-               momentum: float = 0.99) -> Tensor:
-    """Per-channel batch normalization over the N, H, W axes.
+               running_var: Tensor, *, train: bool, momentum: float = 0.99) -> Tensor:
+    """Per-channel batch normalization over the N, H, W axes with eps BN_EPS.
 
     Train mode normalizes with batch statistics, differentiates through them,
     and updates the (untracked) running stats in place with the given
@@ -420,7 +423,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         var = _channel_sum(sq) / m
         running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mu
         running_var.data = momentum * running_var.data + (1.0 - momentum) * var
-        ivar = 1.0 / np.sqrt(var + eps)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= ivar
         y = np.multiply(gd, xhat, out=sq)
         y += beta.data
@@ -441,7 +444,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         return _emit("batch_norm", y, (x, gamma, beta), bwd)
 
     mean, bd = running_mean.data, beta.data
-    ivar = 1.0 / np.sqrt(running_var.data + eps)
+    ivar = 1.0 / np.sqrt(running_var.data + BN_EPS)
     y = np.empty(xd.shape, xd.dtype)
     (xv, yv), blocks = _row_blocks(xd, y)
 
@@ -467,26 +470,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
 def relu(x: Tensor) -> Tensor:
     # the gradients of relu and leaky_relu read their output, so the input
-    # can be freed: y > 0 exactly when x > 0, for any alpha in [0, 1]
+    # can be freed: y > 0 exactly when x > 0, for any slope in [0, 1]
     y = np.empty(x.shape, x.dtype)
     (xv, yv), blocks = _row_blocks(x.data, y)
     _deal("relu", blocks, lambda s, _: np.maximum(xv[s], 0, out=yv[s]))
     return _emit("relu", y, (x,), lambda g: (g * (y > 0),), True)
 
 
-def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
-    _require(0.0 <= alpha <= 1.0, "leaky_relu", f"alpha must be in [0, 1], got {alpha}")
+def leaky_relu(x: Tensor) -> Tensor:
     y = np.empty(x.shape, x.dtype)
     (xv, yv), blocks = _row_blocks(x.data, y)
 
     def rectify(s, _):
-        # equals where(x > 0, x, alpha*x) for alpha in [0, 1]
+        # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]
         xb = xv[s]
-        return np.maximum(xb, np.multiply(xb, alpha, out=yv[s]), out=yv[s])
+        return np.maximum(xb, np.multiply(xb, LEAKY_SLOPE, out=yv[s]), out=yv[s])
 
     _deal("leaky_relu", blocks, rectify)
     return _emit("leaky_relu", y, (x,),
-                 lambda g: (g * np.maximum(y > 0, alpha, dtype=y.dtype),), True)
+                 lambda g: (g * np.maximum(y > 0, LEAKY_SLOPE, dtype=y.dtype),), True)
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -515,13 +517,13 @@ def swish(x: Tensor) -> Tensor:
     return _emit("swish", y, (x,), lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _emit("softmax", y, (x,), bwd)
 
@@ -584,9 +586,9 @@ def pool_channel(x: Tensor, kind: str) -> Tensor:
     return _pool("pool_channel", x, x.data, kind, 3, x.shape[:3] + (1,))
 
 
-def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping spatial max pooling; extents must divide by `size`."""
-    xr, shape = _windows("max_pool2d", x, size)
+def max_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 spatial max pooling; extents must be even."""
+    xr, shape = _windows("max_pool2d", x, 2)
     return _pool("max_pool2d", x, xr, "max", (2, 4), shape)
 
 
@@ -663,44 +665,40 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     return _emit("bilinear_upsample", y, (x,), bwd, True)
 
 
-def _d2s(arr: np.ndarray, block: int) -> np.ndarray:
+def _d2s(arr: np.ndarray) -> np.ndarray:
     n, h, w, c = arr.shape
-    c2 = c // (block * block)
-    t = arr.reshape(n, h, w, c2, block, block).transpose(0, 1, 4, 2, 5, 3)
-    return t.reshape(n, h * block, w * block, c2)
+    t = arr.reshape(n, h, w, c // 4, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+    return t.reshape(n, h * 2, w * 2, c // 4)
 
 
-def _s2d(arr: np.ndarray, block: int) -> np.ndarray:
+def _s2d(arr: np.ndarray) -> np.ndarray:
     n, h, w, c = arr.shape
-    t = arr.reshape(n, h // block, block, w // block, block, c)
-    return t.transpose(0, 1, 3, 5, 2, 4).reshape(n, h // block, w // block,
-                                                 c * block * block)
+    t = arr.reshape(n, h // 2, 2, w // 2, 2, c)
+    return t.transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w // 2, c * 4)
 
 
-def depth_to_space(x: Tensor, block: int) -> Tensor:
-    """Rearrange channel blocks to space, depth-major within each block:
-    output pixel (h*b+dy, w*b+dx, c) reads input channel c*b*b + dy*b + dx."""
+def depth_to_space(x: Tensor) -> Tensor:
+    """Rearrange channel blocks to space by block 2, depth-major within each
+    block: output pixel (2h+dy, 2w+dx, c) reads input channel 4c + 2dy + dx."""
     _require(x.ndim == 4, "depth_to_space", f"input must be NHWC, got ndim {x.ndim}")
-    _require(x.shape[3] % (block * block) == 0, "depth_to_space",
-             f"channels {x.shape[3]} not divisible by block^2 {block * block}")
-    return record("depth_to_space", Tensor(_d2s(x.data, block)), (x,),
-                  lambda g: (_s2d(g, block),))
+    _require(x.shape[3] % 4 == 0, "depth_to_space",
+             f"channels {x.shape[3]} not divisible by 4")
+    return record("depth_to_space", Tensor(_d2s(x.data)), (x,), lambda g: (_s2d(g),))
 
 
-def space_to_depth(x: Tensor, block: int) -> Tensor:
+def space_to_depth(x: Tensor) -> Tensor:
     """Inverse of depth_to_space."""
     _require(x.ndim == 4, "space_to_depth", f"input must be NHWC, got ndim {x.ndim}")
-    _require(x.shape[1] % block == 0 and x.shape[2] % block == 0, "space_to_depth",
-             f"extent {x.shape[1:3]} not divisible by block {block}")
-    return record("space_to_depth", Tensor(_s2d(x.data, block)), (x,),
-                  lambda g: (_d2s(g, block),))
+    _require(x.shape[1] % 2 == 0 and x.shape[2] % 2 == 0, "space_to_depth",
+             f"extent {x.shape[1:3]} not divisible by 2")
+    return record("space_to_depth", Tensor(_s2d(x.data)), (x,), lambda g: (_d2s(g),))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis: (..., d_in) @ (d_in, d_out) + b."""
     _require(w.ndim == 2, "dense", f"weights must be rank 2, got {w.ndim}")
     _require(x.shape[-1] == w.shape[0], "dense",
@@ -799,8 +797,8 @@ def reduce_sum(x: Tensor) -> Tensor:
 # loss
 
 
-def bce_loss(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
-    """Mean binary cross-entropy with predictions clamped to [eps, 1-eps].
+def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean binary cross-entropy, predictions clamped to [BCE_CLAMP, 1 - BCE_CLAMP].
 
     The clamp keeps saturated predictions finite; gradients are zero in the
     clamped region (the clamp is flat there).
@@ -808,11 +806,11 @@ def bce_loss(pred: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
     _require(pred.shape == target.shape, "bce_loss",
              f"shape mismatch {pred.shape} vs {target.shape}")
     _same_dtype("bce_loss", pred, target)
-    p = np.clip(pred.data, eps, 1.0 - eps)
+    p = np.clip(pred.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
     t = target.data
     y = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean()
     m, dtype = pred.size, pred.dtype
-    inside = (pred.data > eps) & (pred.data < 1.0 - eps)
+    inside = (pred.data > BCE_CLAMP) & (pred.data < 1.0 - BCE_CLAMP)
 
     def bwd(g):
         dp = g * inside * (p - t) / (p * (1.0 - p)) / m

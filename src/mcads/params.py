@@ -8,10 +8,11 @@ which is how they reach checkpoints.
 
 He draws wait until a parameter's data is first read: create() allocates
 zeros (calloc-backed, so no page is touched) and queues the array; the first
-read of any queued parameter draws the whole queue in creation order, so the
-weights are those an eager draw would give. A load_state that passes its
-checks drops the queue undrawn and takes ownership of the arrays it is given
-(load_checkpoint's fresh ones, never copied); state() returns copies.
+read of any queued parameter's data (not its shape or size) draws the whole
+queue in creation order, so the weights are those an eager draw would give.
+A load_state that passes its checks drops the queue undrawn and takes
+ownership of the arrays it is given (load_checkpoint's fresh ones, never
+copied); state() returns copies.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class Parameter(Tensor):
     @data.setter
     def data(self, value) -> None:
         self._array = value
+
+    # shape and size read the array without running the queued He draws
+    shape = property(lambda self: self._array.shape)
+    size = property(lambda self: self._array.size)
 
     def __repr__(self):
         kind = "" if self.trainable else ", frozen"
@@ -157,13 +162,12 @@ class ParameterStore:
             if name not in self._params:
                 problems.append(f"unexpected tensor {name!r}")
         for name, p in self._params.items():
-            shape = p._array.shape  # not p.shape: that read would draw
             if name not in state:
                 problems.append(f"missing tensor {name!r}")
-            elif tuple(state[name].shape) != shape:
+            elif tuple(state[name].shape) != p.shape:
                 problems.append(
                     f"shape mismatch for {name!r}: checkpoint "
-                    f"{tuple(state[name].shape)} vs model {shape}")
+                    f"{tuple(state[name].shape)} vs model {p.shape}")
         if problems:
             raise CheckpointMismatch("\n".join(problems))
         with self._pending.lock:  # a draw already running finishes first

@@ -61,10 +61,10 @@ def test_02_depth_space_round_trip_bit_exact():
         c = 4 * int(rng.integers(1, 7))
         dtype = np.float64 if i % 3 == 0 else np.float32
         x = rng.normal(size=(n, h, w, c)).astype(dtype)
-        y = ops.space_to_depth(ops.depth_to_space(Tensor(x), 2), 2).data
+        y = ops.space_to_depth(ops.depth_to_space(Tensor(x))).data
         assert np.array_equal(x, y)
     fixture = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4))
-    tile = ops.depth_to_space(fixture, 2).data[0, :, :, 0]
+    tile = ops.depth_to_space(fixture).data[0, :, :, 0]
     np.testing.assert_array_equal(tile, [[1.0, 2.0], [3.0, 4.0]])
 
 

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mcads import ops
+from mcads import ops, summary
 from mcads.config import RunConfig
 from mcads.gradcheck import PRIMITIVE_TOL, check_gradients, primitive_cases
 from mcads.network import SegmentationModel
@@ -197,6 +197,21 @@ def test_deferred_draws_follow_creation_order():
     for name, want in reversed(_eager().items()):  # the last-made read first
         assert s[name].dtype == want.dtype
         np.testing.assert_array_equal(s[name].data, want)
+
+
+def test_counting_leaves_the_draws_queued():
+    """Reading shapes and sizes, as count() and the summary table do, runs
+    no He draw; the first data read still gives the eager draw's bytes."""
+    s = _deferred_store()
+    assert s.count() == sum(math.prod(shape) for _, shape, _ in ENTRIES)
+    assert [s[name].shape for name, _, _ in ENTRIES] == [shape for _, shape, _ in ENTRIES]
+    assert s.rng.bit_generator.state == np.random.default_rng(21).bit_generator.state
+    for name, want in _eager().items():
+        np.testing.assert_array_equal(s[name].data, want)
+    model = SegmentationModel(RunConfig.desk().model)
+    assert summary.parameter_summary(model)
+    fresh = np.random.default_rng(model.cfg.seed).bit_generator.state
+    assert model.store.rng.bit_generator.state == fresh
 
 
 def test_full_load_state_never_draws():

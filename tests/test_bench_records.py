@@ -1,7 +1,7 @@
-"""Every committed BENCH_*.json benchmark record is complete: it parses,
-names its parent commit, claims one metric on one workload that
-BENCHMARK.json declares, and gives parent and change medians of every
-declared end-to-end metric for each workload it ran."""
+"""Every committed BENCH_*.json benchmark record is complete and linked
+from README.md: it parses, names its parent commit, claims one metric on
+one workload that BENCHMARK.json declares, and gives parent and change
+medians of every declared end-to-end metric for each workload it ran."""
 
 import glob
 import json
@@ -21,6 +21,14 @@ RECORDS = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
 
 def test_records_are_committed():
     assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=os.path.basename)
+def test_record_is_linked_from_readme(path):
+    with open(os.path.join(ROOT, "README.md")) as f:
+        readme = f.read()
+    name = os.path.basename(path)
+    assert f"]({name})" in readme
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=os.path.basename)

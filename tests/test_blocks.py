@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mcads import ops
-from mcads.blocks import (BN_EPS, LEAKY_SLOPE, AttentionFusion,
-                          BilinearUpsampleBlock, BlockConfig,
+from mcads.blocks import (AttentionFusion, BilinearUpsampleBlock, BlockConfig,
                           ChannelAttention, ConvBlock, DepthToSpaceUpsample,
                           DualAttentionBlock, ResidualConvChain,
                           SegmentationHead, SpatialAttention)
+from mcads.ops import BN_EPS, LEAKY_SLOPE
 from mcads.params import ParameterStore
 from mcads.tensor import Tensor
 

@@ -585,10 +585,12 @@ def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):
 
 def test_allocation_failure_exits_2(monkeypatch, capsys):
     """A model too large to allocate is a data error, not a traceback."""
-    def too_large(shape, *args, **kwargs):
+    def too_large(store, name, shape, *args, **kwargs):
         raise MemoryError(f"Unable to allocate an array with shape {shape}")
 
-    monkeypatch.setattr(params, "he_uniform", too_large)
+    # summary --no-macs reads no weights, so the failure is the allocation
+    # at create(), as under a real memory limit
+    monkeypatch.setattr(params.ParameterStore, "create", too_large)
     code, _, err = run(["summary", "--no-macs"], capsys)
     assert code == 2
     assert err.startswith("data error:") and "Unable to allocate" in err

@@ -73,7 +73,7 @@ def _run(name, a):
         return ops.batch_norm(T(a["x"]), T(a["gamma"]), T(a["beta"]), T(a["mean"]),
                               T(a["var"]), train=False).data
     if name == "leaky_relu":
-        return ops.leaky_relu(T(a["x"]), 0.01).data
+        return ops.leaky_relu(T(a["x"])).data
     if name == "relu":
         return ops.relu(T(a["x"])).data
     if name == "bilinear_upsample":
@@ -180,14 +180,14 @@ def test_deal_returns_only_after_every_thread_is_done():
 
 def _leaky_in_child(x, want, conn):
     fresh = ops._EXECUTOR is None
-    conn.send(fresh and ops.leaky_relu(Tensor(x), 0.01).data.tobytes() == want)
+    conn.send(fresh and ops.leaky_relu(Tensor(x)).data.tobytes() == want)
 
 
 def test_forked_child_runs_dealt_blocks():
     """A fork of a process whose pool has run work starts without it, and
     makes its own to deal blocks."""
     x = _inputs()["x"]
-    want = ops.leaky_relu(Tensor(x), 0.01).data.tobytes()
+    want = ops.leaky_relu(Tensor(x)).data.tobytes()
     ctx = multiprocessing.get_context("fork")
     parent_end, child_end = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_leaky_in_child, args=(x, want, child_end))

@@ -35,6 +35,11 @@ def _normal(seed, *shape):
     return np.random.default_rng(seed).normal(size=shape)
 
 
+def _zero_bias(w):
+    """A zero bias for conv weights `w`: it leaves the conv linear."""
+    return Tensor(np.zeros(w.shape[-1], w.dtype))
+
+
 def _axis(extent, k, dilation, padding):
     """(pad on each side, out_extent) of one axis, padded 'same' as conv2d
     pads it, or not at all ('valid')."""
@@ -60,7 +65,8 @@ def test_conv2d_adjoint(depthwise, kernel, dilation):
     w = _normal(2, *kernel, 1, 3) if depthwise else _normal(2, *kernel, 3, 4)
     groups = 3 if depthwise else 1
     inner, (ax, aw) = _adjoint(
-        lambda a, b: ops.conv2d(a, b, dilation=dilation, groups=groups), x, w)
+        lambda a, b: ops.conv2d(a, b, _zero_bias(b), dilation=dilation, groups=groups),
+        x, w)
     assert ax == pytest.approx(inner, rel=1e-12)
     assert aw == pytest.approx(inner, rel=1e-12)
 
@@ -166,7 +172,7 @@ def _run_dense(name):
     rng = np.random.default_rng(9)
     x = rng.normal(size=shape).astype(np.float32)
     w = rng.normal(size=(k, k, shape[3], cout)).astype(np.float32)
-    return ops.conv2d(Tensor(x), Tensor(w), dilation=dilation).data
+    return ops.conv2d(Tensor(x), Tensor(w), _zero_bias(w), dilation=dilation).data
 
 
 def test_dense_cases_cross_block_seams(monkeypatch):
@@ -209,12 +215,13 @@ def test_bilinear_upsample_adjoint(shape, factor):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("alpha", [None, 0.0, 0.01, 1.0], ids=lambda a: f"alpha{a}")
+@pytest.mark.parametrize("alpha", [None, ops.LEAKY_SLOPE], ids=lambda a: f"alpha{a}")
 def test_activation_gradient_reads_the_output(dtype, alpha):
-    """relu (alpha None) and leaky_relu take their gradient from their
-    output, so their input can be freed before backward; the gradient still
-    equals the input-mask form g * (x > 0), or g * max(x > 0, alpha), bit
-    for bit, at signed zeros, subnormals and +-1e30 too."""
+    """relu (alpha None) and leaky_relu (alpha its slope) take their
+    gradient from their output, so their input can be freed before
+    backward; the gradient still equals the input-mask form g * (x > 0), or
+    g * max(x > 0, alpha), bit for bit, at signed zeros, subnormals and
+    +-1e30 too."""
     info = np.finfo(dtype)
     edge = [0.0, info.smallest_subnormal, 3 * info.smallest_subnormal,
             info.tiny, 1e30]
@@ -224,7 +231,7 @@ def test_activation_gradient_reads_the_output(dtype, alpha):
     leaf = Tensor(xd, requires_grad=True)
     with Tape() as tape:
         x = ops.scale(leaf, 1.0)  # op-produced, so only a closure can keep it
-        y = ops.relu(x) if alpha is None else ops.leaky_relu(x, alpha)
+        y = ops.relu(x) if alpha is None else ops.leaky_relu(x)
         loss = ops.reduce_sum(ops.mul(y, Tensor(g)))
     assert x.data.tobytes() == xd.tobytes()
     input_data = weakref.ref(x.data)

@@ -11,12 +11,17 @@ def t(arr, grad=False, dtype=np.float32):
     return Tensor(np.asarray(arr, dtype=dtype), requires_grad=grad)
 
 
+def zero_bias(w):
+    """A zero bias for the weights `w`, in their dtype."""
+    return Tensor(np.zeros(w.shape[-1], w.dtype))
+
+
 def test_conv2d_all_ones_valid():
     # 'same' padding: the one window wholly inside the image (the 'valid'
     # output) sums all nine taps, the others count the taps they cover
     x = t(np.ones((1, 3, 3, 1)))
     w = t(np.ones((3, 3, 1, 1)))
-    y = ops.conv2d(x, w)
+    y = ops.conv2d(x, w, zero_bias(w))
     assert y.shape == (1, 3, 3, 1)
     np.testing.assert_array_equal(y.data[0, :, :, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
@@ -24,20 +29,20 @@ def test_conv2d_all_ones_valid():
 def test_conv2d_same_padding_shape():
     x = t(np.random.default_rng(0).normal(size=(2, 7, 5, 3)))
     w = t(np.random.default_rng(1).normal(size=(3, 3, 3, 4)))
-    assert ops.conv2d(x, w).shape == (2, 7, 5, 4)
-    assert ops.conv2d(x, w, dilation=3).shape == (2, 7, 5, 4)
+    assert ops.conv2d(x, w, zero_bias(w)).shape == (2, 7, 5, 4)
+    assert ops.conv2d(x, w, zero_bias(w), dilation=3).shape == (2, 7, 5, 4)
 
 
 def test_conv2d_depthwise_group_separation():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
     w = rng.normal(size=(3, 3, 1, 2)).astype(np.float32)
-    y = ops.conv2d(t(x), t(w), groups=2)
+    y = ops.conv2d(t(x), t(w), zero_bias(w), groups=2)
     assert y.shape == (1, 4, 4, 2)
     # channel 0 must not react to changes in input channel 1
     x2 = x.copy()
     x2[..., 1] += 1.0
-    y2 = ops.conv2d(t(x2), t(w), groups=2)
+    y2 = ops.conv2d(t(x2), t(w), zero_bias(w), groups=2)
     np.testing.assert_array_equal(y.data[..., 0], y2.data[..., 0])
     assert np.any(y.data[..., 1] != y2.data[..., 1])
 
@@ -51,7 +56,7 @@ def test_conv2d_rejects_general_groups():
     with count_macs() as macs:
         for shape, groups, match in rows:
             with pytest.raises(ValueError, match=match):
-                ops.conv2d(x, t(np.ones(shape)), groups=groups)
+                ops.conv2d(x, t(np.ones(shape)), t(np.zeros(shape[3])), groups=groups)
     assert macs["macs"] == 0
 
 
@@ -62,8 +67,8 @@ def test_conv2d_dilation_matches_inserted_zeros():
     # dilation 2 equals a 5x5 kernel with zeros between taps
     w5 = np.zeros((5, 5, 1, 1))
     w5[::2, ::2] = w
-    y_dil = ops.conv2d(x, t(w, dtype=np.float64), dilation=2)
-    y_dense = ops.conv2d(x, t(w5, dtype=np.float64))
+    y_dil = ops.conv2d(x, t(w, dtype=np.float64), zero_bias(w), dilation=2)
+    y_dense = ops.conv2d(x, t(w5, dtype=np.float64), zero_bias(w))
     # every window wholly inside the image; a border output can cancel to
     # near zero, where the two summation orders differ in relative terms
     inner = (slice(None), slice(2, -2), slice(2, -2))
@@ -71,15 +76,18 @@ def test_conv2d_dilation_matches_inserted_zeros():
 
 
 def test_batch_norm_train_standardizes():
+    # the closed form at BN_EPS: mean 0, variance var / (var + BN_EPS)
     rng = np.random.default_rng(6)
     x = t(rng.normal(2.0, 3.0, size=(4, 8, 8, 3)))
     gamma = t(np.ones(3))
     beta = t(np.zeros(3))
     mean = t(np.zeros(3))
     var = t(np.ones(3))
-    y = ops.batch_norm(x, gamma, beta, mean, var, train=True, eps=1e-10).data
+    y = ops.batch_norm(x, gamma, beta, mean, var, train=True).data
+    batch_var = x.data.astype(np.float64).var(axis=(0, 1, 2))
     assert np.all(np.abs(y.mean(axis=(0, 1, 2))) < 1e-6)
-    assert np.all(np.abs(y.var(axis=(0, 1, 2)) - 1.0) < 1e-5)
+    assert np.all(np.abs(y.var(axis=(0, 1, 2)) - batch_var / (batch_var + ops.BN_EPS))
+                  < 1e-5)
 
 
 def test_batch_norm_constant_channel_is_zeroed():
@@ -103,7 +111,7 @@ def test_batch_norm_updates_running_stats():
 def test_activations_pointwise_values():
     x = t([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(ops.relu(x).data, [0, 0, 0, 0.5, 2.0])
-    np.testing.assert_allclose(ops.leaky_relu(x, 0.01).data,
+    np.testing.assert_allclose(ops.leaky_relu(x).data,
                                [-0.02, -0.005, 0, 0.5, 2.0], rtol=1e-6)
     sig = 1.0 / (1.0 + np.exp(-x.data))
     np.testing.assert_allclose(ops.sigmoid(x).data, sig, rtol=1e-6)
@@ -140,15 +148,15 @@ def test_sigmoid_and_swish_match_two_branch_formula(dtype):
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(8)
     x = t(rng.normal(size=(5, 9)) * 10)
-    y = ops.softmax(x, axis=-1).data
+    y = ops.softmax(x).data
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(y > 0)
 
 
 def test_softmax_shift_invariance():
     x = np.array([[1.0, 2.0, 3.0]], np.float32)
-    a = ops.softmax(t(x), axis=-1).data
-    b = ops.softmax(t(x + 1000.0), axis=-1).data
+    a = ops.softmax(t(x)).data
+    b = ops.softmax(t(x + 1000.0)).data
     np.testing.assert_allclose(a, b, rtol=1e-6)
 
 
@@ -156,7 +164,7 @@ def test_pools():
     x = t(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
     assert ops.pool_global(x, "avg").data[0, 0, 0, 0] == 7.5
     assert ops.pool_global(x, "max").data[0, 0, 0, 0] == 15.0
-    y = ops.max_pool2d(x, 2).data
+    y = ops.max_pool2d(x).data
     np.testing.assert_array_equal(y[0, :, :, 0], [[5, 7], [13, 15]])
     y = ops.avg_pool2d(x, 2).data
     np.testing.assert_allclose(y[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
@@ -187,7 +195,7 @@ def test_bilinear_upsample_linear_ramp():
 def test_depth_to_space_fixture():
     # channels (a,b,c,d) of one pixel land as [[a,b],[c,d]] in the 2x2 tile
     x = t(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4))
-    y = ops.depth_to_space(x, 2).data
+    y = ops.depth_to_space(x).data
     np.testing.assert_array_equal(y[0, :, :, 0], [[1, 2], [3, 4]])
 
 
@@ -199,7 +207,7 @@ def test_depth_space_round_trip():
         w = int(rng.integers(1, 5))
         c = int(rng.integers(1, 4)) * 4
         x = rng.normal(size=(n, h, w, c)).astype(np.float32)
-        y = ops.space_to_depth(ops.depth_to_space(t(x), 2), 2).data
+        y = ops.space_to_depth(ops.depth_to_space(t(x))).data
         np.testing.assert_array_equal(x, y)
 
 
@@ -297,34 +305,33 @@ def test_eval_batch_norm_and_leaky_relu_bit_identical(dtype):
     x = rng.normal(size=(2, 5, 6, 4)).astype(dtype)
     gamma, beta, mean = (rng.normal(size=4).astype(dtype) for _ in range(3))
     var = rng.uniform(0.1, 2.0, size=4).astype(dtype)
-    ivar = 1.0 / np.sqrt(var + 1e-3)
+    ivar = 1.0 / np.sqrt(var + ops.BN_EPS)
     y = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(mean),
-                       Tensor(var), train=False, eps=1e-3).data
+                       Tensor(var), train=False).data
     assert y.dtype == dtype
     assert np.array_equal(y, gamma * ((x - mean) * ivar) + beta)
-    for alpha in (0.0, 0.01, 0.3, 1.0):
-        y = ops.leaky_relu(Tensor(x), alpha).data
-        assert y.dtype == dtype
-        assert np.array_equal(y, np.maximum(x, alpha * x))
+    y = ops.leaky_relu(Tensor(x)).data
+    assert y.dtype == dtype
+    assert np.array_equal(y, np.maximum(x, ops.LEAKY_SLOPE * x))
 
 
 def test_mac_counting_convolution():
     x = t(np.ones((1, 4, 4, 3)))
     w = t(np.ones((3, 3, 3, 8)))
     with count_macs() as macs:
-        ops.conv2d(x, w)
+        ops.conv2d(x, w, zero_bias(w))
     assert macs["macs"] == 4 * 4 * 3 * 3 * 3 * 8
 
 
-@pytest.mark.parametrize("op, make", [
-    ("conv2d", lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
-                                    t(np.ones((3, 3, 3, 4))), b)),
-    ("conv2d", lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
-                                    t(np.ones((3, 3, 1, 3))), b, groups=3)),
-    ("dense", lambda b: ops.dense(t(np.ones((2, 5))), t(np.ones((5, 2))), b)),
+@pytest.mark.parametrize("op, width, make", [
+    ("conv2d", 4, lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
+                                       t(np.ones((3, 3, 3, 4))), b)),
+    ("conv2d", 3, lambda b: ops.conv2d(t(np.ones((1, 4, 4, 3))),
+                                       t(np.ones((3, 3, 1, 3))), b, groups=3)),
+    ("dense", 2, lambda b: ops.dense(t(np.ones((2, 5))), t(np.ones((5, 2))), b)),
 ], ids=["conv2d-dense", "conv2d-depthwise", "dense"])
-def test_bias_rejected_before_compute(op, make):
-    width = make(None).shape[-1]
+def test_bias_rejected_before_compute(op, width, make):
+    assert make(t(np.zeros(width))).shape[-1] == width
     with count_macs() as macs:
         with pytest.raises(ValueError, match=f"^{op}: bias shape"):
             make(t(np.zeros(width + 1)))
@@ -337,16 +344,16 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
     w = rng.normal(size=(3, 3, 3, 4)).astype(np.float32)
-    a = ops.conv2d(t(x), t(w)).data
-    b = ops.conv2d(t(x), t(w)).data
+    a = ops.conv2d(t(x), t(w), zero_bias(w)).data
+    b = ops.conv2d(t(x), t(w), zero_bias(w)).data
     assert np.array_equal(a, b)
 
 
 def test_shape_errors():
     x = t(np.ones((1, 4, 4, 3)))
     with pytest.raises(ValueError):
-        ops.conv2d(x, t(np.ones((3, 3, 2, 4))))  # channel mismatch
+        ops.conv2d(x, t(np.ones((3, 3, 2, 4))), t(np.zeros(4)))  # channel mismatch
     with pytest.raises(ValueError):
-        ops.max_pool2d(t(np.ones((1, 5, 4, 1))), 2)  # odd extent
+        ops.max_pool2d(t(np.ones((1, 5, 4, 1))))  # odd extent
     with pytest.raises(ValueError):
         ops.matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
