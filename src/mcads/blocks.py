@@ -63,13 +63,15 @@ class BatchNorm:
         self.var = store.create(f"{prefix}.var", (c,), "ones", trainable=False)
         self.momentum = cfg.bn_momentum
 
-    def __call__(self, x, train: bool):
+    def __call__(self, x, train: bool, act: str | None = None):
+        """BN of x, then act ("relu" or "leaky_relu") in the same pass."""
         return ops.batch_norm(x, self.gamma, self.beta, self.mean, self.var,
-                              train=train, momentum=self.momentum)
+                              train=train, momentum=self.momentum, act=act)
 
 
 class ConvBlock:
-    """CB: depthwise 3x3 -> BN -> LeakyReLU -> 1x1 -> BN -> LeakyReLU."""
+    """CB: depthwise 3x3 -> BN -> LeakyReLU -> 1x1 -> BN -> LeakyReLU, each
+    LeakyReLU applied in its BN's own pass."""
 
     def __init__(self, store, prefix, cin: int, cout: int, cfg: BlockConfig):
         self.dwc = Conv2d(store, f"{prefix}.dwc", 3, cin, cin, groups=cin)
@@ -78,8 +80,8 @@ class ConvBlock:
         self.bn2 = BatchNorm(store, f"{prefix}.bn2", cout, cfg)
 
     def __call__(self, x, train: bool):
-        y = ops.leaky_relu(self.bn1(self.dwc(x), train))
-        return ops.leaky_relu(self.bn2(self.pwc(y), train))
+        y = self.bn1(self.dwc(x), train, "leaky_relu")
+        return self.bn2(self.pwc(y), train, "leaky_relu")
 
 
 class DepthToSpaceUpsample:

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import metrics, netpbm
 
@@ -142,6 +141,9 @@ def _ellipse(yy, xx, cy, cx, a, b, theta):
 
 
 def _synth_one(rng: np.random.Generator, hw: int):
+    # imported here, so only the synthetic set loads scipy.ndimage
+    from scipy.ndimage import gaussian_filter
+
     base = rng.uniform(0.15, 0.3)
     texture = gaussian_filter(rng.normal(0.0, 1.0, (hw, hw)), sigma=hw / 12)
     grain = rng.normal(0.0, 1.0, (hw, hw))

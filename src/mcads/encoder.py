@@ -38,14 +38,15 @@ class EncoderConfig:
 
 
 class _ConvUnit:
-    """conv3x3 (optional dilation) -> BN -> ReLU, the RSU workhorse."""
+    """conv3x3 (optional dilation) -> BN -> ReLU, the RSU workhorse; the ReLU
+    runs in the BN's own pass."""
 
     def __init__(self, store, prefix, cin, cout, dilation, cfg: BlockConfig):
         self.conv = Conv2d(store, f"{prefix}.conv", 3, cin, cout, dilation=dilation)
         self.bn = BatchNorm(store, f"{prefix}.bn", cout, cfg)
 
     def __call__(self, x, train):
-        return ops.relu(self.bn(self.conv(x), train))
+        return self.bn(self.conv(x), train, "relu")
 
 
 class RSU:

@@ -114,6 +114,18 @@ def _signed(*shape):
     return draw
 
 
+def _mirrored(*shape):
+    """_signed values for the first half of axis 0 and their negations for
+    the second: every channel's batch mean is 0, so batch norm keeps each
+    value's distance from zero."""
+    half = _signed(shape[0] // 2, *shape[1:])
+
+    def draw(rng):
+        h = half(rng)
+        return np.concatenate([h, -h])
+    return draw
+
+
 def _distinct(*shape):
     """All-distinct values: safe for max/min pooling argmax routing."""
     def draw(rng):
@@ -162,6 +174,12 @@ def primitive_cases():
           lambda rng: rng.uniform(0.5, 1.5, size=(3,)), _normal(3, scale=0.3),
           _fixed(_normal(3, scale=0.2)),
           _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(3,))))
+    # BN outputs at least ~0.05 from the activation's kink: beta is small
+    # against gamma times the normalized magnitudes, 0.1 and up
+    bn_act = (_mirrored(2, 4, 4, 3), lambda rng: rng.uniform(0.5, 1.5, size=(3,)),
+              lambda rng: rng.uniform(-0.02, 0.02, size=(3,)),
+              _fixed(lambda rng: np.zeros(3)),
+              _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(3,))))
     broadcast = (_normal(2, 3, 4, 5), _normal(2, 1, 1, 5), _normal(2, 3, 4, 1))
     rows = [
         ("conv2d", 10, ops.conv2d, _normal(2, 5, 5, 3),
@@ -174,6 +192,10 @@ def primitive_cases():
          _normal(4, scale=0.2)),
         ("batch_norm_train", 22, partial(ops.batch_norm, train=True), *bn),
         ("batch_norm_infer", 22, partial(ops.batch_norm, train=False), *bn),
+        *((f"batch_norm_{mode}_{act}", 23, partial(ops.batch_norm, train=train, act=act),
+           *bn_act)
+          for mode, train in (("train", True), ("infer", False))
+          for act in ("relu", "leaky_relu")),
         ("relu", 40, ops.relu, xs),
         ("leaky_relu", 41, ops.leaky_relu, xs),
         ("sigmoid", 42, ops.sigmoid, x),

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class EmptyMaskError(ValueError):
@@ -104,6 +103,9 @@ def boundary_pixels(mask) -> np.ndarray:
 
 
 def surface_metrics(pred, gt, spacing: float = 1.0) -> dict:
+    # imported here, so commands that score no surface never load scipy.spatial
+    from scipy.spatial import cKDTree
+
     p, g = _pair(pred, gt)
     pb, gb = boundary_pixels(p), boundary_pixels(g)
     if len(pb) == 0 or len(gb) == 0:

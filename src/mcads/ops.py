@@ -15,18 +15,21 @@ call per block; depthwise as a cache-blocked loop over the kernel taps.
 Both share one block plan. Input gradients are the forward's own kernel over
 the output gradient's 'same' canvas with the spatially flipped weights.
 Bilinear upsampling differentiates through two interpolation-matrix
-products. Train-mode batch norm uses the closed form of its gradient;
-eval-mode batch norm and leaky_relu compute in place in their one fresh
-output. Every op returns a C-contiguous array: a strided result changes the
-summation order of the BLAS calls downstream. This module is the one place
-for the numbers the architecture fixes, which no op takes as an argument:
-LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2 max pooling,
-depth-to-space by block 2, and softmax over the last axis.
+products. Train-mode batch norm uses the closed form of its gradient.
+Batch norm applies an optional relu or leaky_relu in place, in the pass that
+guards its output, with the standalone ops' float operations and gradients;
+eval-mode batch norm, relu and leaky_relu compute in place in their one
+fresh output. Every op returns a C-contiguous array: a strided result
+changes the summation order of the BLAS calls downstream. This module is
+the one place for the numbers the architecture fixes, which no op takes as
+an argument: LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2
+max pooling, depth-to-space by block 2, and softmax over the last axis.
 
 The memory-bound kernels run block by block, the blocks (of _block_plan,
 sized for a core's L2 cache) dealt between the calling thread and one
 worker thread per further core (_deal): the depthwise tap loop, forward and
-input gradient; eval-mode batch norm; relu and leaky_relu; the conv and
+input gradient; eval-mode batch norm with its activation, and train-mode
+batch norm's guard and activation pass; relu and leaky_relu; the conv and
 dense bias epilogue; and the bilinear forward, which writes its output rows
 from small reused scratch. The finite guard checks each block as it is
 finished, while it is still in cache, and the op raises only once every
@@ -166,6 +169,22 @@ def _deal(op: str | None, blocks, body, scratch: int = 0, dtype=None) -> None:
         wait(started)
     for f in started:
         f.result()
+
+
+# Elements per row of eval batch norm's 2-D views: a (C,) vector broadcast
+# over (pixels, C) restarts numpy's inner loop every C elements, which made
+# one pass about 1.6x slower at C = 64 than over rows of this length.
+_ROW_ELEMS = 1 << 14
+
+
+def _pixels_per_row(pixels: int, c: int) -> int:
+    """The largest power of two k dividing `pixels` with k * c at most
+    _ROW_ELEMS (at least 1): per-channel vectors tiled k times then line up
+    with the rows of a (pixels / k, k * c) view."""
+    k = 1
+    while 2 * k * c <= _ROW_ELEMS and 2 * k <= pixels and pixels % (2 * k) == 0:
+        k *= 2
+    return k
 
 
 def _row_blocks(*arrays):
@@ -399,14 +418,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, *, train: bool, momentum: float = 0.99) -> Tensor:
+               running_var: Tensor, *, train: bool, momentum: float = 0.99,
+               act: str | None = None) -> Tensor:
     """Per-channel batch normalization over the N, H, W axes with eps BN_EPS.
 
     Train mode normalizes with batch statistics, differentiates through them,
     and updates the (untracked) running stats in place with the given
     momentum. Inference mode uses the running stats only.
+
+    act "relu" or "leaky_relu" applies that activation in place, block by
+    block in the pass that guards the normalized output: the values and
+    gradients of the two ops chained, bit for bit, with one output and one
+    tape node fewer.
     """
     _require(x.ndim == 4, "batch_norm", f"input must be NHWC, got ndim {x.ndim}")
+    _require(act in (None, "relu", "leaky_relu"), "batch_norm", f"unknown act {act!r}")
     c = x.shape[3]
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
@@ -414,6 +440,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
     axes = (0, 1, 2)
     xd, gd = x.data, gamma.data
+
+    def activate(yb, buf):
+        # guarded before the activation, which would turn a -inf into 0
+        guard_finite("batch_norm", yb)
+        if act is not None:
+            scratch = None if buf is None else buf[:yb.size].reshape(yb.shape)
+            _rectify(act, yb, yb, scratch)
+        return yb
 
     if train:
         m = xd.size // c
@@ -427,8 +461,34 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         xhat *= ivar
         y = np.multiply(gd, xhat, out=sq)
         y += beta.data
+        (yv,), blocks = _row_blocks(y)
 
+        def body(s, buf):
+            return activate(yv[s], buf)
+    else:
+        mean = running_mean.data
+        ivar = 1.0 / np.sqrt(running_var.data + BN_EPS)
+        y = np.empty(xd.shape, xd.dtype)
+        pixels = xd.shape[0] * xd.shape[1] * xd.shape[2]
+        k = _pixels_per_row(pixels, c)
+        mean_t, ivar_t, gamma_t, beta_t = (np.tile(v, k)
+                                           for v in (mean, ivar, gd, beta.data))
+        (xv, yv), blocks = _row_blocks(*(a.reshape(pixels // k, k * c) for a in (xd, y)))
+
+        def body(s, buf):
+            yb = np.subtract(xv[s], mean_t, out=yv[s])
+            yb *= ivar_t
+            yb *= gamma_t
+            yb += beta_t
+            return activate(yb, buf)
+
+    rows = max((s.stop - s.start for s in blocks), default=0)
+    _deal(None, blocks, body, rows * yv.shape[1] if act == "leaky_relu" else 0, xd.dtype)
+    act_grad = _rectify_grad(act, y)
+
+    if train:
         def bwd(g):
+            g = act_grad(g)
             # recomputed rather than kept: the tape holds xd anyway
             xhat = xd - mu
             xhat *= ivar
@@ -440,55 +500,54 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             np.subtract(g, dx, out=dx)
             dx *= gd * ivar
             return dx, dgamma, dbeta
+    else:
+        def bwd(g):
+            g = act_grad(g)
+            xhat = (xd - mean) * ivar
+            return g * (gd * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-        return _emit("batch_norm", y, (x, gamma, beta), bwd)
-
-    mean, bd = running_mean.data, beta.data
-    ivar = 1.0 / np.sqrt(running_var.data + BN_EPS)
-    y = np.empty(xd.shape, xd.dtype)
-    (xv, yv), blocks = _row_blocks(xd, y)
-
-    def normalize(s, _):
-        yb = np.subtract(xv[s], mean, out=yv[s])
-        yb *= ivar
-        yb *= gd
-        yb += bd
-        return yb
-
-    _deal("batch_norm", blocks, normalize)
-
-    def bwd_infer(g):
-        xhat = (xd - mean) * ivar
-        return g * (gd * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-    return _emit("batch_norm", y, (x, gamma, beta), bwd_infer, True)
+    return _emit("batch_norm", y, (x, gamma, beta), bwd, True)
 
 
 # ---------------------------------------------------------------------------
 # activations
 
 
-def relu(x: Tensor) -> Tensor:
-    # the gradients of relu and leaky_relu read their output, so the input
-    # can be freed: y > 0 exactly when x > 0, for any slope in [0, 1]
+def _rectify(act: str, xb: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
+    """relu or leaky_relu of the block xb into out, which may be xb itself;
+    leaky_relu also writes buf, which must not be xb. The standalone ops and
+    batch norm's fused form all run these float operations."""
+    if act == "relu":
+        return np.maximum(xb, 0, out=out)
+    # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]
+    return np.maximum(xb, np.multiply(xb, LEAKY_SLOPE, out=buf), out=out)
+
+
+def _rectify_grad(act: str | None, y: np.ndarray):
+    """g -> the gradient at act's input, read from its output y; the
+    identity, which keeps no y, for act None. Reading the output lets the
+    input be freed: y > 0 exactly when x > 0, for any slope in [0, 1]."""
+    if act is None:
+        return lambda g: g
+    if act == "relu":
+        return lambda g: g * (y > 0)
+    return lambda g: g * np.maximum(y > 0, LEAKY_SLOPE, dtype=y.dtype)
+
+
+def _activation(act: str, x: Tensor) -> Tensor:
     y = np.empty(x.shape, x.dtype)
     (xv, yv), blocks = _row_blocks(x.data, y)
-    _deal("relu", blocks, lambda s, _: np.maximum(xv[s], 0, out=yv[s]))
-    return _emit("relu", y, (x,), lambda g: (g * (y > 0),), True)
+    _deal(act, blocks, lambda s, _: _rectify(act, xv[s], yv[s], yv[s]))
+    grad = _rectify_grad(act, y)
+    return _emit(act, y, (x,), lambda g: (grad(g),), True)
+
+
+def relu(x: Tensor) -> Tensor:
+    return _activation("relu", x)
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    y = np.empty(x.shape, x.dtype)
-    (xv, yv), blocks = _row_blocks(x.data, y)
-
-    def rectify(s, _):
-        # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]
-        xb = xv[s]
-        return np.maximum(xb, np.multiply(xb, LEAKY_SLOPE, out=yv[s]), out=yv[s])
-
-    _deal("leaky_relu", blocks, rectify)
-    return _emit("leaky_relu", y, (x,),
-                 lambda g: (g * np.maximum(y > 0, LEAKY_SLOPE, dtype=y.dtype),), True)
+    return _activation("leaky_relu", x)
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:

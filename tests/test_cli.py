@@ -6,6 +6,8 @@ import json
 import operator
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,19 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    """scipy.ndimage (the synthetic set) and scipy.spatial (surface
+    metrics) are imported by the functions that call them, so a command that
+    needs neither, such as predict, does not pay for loading them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcads.__file__)))
+    child = ("import sys, mcads.cli\n"
+             "print([m for m in sys.modules if m.split('.')[:2] in\n"
+             "       (['scipy', 'ndimage'], ['scipy', 'spatial'])])\n")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout == "[]\n"
 
 
 def test_usage_errors_exit_1(capsys):

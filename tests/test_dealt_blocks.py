@@ -36,7 +36,11 @@ DENSE_SHAPE = (16, 1001, 64)  # dense to 128 wide: blocks of token rows
 
 def _blocks(name):
     """The blocks ops._deal gets for case `name`'s output."""
-    if name in ("batch_norm", "leaky_relu", "relu"):
+    if name.startswith("batch_norm"):  # over rows of k pixels, as eval batch norm runs
+        n, h, w, c = ROWS_SHAPE
+        k = ops._pixels_per_row(n * h * w, c)
+        return ops._row_blocks(np.empty((n * h * w // k, k * c), np.float32))[1]
+    if name in ("leaky_relu", "relu"):
         return ops._row_blocks(np.empty(ROWS_SHAPE, np.float32))[1]
     if name == "dense":
         return ops._row_blocks(np.empty(DENSE_SHAPE[:2] + (128,), np.float32))[1]
@@ -69,9 +73,10 @@ def _run(name, a):
     depthwise conv also returns its input gradient, run by the same
     kernel)."""
     T = Tensor
-    if name == "batch_norm":
+    if name.startswith("batch_norm"):
+        act = name[len("batch_norm_"):] or None  # eval batch norm, fused or not
         return ops.batch_norm(T(a["x"]), T(a["gamma"]), T(a["beta"]), T(a["mean"]),
-                              T(a["var"]), train=False).data
+                              T(a["var"]), train=False, act=act).data
     if name == "leaky_relu":
         return ops.leaky_relu(T(a["x"])).data
     if name == "relu":
@@ -88,7 +93,8 @@ def _run(name, a):
     return np.concatenate([y.data.ravel(), x.grad.ravel()])
 
 
-CASES = ("batch_norm", "leaky_relu", "relu", "conv2d_dw", "bilinear_upsample", "dense")
+CASES = ("batch_norm", "batch_norm_relu", "batch_norm_leaky_relu", "leaky_relu", "relu",
+         "conv2d_dw", "bilinear_upsample", "dense")
 
 
 def _desk_final(images):
@@ -156,7 +162,8 @@ def test_non_finite_block_raises_the_ops_error(name, where):
     key = {"conv2d_dw": "dw_x", "bilinear_upsample": "up_x", "dense": "fc_x"}.get(name, "x")
     flat = a[key].reshape(-1)
     flat[0 if where == "first" else -1] = np.nan
-    op = "conv2d" if name == "conv2d_dw" else name
+    op = {"conv2d_dw": "conv2d", "batch_norm_relu": "batch_norm",
+          "batch_norm_leaky_relu": "batch_norm"}.get(name, name)
     with pytest.raises(NumericError, match=rf"^non-finite value produced by op '{op}'$"):
         _run(name, a)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcads import ops
-from mcads.tensor import NumericError, Tape, Tensor, count_macs
+from mcads.tensor import NumericError, Tape, Tensor, backward, count_macs
 
 
 def t(arr, grad=False, dtype=np.float32):
@@ -298,13 +298,17 @@ def test_finite_guard_passes_extremes_and_empty(dtype):
     assert ops.scale(Tensor(np.zeros((0, 3), dtype=dtype)), 1.0).shape == (0, 3)
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 6, 4), (1, 3, 5, 7), (2, 16, 16, 8)],
+                         ids=["4px-rows", "1px-rows", "one-row"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_eval_batch_norm_and_leaky_relu_bit_identical(dtype):
-    """The in-place forms round exactly like the plain expressions."""
+def test_eval_batch_norm_and_leaky_relu_bit_identical(dtype, shape):
+    """The in-place forms round exactly like the plain expressions, whether
+    eval batch norm's rows hold several pixels, one, or the whole map."""
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, 5, 6, 4)).astype(dtype)
-    gamma, beta, mean = (rng.normal(size=4).astype(dtype) for _ in range(3))
-    var = rng.uniform(0.1, 2.0, size=4).astype(dtype)
+    x = rng.normal(size=shape).astype(dtype)
+    c = shape[-1]
+    gamma, beta, mean = (rng.normal(size=c).astype(dtype) for _ in range(3))
+    var = rng.uniform(0.1, 2.0, size=c).astype(dtype)
     ivar = 1.0 / np.sqrt(var + ops.BN_EPS)
     y = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(mean),
                        Tensor(var), train=False).data
@@ -313,6 +317,62 @@ def test_eval_batch_norm_and_leaky_relu_bit_identical(dtype):
     y = ops.leaky_relu(Tensor(x)).data
     assert y.dtype == dtype
     assert np.array_equal(y, np.maximum(x, ops.LEAKY_SLOPE * x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [False, True], ids=["infer", "train"])
+@pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+def test_fused_batch_norm_equals_the_two_op_chain(act, train, dtype):
+    """batch_norm(..., act=act) gives the output, every gradient and the
+    running stats of batch_norm followed by the standalone op, bit for bit,
+    over a map of enough blocks to be dealt over up to 4 cores, with one
+    tape node where the chain has two."""
+    rng = np.random.default_rng(13)
+    shape = (4, 128, 65, 64)
+    arrays = [rng.normal(size=shape), rng.normal(size=64), rng.normal(size=64),
+              rng.normal(size=64), rng.uniform(0.1, 2.0, size=64)]
+    probe = Tensor(rng.normal(size=shape).astype(dtype))
+    runs = []
+    for fused in (True, False):
+        x, gamma, beta = (Tensor(a.astype(dtype), requires_grad=True) for a in arrays[:3])
+        mean, var = (Tensor(a.astype(dtype)) for a in arrays[3:])
+        with Tape() as tape:
+            if fused:
+                y = ops.batch_norm(x, gamma, beta, mean, var, train=train, act=act)
+            else:
+                y = getattr(ops, act)(ops.batch_norm(x, gamma, beta, mean, var,
+                                                     train=train))
+            nodes = len(tape)
+            loss = ops.reduce_sum(ops.mul(y, probe))
+        backward(tape, loss)
+        runs.append((nodes, [y.data, x.grad, gamma.grad, beta.grad, mean.data, var.data]))
+    (fused_nodes, fused), (chain_nodes, chain) = runs
+    assert (fused_nodes, chain_nodes) == (1, 2)
+    assert len(ops._row_blocks(fused[0])[1]) >= 4 * ops._DEAL_MIN_BLOCKS
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["infer", "train"])
+def test_fused_relu_keeps_a_batch_norm_inf_visible(train):
+    """A batch-norm output that overflows to -inf at one pixel, which relu
+    would turn into 0, still raises batch_norm's error when relu runs in
+    batch norm's pass: each block is guarded before its activation."""
+    x = np.zeros((1, 4, 4, 1), np.float32)
+    x[0, 0, 0, 0] = -4.0  # normalizes to about -4 in both modes; gamma 1e38
+    args = [t(x), t([1e38]), t([0.0]), t([0.0]), t([1.0])]
+    match = r"^non-finite value produced by op 'batch_norm'$"
+    with pytest.raises(NumericError, match=match), \
+            np.errstate(over="ignore"):  # the overflow is the point of the test
+        ops.batch_norm(*args, train=train, act="relu")
+
+
+def test_batch_norm_rejects_an_unknown_activation():
+    x = t(np.ones((1, 2, 2, 1)))
+    with pytest.raises(ValueError, match="^batch_norm: unknown act 'swish'$"):
+        ops.batch_norm(x, t([1.0]), t([0.0]), t([0.0]), t([1.0]), train=False,
+                       act="swish")
 
 
 def test_mac_counting_convolution():
