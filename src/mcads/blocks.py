@@ -69,19 +69,35 @@ class BatchNorm:
                               train=train, momentum=self.momentum, act=act)
 
 
-class ConvBlock:
-    """CB: depthwise 3x3 -> BN -> LeakyReLU -> 1x1 -> BN -> LeakyReLU, each
-    LeakyReLU applied in its BN's own pass."""
+class ConvBNAct:
+    """conv -> BN -> act ("relu" or "leaky_relu"), the unit CB and the RSU
+    are built from. Train mode runs the conv, then BN with the activation in
+    its pass (BN needs the whole map's batch statistics); eval mode runs
+    them all in the conv's bias pass, in place in the conv's one output."""
 
-    def __init__(self, store, prefix, cin: int, cout: int, cfg: BlockConfig):
-        self.dwc = Conv2d(store, f"{prefix}.dwc", 3, cin, cin, groups=cin)
-        self.bn1 = BatchNorm(store, f"{prefix}.bn1", cin, cfg)
-        self.pwc = Conv2d(store, f"{prefix}.pwc", 1, cin, cout)
-        self.bn2 = BatchNorm(store, f"{prefix}.bn2", cout, cfg)
+    def __init__(self, conv: Conv2d, bn: BatchNorm, act: str):
+        self.conv, self.bn, self.act = conv, bn, act
 
     def __call__(self, x, train: bool):
-        y = self.bn1(self.dwc(x), train, "leaky_relu")
-        return self.bn2(self.pwc(y), train, "leaky_relu")
+        conv, bn = self.conv, self.bn
+        if train:
+            return bn(conv(x), True, self.act)
+        return ops.conv2d(x, conv.w, conv.b, dilation=conv.dilation, groups=conv.groups,
+                          bn=(bn.gamma, bn.beta, bn.mean, bn.var), act=self.act)
+
+
+class ConvBlock:
+    """CB: depthwise 3x3 -> BN -> LeakyReLU -> 1x1 -> BN -> LeakyReLU, two
+    ConvBNAct units."""
+
+    def __init__(self, store, prefix, cin: int, cout: int, cfg: BlockConfig):
+        self.dw = ConvBNAct(Conv2d(store, f"{prefix}.dwc", 3, cin, cin, groups=cin),
+                            BatchNorm(store, f"{prefix}.bn1", cin, cfg), "leaky_relu")
+        self.pw = ConvBNAct(Conv2d(store, f"{prefix}.pwc", 1, cin, cout),
+                            BatchNorm(store, f"{prefix}.bn2", cout, cfg), "leaky_relu")
+
+    def __call__(self, x, train: bool):
+        return self.pw(self.dw(x, train), train)
 
 
 class DepthToSpaceUpsample:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .blocks import AttentionFusion, BatchNorm, BlockConfig, Conv2d, DualAttentionBlock
+from .blocks import (AttentionFusion, BatchNorm, BlockConfig, Conv2d, ConvBNAct,
+                     DualAttentionBlock)
 
 
 @dataclass
@@ -37,16 +38,12 @@ class EncoderConfig:
         return max(5, max(i + d - 2 for i, d in plain))
 
 
-class _ConvUnit:
-    """conv3x3 (optional dilation) -> BN -> ReLU, the RSU workhorse; the ReLU
-    runs in the BN's own pass."""
+class _ConvUnit(ConvBNAct):
+    """conv3x3 (optional dilation) -> BN -> ReLU, the RSU workhorse."""
 
     def __init__(self, store, prefix, cin, cout, dilation, cfg: BlockConfig):
-        self.conv = Conv2d(store, f"{prefix}.conv", 3, cin, cout, dilation=dilation)
-        self.bn = BatchNorm(store, f"{prefix}.bn", cout, cfg)
-
-    def __call__(self, x, train):
-        return self.bn(self.conv(x), train, "relu")
+        super().__init__(Conv2d(store, f"{prefix}.conv", 3, cin, cout, dilation=dilation),
+                         BatchNorm(store, f"{prefix}.bn", cout, cfg), "relu")
 
 
 class RSU:

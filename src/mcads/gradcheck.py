@@ -166,6 +166,10 @@ def _op_case(seed, op, *draws):
             [x for x in inputs if x.requires_grad])
 
 
+def _conv_bn(x, w, b, gamma, beta, mean, var, *, groups, act):
+    return ops.conv2d(x, w, b, groups=groups, bn=(gamma, beta, mean, var), act=act)
+
+
 def primitive_cases():
     """(name, case constructor) for every differentiable primitive."""
     x = _normal(2, 4, 4, 3)
@@ -180,6 +184,14 @@ def primitive_cases():
               lambda rng: rng.uniform(-0.02, 0.02, size=(3,)),
               _fixed(lambda rng: np.zeros(3)),
               _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(3,))))
+    # conv2d's fused eval batch norm: a beta of either sign, beyond gamma
+    # times the normalized conv outputs, keeps each channel on one side of
+    # the activation's kink
+    conv_bn = (_normal(2, 5, 5, 4), _normal(4, scale=0.2),
+               lambda rng: rng.uniform(0.05, 0.15, size=(4,)),
+               lambda rng: rng.uniform(2.5, 3.5, size=(4,)) * rng.choice([-1.0, 1.0], size=4),
+               _fixed(_normal(4, scale=0.2)),
+               _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(4,))))
     broadcast = (_normal(2, 3, 4, 5), _normal(2, 1, 1, 5), _normal(2, 3, 4, 1))
     rows = [
         ("conv2d", 10, ops.conv2d, _normal(2, 5, 5, 3),
@@ -195,6 +207,11 @@ def primitive_cases():
         *((f"batch_norm_{mode}_{act}", 23, partial(ops.batch_norm, train=train, act=act),
            *bn_act)
           for mode, train in (("train", True), ("infer", False))
+          for act in ("relu", "leaky_relu")),
+        *((f"conv2d{kind}_bn_infer_{act}", seed, partial(_conv_bn, groups=groups, act=act),
+           conv_bn[0], _normal(k, k, cg, 4, scale=0.3), *conv_bn[1:])
+          for kind, seed, k, cg, groups in (("", 18, 3, 4, 1), ("_1x1", 19, 1, 4, 1),
+                                            ("_depthwise", 20, 3, 1, 4))
           for act in ("relu", "leaky_relu")),
         ("relu", 40, ops.relu, xs),
         ("leaky_relu", 41, ops.leaky_relu, xs),

@@ -17,21 +17,25 @@ the output gradient's 'same' canvas with the spatially flipped weights.
 Bilinear upsampling differentiates through two interpolation-matrix
 products. Train-mode batch norm uses the closed form of its gradient.
 Batch norm applies an optional relu or leaky_relu in place, in the pass that
-guards its output, with the standalone ops' float operations and gradients;
-eval-mode batch norm, relu and leaky_relu compute in place in their one
-fresh output. Every op returns a C-contiguous array: a strided result
-changes the summation order of the BLAS calls downstream. This module is
-the one place for the numbers the architecture fixes, which no op takes as
-an argument: LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2
-max pooling, depth-to-space by block 2, and softmax over the last axis.
+normalizes and guards its output, with the standalone ops' float operations
+and gradients; batch norm, relu and leaky_relu compute in their one fresh
+output. conv2d applies an eval-mode batch norm and its activation the same
+way, in its bias pass, in place in its own output. Per-channel vectors are
+tiled along rows of whole pixels (_pixel_rows). Every op returns a
+C-contiguous array: a strided result changes the summation order of the
+BLAS calls downstream. This module is the one place for the numbers the
+architecture fixes, which no op takes as an argument: LeakyReLU slope
+0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2 max pooling, depth-to-space
+by block 2, and softmax over the last axis.
 
 The memory-bound kernels run block by block, the blocks (of _block_plan,
 sized for a core's L2 cache) dealt between the calling thread and one
 worker thread per further core (_deal): the depthwise tap loop, forward and
-input gradient; eval-mode batch norm with its activation, and train-mode
-batch norm's guard and activation pass; relu and leaky_relu; the conv and
-dense bias epilogue; and the bilinear forward, which writes its output rows
-from small reused scratch. The finite guard checks each block as it is
+input gradient; the conv and dense bias epilogue, with an eval conv's batch
+norm and activation; batch norm's normalize, guard and activation pass in
+both modes, and train-mode batch norm's two backward passes; relu and
+leaky_relu; and the bilinear forward, which writes its output rows from
+small reused scratch. The finite guard checks each block as it is
 finished, while it is still in cache, and the op raises only once every
 thread is done. Each output element gets the same float32 operations in the
 same order whichever thread runs it, so results are byte-identical to one
@@ -171,9 +175,10 @@ def _deal(op: str | None, blocks, body, scratch: int = 0, dtype=None) -> None:
         f.result()
 
 
-# Elements per row of eval batch norm's 2-D views: a (C,) vector broadcast
-# over (pixels, C) restarts numpy's inner loop every C elements, which made
-# one pass about 1.6x slower at C = 64 than over rows of this length.
+# Elements per row of the 2-D views that per-channel passes run over: a (C,)
+# vector broadcast over (pixels, C) restarts numpy's inner loop every C
+# elements, which made one pass about 1.6x slower at C = 64 than over rows
+# of this length.
 _ROW_ELEMS = 1 << 14
 
 
@@ -196,6 +201,32 @@ def _row_blocks(*arrays):
     _, blocks = _block_plan(1, rows, c * a.itemsize, _BLOCK_BYTES)
     return ([t.reshape(rows, c) for t in arrays],
             [slice(r, r + br) for _, _, r, br in blocks])
+
+
+def _pixel_rows(*arrays):
+    """The arrays, of one (..., C) shape, as 2-D arrays whose rows hold k
+    whole pixels (k of _pixels_per_row), views of the C-contiguous ones; the
+    row slices of their blocks; and tile(v), which repeats a (C,) vector k
+    times to line up with those rows."""
+    c = arrays[0].shape[-1]
+    pixels = arrays[0].size // max(c, 1)
+    k = _pixels_per_row(pixels, c)
+    views, blocks = _row_blocks(*(a.reshape(pixels // k, k * c) for a in arrays))
+
+    def tile(v):  # np.tile's result, at a quarter of its cost on small maps
+        out = np.empty((k, c), v.dtype)
+        out[...] = v
+        return out.reshape(-1)
+
+    return views, blocks, tile
+
+
+def _deal_rows(blocks, width: int, body, act: str | None, dtype) -> None:
+    """_deal over the row blocks of a view `width` wide, with the scratch
+    that act needs (leaky_relu's product) and no guard of its own: body
+    guards each block as it finishes it."""
+    rows = max((s.stop - s.start for s in blocks), default=0)
+    _deal(None, blocks, body, rows * width if act == "leaky_relu" else 0, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +396,64 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_grad):
-    """Check the operands' dtypes and the (width,) bias of an affine op
-    before any compute. Returns finish(y, bwd): it adds the bias in place to
-    the fresh output y and emits it; bwd(g) gives (dx, dw) and bias_grad(g)
-    the bias gradient."""
+def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_grad,
+                   bn=None, act: str | None = None):
+    """Check the operands' dtypes, the (width,) bias of an affine op and the
+    eval batch norm `bn` it may feed before any compute. Returns
+    finish(y, bwd, again): one dealt pass over y's pixel rows adds the bias
+    in place to the fresh output y and guards it, then applies bn and act
+    (batch norm's guard between them) in the same pass, and y is emitted;
+    bwd(g) gives (dx, dw), bias_grad(g) the bias gradient and again() the
+    output before its bias, which a taped backward through bn recomputes."""
     _same_dtype(op, x, w, b)
     _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
+    if bn is not None:
+        _check_bn(width, x, *bn, act)
+        gamma, beta, mean, var = (t.data for t in bn)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
 
-    def finish(y, bwd):
-        (yv,), blocks = _row_blocks(y)
-        _deal(op, blocks, lambda s, _: np.add(yv[s], b.data, out=yv[s]))
-        return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)), True)
+    def finish(y, bwd, again=None):
+        (yv,), blocks, tile = _pixel_rows(y)
+        bias = tile(b.data)
+        norm = () if bn is None else [tile(v) for v in (mean, ivar, gamma, beta)]
+
+        def body(s, buf):
+            yb = yv[s]
+            yb += bias
+            guard_finite(op, yb)
+            return _activate(act, _normalize(yb, yb, *norm), buf) if norm else yb
+
+        _deal_rows(blocks, yv.shape[1], body, act, y.dtype)
+        if bn is None:
+            return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)), True)
+        act_grad = _rectify_grad(act, y)
+
+        def fused_bwd(g):
+            # the pre-BN map never sits beside y: recomputed from the input
+            # the conv keeps anyway, bit for bit
+            z = again()
+            z += b.data
+            dz, dgamma, dbeta = _eval_bn_grad(act_grad(g), z, mean, ivar, gamma)
+            return (*bwd(dz), bias_grad(dz), dgamma, dbeta)
+
+        return _emit(op, y, (x, w, b, *bn[:2]), fused_bwd, True)
 
     return finish
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
-           groups: int = 1) -> Tensor:
+           groups: int = 1, bn=None, act: str | None = None) -> Tensor:
     """Stride-1 2D convolution with 'same' padding, NHWC input,
     (kh, kw, C_in/groups, C_out) weights and (C_out,) bias; kh, kw odd.
 
     groups is 1 (dense) or C_in (depthwise: a single-channel kernel axis and
     C_out == C_in); the model uses no other grouping.
+
+    bn, the (gamma, beta, running_mean, running_var) of the eval-mode batch
+    norm the output feeds, and act, "relu" or "leaky_relu" after it, are
+    applied block by block in the bias's pass, in place in the output: the
+    values, errors and gradients of conv2d then batch_norm(train=False,
+    act=act), bit for bit, with one map and one tape node instead of two.
     """
     _require(x.ndim == 4, "conv2d", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d", f"weights must be rank 4, got {w.ndim}")
@@ -400,21 +466,65 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
              "C_in with weights (kh, kw, 1, C_in)")
     _require(kh % 2 == kw % 2 == 1, "conv2d",
              f"kernel sides must be odd, got weights {w.shape}")
-    finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum)
+    _require(act is None or bn is not None, "conv2d", f"act {act!r} needs bn")
+    finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum, bn, act)
     xd, wd = x.data, w.data
     pad_h, pad_w = _conv_axis(kh, dilation), _conv_axis(kw, dilation)
-    y = _conv(_canvas(xd, pad_h, pad_w), wd, dilation, depthwise)
+
+    def correlate():
+        return _conv(_canvas(xd, pad_h, pad_w), wd, dilation, depthwise)
+
+    y = correlate()
     add_macs(n * h * wdt * kh * kw * cg * cout)
     # the backward rebuilds x's canvas rather than keep it alive on the tape
     wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
     return finish(y, lambda g: (
         _conv(_canvas(g, pad_h, pad_w), wf, dilation, depthwise),
         _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation,
-                          depthwise)))
+                          depthwise)), correlate)
 
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def _check_bn(c: int, x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+              running_var: Tensor, act: str | None) -> None:
+    """Batch norm's checks of its activation, and of its four vectors
+    against the C channels of the map it normalizes (x's dtype)."""
+    _require(act in (None, "relu", "leaky_relu"), "batch_norm", f"unknown act {act!r}")
+    for name, t in (("gamma", gamma), ("beta", beta),
+                    ("running_mean", running_mean), ("running_var", running_var)):
+        _require(t.shape == (c,), "batch_norm", f"{name} shape {t.shape} != ({c},)")
+    _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
+
+
+def _normalize(xb: np.ndarray, out: np.ndarray, mean, ivar, gamma, beta) -> np.ndarray:
+    """Batch norm of the block xb into out, which may be xb, with the
+    per-channel vectors tiled to its rows: both modes of batch_norm and
+    conv2d's fused form all run these float operations in this order."""
+    np.subtract(xb, mean, out=out)
+    out *= ivar
+    out *= gamma
+    out += beta
+    return out
+
+
+def _activate(act: str | None, yb: np.ndarray, buf) -> np.ndarray:
+    """Guard batch norm's finished block yb, then apply act to it in place;
+    buf is _deal's scratch, which leaky_relu writes."""
+    # guarded before the activation, which would turn a -inf into 0
+    guard_finite("batch_norm", yb)
+    if act is not None:
+        _rectify(act, yb, yb, None if buf is None else buf[:yb.size].reshape(yb.shape))
+    return yb
+
+
+def _eval_bn_grad(g: np.ndarray, z: np.ndarray, mean, ivar, gamma):
+    """Eval batch norm's (dz, dgamma, dbeta) at its input z, given the
+    gradient g at its output."""
+    xhat = (z - mean) * ivar
+    return g * (gamma * ivar), (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
@@ -427,84 +537,66 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     momentum. Inference mode uses the running stats only.
 
     act "relu" or "leaky_relu" applies that activation in place, block by
-    block in the pass that guards the normalized output: the values and
+    block in the pass that normalizes and guards the output: the values and
     gradients of the two ops chained, bit for bit, with one output and one
     tape node fewer.
     """
     _require(x.ndim == 4, "batch_norm", f"input must be NHWC, got ndim {x.ndim}")
-    _require(act in (None, "relu", "leaky_relu"), "batch_norm", f"unknown act {act!r}")
     c = x.shape[3]
-    for name, t in (("gamma", gamma), ("beta", beta),
-                    ("running_mean", running_mean), ("running_var", running_var)):
-        _require(t.shape == (c,), "batch_norm", f"{name} shape {t.shape} != ({c},)")
-    _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
-    axes = (0, 1, 2)
+    _check_bn(c, x, gamma, beta, running_mean, running_var, act)
     xd, gd = x.data, gamma.data
-
-    def activate(yb, buf):
-        # guarded before the activation, which would turn a -inf into 0
-        guard_finite("batch_norm", yb)
-        if act is not None:
-            scratch = None if buf is None else buf[:yb.size].reshape(yb.shape)
-            _rectify(act, yb, yb, scratch)
-        return yb
-
+    y = np.empty(xd.shape, xd.dtype)  # untouched, so unmapped, until normalized
+    (xv, yv), blocks, tile = _pixel_rows(xd, y)
     if train:
         m = xd.size // c
-        mu = _channel_sum(xd) / m
-        xhat = xd - mu
-        sq = np.square(xhat)
-        var = _channel_sum(sq) / m
-        running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mu
+        mean = _channel_sum(xd) / m
+        mean_t = tile(mean)
+        sq = np.subtract(xv, mean_t)
+        var = _channel_sum(np.square(sq, out=sq).reshape(xd.shape)) / m
+        del sq  # freed before y is written
+        running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mean
         running_var.data = momentum * running_var.data + (1.0 - momentum) * var
-        ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= ivar
-        y = np.multiply(gd, xhat, out=sq)
-        y += beta.data
-        (yv,), blocks = _row_blocks(y)
-
-        def body(s, buf):
-            return activate(yv[s], buf)
     else:
-        mean = running_mean.data
-        ivar = 1.0 / np.sqrt(running_var.data + BN_EPS)
-        y = np.empty(xd.shape, xd.dtype)
-        pixels = xd.shape[0] * xd.shape[1] * xd.shape[2]
-        k = _pixels_per_row(pixels, c)
-        mean_t, ivar_t, gamma_t, beta_t = (np.tile(v, k)
-                                           for v in (mean, ivar, gd, beta.data))
-        (xv, yv), blocks = _row_blocks(*(a.reshape(pixels // k, k * c) for a in (xd, y)))
-
-        def body(s, buf):
-            yb = np.subtract(xv[s], mean_t, out=yv[s])
-            yb *= ivar_t
-            yb *= gamma_t
-            yb += beta_t
-            return activate(yb, buf)
-
-    rows = max((s.stop - s.start for s in blocks), default=0)
-    _deal(None, blocks, body, rows * yv.shape[1] if act == "leaky_relu" else 0, xd.dtype)
+        mean, var = running_mean.data, running_var.data
+        mean_t = tile(mean)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
+    norm = [mean_t, *(tile(v) for v in (ivar, gd, beta.data))]
+    _deal_rows(blocks, yv.shape[1],
+               lambda s, buf: _activate(act, _normalize(xv[s], yv[s], *norm), buf),
+               act, xd.dtype)
     act_grad = _rectify_grad(act, y)
 
     if train:
         def bwd(g):
             g = act_grad(g)
-            # recomputed rather than kept: the tape holds xd anyway
-            xhat = xd - mu
-            xhat *= ivar
-            dbeta = _channel_sum(g)
-            dx = g * xhat
-            dgamma = _channel_sum(dx)
-            np.multiply(xhat, dgamma / m, out=dx)
-            dx += dbeta / m
-            np.subtract(g, dx, out=dx)
-            dx *= gd * ivar
-            return dx, dgamma, dbeta
+            (xv, gv), blocks, tile = _pixel_rows(xd, g)
+            mean_t, ivar_t = tile(mean), tile(ivar)
+            dx = np.empty(gv.shape, gv.dtype)
+
+            def xhat(s):
+                # recomputed, twice, rather than kept: the tape holds xd anyway
+                out = np.subtract(xv[s], mean_t, out=dx[s])
+                out *= ivar_t
+                return out
+
+            # dx holds g * xhat for dgamma's sum, then the input gradient
+            _deal(None, blocks, lambda s, _: np.multiply(xhat(s), gv[s], out=dx[s]))
+            dgamma, dbeta = _channel_sum(dx.reshape(xd.shape)), _channel_sum(g)
+            scale, shift, gain = tile(dgamma / m), tile(dbeta / m), tile(gd * ivar)
+
+            def grad(s, _):
+                out = xhat(s)
+                out *= scale
+                out += shift
+                np.subtract(gv[s], out, out=out)
+                out *= gain
+                return out
+
+            _deal(None, blocks, grad)
+            return dx.reshape(xd.shape), dgamma, dbeta
     else:
         def bwd(g):
-            g = act_grad(g)
-            xhat = (xd - mean) * ivar
-            return g * (gd * ivar), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+            return _eval_bn_grad(act_grad(g), xd, mean, ivar, gd)
 
     return _emit("batch_norm", y, (x, gamma, beta), bwd, True)
 
@@ -516,7 +608,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 def _rectify(act: str, xb: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
     """relu or leaky_relu of the block xb into out, which may be xb itself;
     leaky_relu also writes buf, which must not be xb. The standalone ops and
-    batch norm's fused form all run these float operations."""
+    the fused forms in batch_norm and conv2d all run these float operations."""
     if act == "relu":
         return np.maximum(xb, 0, out=out)
     # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]

@@ -82,6 +82,14 @@ class _Slot:
     def __init__(self):
         self.grad = None
 
+    def take(self):
+        """The gradient, leaving the slot empty. Passed straight to a
+        closure, it is the closure's alone (CPython 3.11 and later move a
+        call's arguments into the callee's frame), so a closure that rebinds
+        its argument frees the array there and then."""
+        g, self.grad = self.grad, None
+        return g
+
 
 class Tensor:
     """A numpy array plus its gradient, the tape that recorded it and, when
@@ -183,13 +191,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
         # rebinding these names releases the previous node's closure and
         # captures before this one fires
         slot, targets, node_backward = nodes.pop()
-        gout, slot.grad = slot.grad, None
-        if gout is None:
+        if slot.grad is not None:
+            _accumulate(targets, node_backward(slot.take()))
+
+
+def _accumulate(targets, grads) -> None:
+    """Add each of one node's gradients into its target; the loop's names
+    die with this call, so none keeps a gradient alive into the next node."""
+    for target, g in zip(targets, grads):
+        if g is None or target is None:
             continue
-        for target, g in zip(targets, node_backward(gout)):
-            if g is None or target is None:
-                continue
-            if target.grad is None:
-                target.grad = g
-            else:
-                target.grad = target.grad + g
+        if target.grad is None:
+            target.grad = g
+        else:
+            target.grad = target.grad + g

@@ -22,7 +22,7 @@ from mcads.network import SegmentationModel
 from mcads.params import (MAGIC, CheckpointMismatch, Parameter, ParameterStore,
                           adam_step, he_uniform, load_checkpoint,
                           save_checkpoint)
-from mcads.tensor import Tape, Tensor, backward, count_macs
+from mcads.tensor import Tape, Tensor, backward, count_macs, record
 
 
 def t(arr, grad=True, dtype=np.float64):
@@ -80,6 +80,30 @@ def test_tape_is_single_use():
         loss = ops.reduce_sum(ops.mul(x, x))
     backward(tape, loss)
     assert len(tape) == 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's "
+                           "stack until the call returns")
+def test_backward_hands_each_node_the_only_reference_to_its_gradient():
+    """A closure that rebinds its incoming gradient frees that array before
+    it returns: backward keeps no reference of its own, so a fused node's
+    incoming gradient need not sit beside the arrays its closure makes."""
+    x = t(np.ones((2, 3)))
+    freed = []
+
+    def bwd(g):
+        ref = weakref.ref(g)
+        g = g * 2.0
+        freed.append(ref() is None)
+        return (g,)
+
+    with Tape() as tape:
+        y = record("probe", Tensor(x.data * 3.0), (x,), bwd)
+        loss = ops.reduce_sum(ops.mul(ops.scale(y, 2.0), y))
+    backward(tape, loss)
+    assert freed == [True]
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 24.0))
 
 
 def test_no_tape_means_no_graph():

@@ -1,5 +1,7 @@
 """Block-level invariants: gates, attention rows, shapes, parameter counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,26 @@ def test_conv_block_shape():
     store = ParameterStore(seed=1)
     cb = ConvBlock(store, "cb", 3, 7, CFG)
     assert cb(t((2, 5, 6, 3), 10), train=True).shape == (2, 5, 6, 7)
+
+
+def test_eval_conv_block_writes_one_map_per_conv():
+    """An eval CB call's numpy allocations peak at about one map per conv:
+    each batch norm and LeakyReLU run in place in their conv's output. At
+    the peak, the depthwise conv's output sits beside its padded input
+    canvas (1.06 maps here) and its tap scratch; the two-op chains peaked
+    at 3.25 maps."""
+    store = ParameterStore(seed=0)
+    cb = ConvBlock(store, "cb", 32, 32, CFG)
+    x = t((4, 64, 64, 32), 12)
+    want = cb(x, train=False).data  # draws the weights and starts the thread pool
+    tracemalloc.start()
+    try:
+        y = cb(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.data.tobytes() == want.tobytes()
+    assert peak <= 2.5 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_channel_attention_gate_range_and_shape():

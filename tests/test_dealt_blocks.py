@@ -36,14 +36,11 @@ DENSE_SHAPE = (16, 1001, 64)  # dense to 128 wide: blocks of token rows
 
 def _blocks(name):
     """The blocks ops._deal gets for case `name`'s output."""
-    if name.startswith("batch_norm"):  # over rows of k pixels, as eval batch norm runs
-        n, h, w, c = ROWS_SHAPE
-        k = ops._pixels_per_row(n * h * w, c)
-        return ops._row_blocks(np.empty((n * h * w // k, k * c), np.float32))[1]
+    if name.startswith(("batch_norm", "conv_bn", "dense")):  # rows of k whole pixels
+        shape = DENSE_SHAPE[:2] + (128,) if name == "dense" else ROWS_SHAPE
+        return ops._pixel_rows(np.empty(shape, np.float32))[1]
     if name in ("leaky_relu", "relu"):
         return ops._row_blocks(np.empty(ROWS_SHAPE, np.float32))[1]
-    if name == "dense":
-        return ops._row_blocks(np.empty(DENSE_SHAPE[:2] + (128,), np.float32))[1]
     n, h, w, c = DW_SHAPE
     return ops._block_plan(n, h, w * c * 4, ops._BLOCK_BYTES)[1]
 
@@ -65,7 +62,8 @@ def _inputs(seed=0):
             "dw_x": t(*DW_SHAPE), "dw_w": t(3, 3, 1, DW_SHAPE[3]),
             "dw_b": t(DW_SHAPE[3]), "dw_g": t(*DW_SHAPE),
             "up_x": t(*UP_SHAPE), "fc_x": t(*DENSE_SHAPE), "fc_w": t(64, 128),
-            "fc_b": t(128)}
+            "fc_b": t(128), "w_kxk": t(3, 3, c, c), "w_1x1": t(1, 1, c, c),
+            "w_dw": t(3, 3, 1, c), "b": t(c)}
 
 
 def _run(name, a):
@@ -73,6 +71,11 @@ def _run(name, a):
     depthwise conv also returns its input gradient, run by the same
     kernel)."""
     T = Tensor
+    if name.startswith("conv_bn_"):  # conv, eval batch norm and act in one pass
+        kind, act = name[len("conv_bn_"):].split("_", 1)
+        bn = tuple(T(a[k]) for k in ("gamma", "beta", "mean", "var"))
+        return ops.conv2d(T(a["x"]), T(a[f"w_{kind}"]), T(a["b"]), bn=bn, act=act,
+                          groups=ROWS_SHAPE[3] if kind == "dw" else 1).data
     if name.startswith("batch_norm"):
         act = name[len("batch_norm_"):] or None  # eval batch norm, fused or not
         return ops.batch_norm(T(a["x"]), T(a["gamma"]), T(a["beta"]), T(a["mean"]),
@@ -94,7 +97,9 @@ def _run(name, a):
 
 
 CASES = ("batch_norm", "batch_norm_relu", "batch_norm_leaky_relu", "leaky_relu", "relu",
-         "conv2d_dw", "bilinear_upsample", "dense")
+         "conv2d_dw", "bilinear_upsample", "dense",
+         *(f"conv_bn_{kind}_{act}" for kind in ("kxk", "1x1", "dw")
+           for act in ("relu", "leaky_relu")))
 
 
 def _desk_final(images):
@@ -162,8 +167,8 @@ def test_non_finite_block_raises_the_ops_error(name, where):
     key = {"conv2d_dw": "dw_x", "bilinear_upsample": "up_x", "dense": "fc_x"}.get(name, "x")
     flat = a[key].reshape(-1)
     flat[0 if where == "first" else -1] = np.nan
-    op = {"conv2d_dw": "conv2d", "batch_norm_relu": "batch_norm",
-          "batch_norm_leaky_relu": "batch_norm"}.get(name, name)
+    op = ("conv2d" if name.startswith("conv") else
+          "batch_norm" if name.startswith("batch_norm") else name)
     with pytest.raises(NumericError, match=rf"^non-finite value produced by op '{op}'$"):
         _run(name, a)
 

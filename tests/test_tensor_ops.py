@@ -385,6 +385,75 @@ def test_batch_norm_rejects_an_unknown_activation():
                        act="swish")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["kxk", "1x1", "dw"])
+@pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+def test_fused_conv_epilogue_equals_the_chain(act, kind, dtype):
+    """conv2d(..., bn=, act=) gives the output of conv2d then eval
+    batch_norm(act=), bit for bit, with no tape and under one, where every
+    gradient matches too, from one tape node against two; over a map dealt
+    over two cores."""
+    rng = np.random.default_rng(17)
+    shape, c = (4, 128, 65, 32), 32
+    kernel, cg, groups = {"kxk": (3, c, 1), "1x1": (1, c, 1), "dw": (3, 1, c)}[kind]
+    arrays = [rng.normal(size=shape), rng.normal(size=(kernel, kernel, cg, c)) * 0.3,
+              *(rng.normal(size=c) for _ in range(4)), rng.uniform(0.1, 2.0, size=c)]
+    probe = Tensor(rng.normal(size=shape).astype(dtype))
+    runs = []
+    for fused in (True, False):
+        x, w, b, gamma, beta = (t(a, True, dtype) for a in arrays[:5])
+        mean, var = (t(a, False, dtype) for a in arrays[5:])
+
+        def forward():
+            if fused:
+                return ops.conv2d(x, w, b, groups=groups, bn=(gamma, beta, mean, var),
+                                  act=act)
+            return ops.batch_norm(ops.conv2d(x, w, b, groups=groups), gamma, beta, mean,
+                                  var, train=False, act=act)
+
+        untaped = forward().data
+        with Tape() as tape:
+            y = forward()
+            nodes = len(tape)
+            loss = ops.reduce_sum(ops.mul(y, probe))
+        backward(tape, loss)
+        runs.append((nodes, [untaped, y.data, x.grad, w.grad, b.grad, gamma.grad,
+                             beta.grad]))
+    (fused_nodes, fused), (chain_nodes, chain) = runs
+    assert (fused_nodes, chain_nodes) == (1, 2)
+    assert len(ops._pixel_rows(fused[0])[1]) >= 2 * ops._DEAL_MIN_BLOCKS
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fused_conv_epilogue_raises_each_ops_error():
+    """A non-finite conv output raises conv2d's error before batch norm runs
+    on it; a finite one that batch norm overflows to -inf raises
+    batch_norm's, though relu would turn it into 0."""
+    x = np.zeros((1, 4, 4, 1), np.float32)
+    x[0, 0, 0, 0] = -4.0
+    w = t(np.ones((1, 1, 1, 1)))
+    bn = (t([1e38]), t([0.0]), t([0.0]), t([1.0]))  # scales -4 past float32's range
+    with np.errstate(over="ignore"):  # the overflows are the point of the test
+        with pytest.raises(NumericError, match=r"^non-finite value produced by op 'conv2d'$"):
+            ops.conv2d(t(x), t(np.full((1, 1, 1, 1), 1e38)), t([0.0]), bn=bn, act="relu")
+        with pytest.raises(NumericError,
+                           match=r"^non-finite value produced by op 'batch_norm'$"):
+            ops.conv2d(t(x), w, t([0.0]), bn=bn, act="relu")
+
+
+def test_fused_conv_epilogue_rejects_what_batch_norm_rejects():
+    x, w, b = t(np.ones((1, 2, 2, 1))), t(np.ones((1, 1, 1, 2))), t(np.zeros(2))
+    bn = (t([1.0, 1.0]), t([0.0, 0.0]), t([0.0, 0.0]), t([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^conv2d: act 'relu' needs bn$"):
+        ops.conv2d(x, w, b, act="relu")
+    with pytest.raises(ValueError, match="^batch_norm: unknown act 'swish'$"):
+        ops.conv2d(x, w, b, bn=bn, act="swish")
+    with pytest.raises(ValueError, match=r"^batch_norm: beta shape \(1,\) != \(2,\)$"):
+        ops.conv2d(x, w, b, bn=(bn[0], t([0.0]), *bn[2:]), act="relu")
+
+
 def test_mac_counting_convolution():
     x = t(np.ones((1, 4, 4, 3)))
     w = t(np.ones((3, 3, 3, 8)))
