@@ -16,33 +16,33 @@ Both share one block plan. Input gradients are the forward's own kernel over
 the output gradient's 'same' canvas with the spatially flipped weights.
 Bilinear upsampling differentiates through two interpolation-matrix
 products. Train-mode batch norm uses the closed form of its gradient.
-Batch norm applies an optional relu or leaky_relu in place, in the pass that
-normalizes and guards its output, with the standalone ops' float operations
-and gradients; batch norm, relu and leaky_relu compute in their one fresh
-output. conv2d applies an eval-mode batch norm and its activation the same
-way, in its bias pass, in place in its own output. Per-channel vectors are
-tiled along rows of whole pixels (_pixel_rows). Every op returns a
-C-contiguous array: a strided result changes the summation order of the
-BLAS calls downstream. This module is the one place for the numbers the
-architecture fixes, which no op takes as an argument: LeakyReLU slope
-0.01, batch-norm eps 1e-3, BCE clamp 1e-7, 2x2 max pooling, depth-to-space
-by block 2, and softmax over the last axis.
+Every bias, batch-norm and activation forward is one elementwise pass,
+y = act(bn(x + bias)) (_epilogue), over rows of whole pixels with tiled
+per-channel vectors (_pixel_rows): conv2d and dense add their bias in their
+own output, an eval conv fusing batch norm and relu or leaky_relu after it;
+batch_norm, with or without an activation, and relu and leaky_relu write
+one fresh output. A fused form runs the standalone ops' float operations and
+gives their gradients. Every op returns a C-contiguous array: a strided
+result changes the summation order of the BLAS calls downstream. This module
+is the one place for the numbers the architecture fixes, which no op takes
+as an argument: LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7,
+2x2 max pooling, depth-to-space by block 2, and softmax over the last axis.
 
 The memory-bound kernels run block by block, the blocks (of _block_plan,
-sized for a core's L2 cache) dealt between the calling thread and one
-worker thread per further core (_deal): the depthwise tap loop, forward and
-input gradient; the conv and dense bias epilogue, with an eval conv's batch
-norm and activation; batch norm's normalize, guard and activation pass in
-both modes, and train-mode batch norm's two backward passes; relu and
-leaky_relu; and the bilinear forward, which writes its output rows from
-small reused scratch. The finite guard checks each block as it is
-finished, while it is still in cache, and the op raises only once every
-thread is done. Each output element gets the same float32 operations in the
-same order whichever thread runs it, so results are byte-identical to one
-core. Three things stay serial: the depthwise weight gradient and train-mode
-batch norm's channel statistics, whose sums run across blocks in a fixed
-order, and everything that calls BLAS, which already runs its own threads.
-Maps too small to give every thread several blocks run in the caller.
+sized for a core's L2 cache) dealt between the calling thread and one worker
+thread per further core (_deal): the depthwise tap loop, forward and input
+gradient; the epilogue; train-mode batch norm's two backward passes; and the
+bilinear forward, which writes its output rows from small reused scratch.
+Each body guards the block it finishes while it is still in cache, the
+epilogue stage by stage: the bias sum under the producing op, the normalized
+map under batch_norm before the activation (which would turn a -inf into 0),
+a lone activation under its own name. The op raises only once every thread
+is done. Each output element gets the same float32 operations in the same
+order whichever thread runs it, so results are byte-identical to one core.
+Three things stay serial: the depthwise weight gradient and train-mode batch
+norm's channel statistics, whose sums run across blocks in a fixed order,
+and everything that calls BLAS, which already runs its own threads. Maps too
+small to give every thread several blocks run in the caller.
 """
 
 from __future__ import annotations
@@ -132,16 +132,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
 
 
-def _deal(op: str | None, blocks, body, scratch: int = 0, dtype=None) -> None:
+def _deal(blocks, body, scratch: int = 0, dtype=None) -> None:
     """Run body(block, buf) for every block, each in one thread: in this one
     alone when there are fewer than _DEAL_MIN_BLOCKS per thread, else dealt,
     one at a time as each thread comes free, between this thread and the
     pool's workers. Each thread passes every block it takes the same `buf`,
-    an np.empty(scratch, dtype) made here (None when scratch is 0). body
-    returns the output it wrote; unless op is None the finite guard checks
-    that at once, while it is still in cache. Returns, or raises the first
-    failure, only once every thread is done, so no worker still writes into
-    an output its caller has dropped.
+    an np.empty(scratch, dtype) made here (None when scratch is 0). A body
+    that finishes an op's output guards what it wrote, while it is still in
+    cache. Returns, or raises the first failure, only once every thread is
+    done, so no worker still writes into an output its caller has dropped.
 
     A body must compute each output element from its inputs alone, so the
     results do not depend on which thread ran which block: work that sums
@@ -160,9 +159,7 @@ def _deal(op: str | None, blocks, body, scratch: int = 0, dtype=None) -> None:
                 block = next(todo, None)
             if block is None:
                 return
-            out = body(block, buf)
-            if op is not None:
-                guard_finite(op, out)
+            body(block, buf)
 
     futures = [pool.submit(part, buf) for buf in bufs[1:]]
     try:
@@ -192,41 +189,64 @@ def _pixels_per_row(pixels: int, c: int) -> int:
     return k
 
 
-def _row_blocks(*arrays):
-    """The arrays, of one shape, as 2-D views whose rows run along the last
-    axis, and the row slices of the blocks of _block_plan at _BLOCK_BYTES."""
+def _pixel_rows(*arrays):
+    """The arrays, of one (..., C) shape (a 0-d one is one pixel of one
+    channel), as 2-D arrays whose rows hold k whole pixels (k of
+    _pixels_per_row), views of the C-contiguous ones; the row slices of
+    their blocks of _block_plan at _BLOCK_BYTES; and tile(v), which repeats
+    a (C,) vector k times to line up with those rows."""
     a = arrays[0]
     c = a.shape[-1] if a.ndim else 1
-    rows = a.size // c if c else 0
-    _, blocks = _block_plan(1, rows, c * a.itemsize, _BLOCK_BYTES)
-    return ([t.reshape(rows, c) for t in arrays],
-            [slice(r, r + br) for _, _, r, br in blocks])
-
-
-def _pixel_rows(*arrays):
-    """The arrays, of one (..., C) shape, as 2-D arrays whose rows hold k
-    whole pixels (k of _pixels_per_row), views of the C-contiguous ones; the
-    row slices of their blocks; and tile(v), which repeats a (C,) vector k
-    times to line up with those rows."""
-    c = arrays[0].shape[-1]
-    pixels = arrays[0].size // max(c, 1)
+    pixels = a.size // max(c, 1)
     k = _pixels_per_row(pixels, c)
-    views, blocks = _row_blocks(*(a.reshape(pixels // k, k * c) for a in arrays))
+    rows = pixels // k
+    _, blocks = _block_plan(1, rows, k * c * a.itemsize, _BLOCK_BYTES)
 
     def tile(v):  # np.tile's result, at a quarter of its cost on small maps
         out = np.empty((k, c), v.dtype)
         out[...] = v
         return out.reshape(-1)
 
-    return views, blocks, tile
+    return ([t.reshape(rows, k * c) for t in arrays],
+            [slice(r, r + br) for _, _, r, br in blocks], tile)
 
 
-def _deal_rows(blocks, width: int, body, act: str | None, dtype) -> None:
-    """_deal over the row blocks of a view `width` wide, with the scratch
-    that act needs (leaky_relu's product) and no guard of its own: body
-    guards each block as it finishes it."""
+def _epilogue(op: str, x: np.ndarray, y: np.ndarray, bias=None, bn=(),
+              act: str | None = None) -> None:
+    """y = act(bn(x + bias)) in one pass dealt over the blocks of
+    _pixel_rows(x, y), each guarded stage by stage as the module docstring
+    says; every stage is optional and y may be x. bn is batch norm's (mean,
+    ivar, gamma, beta) vectors. leaky_relu writes its product to _deal's
+    scratch when it runs in place, else to y."""
+    (xv, yv), blocks, tile = _pixel_rows(x, y)
+    bias = None if bias is None else tile(bias)
+    bn = [tile(v) for v in bn]
+    lone = bias is None and not bn
+    in_place = act == "leaky_relu" and (y is x or not lone)
+
+    def body(s, buf):
+        src, out = xv[s], yv[s]
+        if bias is not None:
+            src = np.add(src, bias, out=out)
+            guard_finite(op, out)
+        if bn:
+            mean, ivar, gamma, beta = bn
+            src = np.subtract(src, mean, out=out)
+            out *= ivar
+            out *= gamma
+            out += beta
+            guard_finite("batch_norm", out)
+        if act == "relu":
+            np.maximum(src, 0, out=out)
+        elif act == "leaky_relu":
+            # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]
+            prod = buf[:out.size].reshape(out.shape) if in_place else out
+            np.maximum(src, np.multiply(src, LEAKY_SLOPE, out=prod), out=out)
+        if lone:
+            guard_finite(op, out)
+
     rows = max((s.stop - s.start for s in blocks), default=0)
-    _deal(None, blocks, body, rows * width if act == "leaky_relu" else 0, dtype)
+    _deal(blocks, body, rows * yv.shape[1] if in_place else 0, y.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +388,9 @@ def _conv(xp: np.ndarray, wd: np.ndarray, dilation: int,
                 np.multiply(win, wt[u, v], out=out)
             else:
                 out += np.multiply(win, wt[u, v], out=buf)
-        return out
 
     cap, blocks = _dw_plan(xp, oh, ow)
-    _deal(None, blocks, block_taps, cap * ow * c, xp.dtype)
+    _deal(blocks, block_taps, cap * ow * c, xp.dtype)
     return y
 
 
@@ -400,31 +419,21 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_gr
                    bn=None, act: str | None = None):
     """Check the operands' dtypes, the (width,) bias of an affine op and the
     eval batch norm `bn` it may feed before any compute. Returns
-    finish(y, bwd, again): one dealt pass over y's pixel rows adds the bias
-    in place to the fresh output y and guards it, then applies bn and act
-    (batch norm's guard between them) in the same pass, and y is emitted;
-    bwd(g) gives (dx, dw), bias_grad(g) the bias gradient and again() the
-    output before its bias, which a taped backward through bn recomputes."""
+    finish(y, bwd, again): the _epilogue of the bias, bn and act, in place
+    in the fresh output y, and y emitted; bwd(g) gives (dx, dw),
+    bias_grad(g) the bias gradient and again() the output before its bias,
+    which a taped backward through bn recomputes."""
     _same_dtype(op, x, w, b)
     _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
+    norm = ()
     if bn is not None:
         _check_bn(width, x, *bn, act)
         gamma, beta, mean, var = (t.data for t in bn)
-        ivar = 1.0 / np.sqrt(var + BN_EPS)
+        norm = (mean, 1.0 / np.sqrt(var + BN_EPS), gamma, beta)
 
     def finish(y, bwd, again=None):
-        (yv,), blocks, tile = _pixel_rows(y)
-        bias = tile(b.data)
-        norm = () if bn is None else [tile(v) for v in (mean, ivar, gamma, beta)]
-
-        def body(s, buf):
-            yb = yv[s]
-            yb += bias
-            guard_finite(op, yb)
-            return _activate(act, _normalize(yb, yb, *norm), buf) if norm else yb
-
-        _deal_rows(blocks, yv.shape[1], body, act, y.dtype)
-        if bn is None:
+        _epilogue(op, y, y, b.data, norm, act)
+        if not norm:
             return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)), True)
         act_grad = _rectify_grad(act, y)
 
@@ -433,7 +442,7 @@ def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_gr
             # the conv keeps anyway, bit for bit
             z = again()
             z += b.data
-            dz, dgamma, dbeta = _eval_bn_grad(act_grad(g), z, mean, ivar, gamma)
+            dz, dgamma, dbeta = _eval_bn_grad(act_grad(g), z, *norm[:3])
             return (*bwd(dz), bias_grad(dz), dgamma, dbeta)
 
         return _emit(op, y, (x, w, b, *bn[:2]), fused_bwd, True)
@@ -466,6 +475,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
              "C_in with weights (kh, kw, 1, C_in)")
     _require(kh % 2 == kw % 2 == 1, "conv2d",
              f"kernel sides must be odd, got weights {w.shape}")
+    _require(dilation >= 1, "conv2d", f"dilation must be >= 1, got {dilation}")
     _require(act is None or bn is not None, "conv2d", f"act {act!r} needs bn")
     finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum, bn, act)
     xd, wd = x.data, w.data
@@ -499,27 +509,6 @@ def _check_bn(c: int, x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tens
     _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
 
 
-def _normalize(xb: np.ndarray, out: np.ndarray, mean, ivar, gamma, beta) -> np.ndarray:
-    """Batch norm of the block xb into out, which may be xb, with the
-    per-channel vectors tiled to its rows: both modes of batch_norm and
-    conv2d's fused form all run these float operations in this order."""
-    np.subtract(xb, mean, out=out)
-    out *= ivar
-    out *= gamma
-    out += beta
-    return out
-
-
-def _activate(act: str | None, yb: np.ndarray, buf) -> np.ndarray:
-    """Guard batch norm's finished block yb, then apply act to it in place;
-    buf is _deal's scratch, which leaky_relu writes."""
-    # guarded before the activation, which would turn a -inf into 0
-    guard_finite("batch_norm", yb)
-    if act is not None:
-        _rectify(act, yb, yb, None if buf is None else buf[:yb.size].reshape(yb.shape))
-    return yb
-
-
 def _eval_bn_grad(g: np.ndarray, z: np.ndarray, mean, ivar, gamma):
     """Eval batch norm's (dz, dgamma, dbeta) at its input z, given the
     gradient g at its output."""
@@ -545,25 +534,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     c = x.shape[3]
     _check_bn(c, x, gamma, beta, running_mean, running_var, act)
     xd, gd = x.data, gamma.data
-    y = np.empty(xd.shape, xd.dtype)  # untouched, so unmapped, until normalized
-    (xv, yv), blocks, tile = _pixel_rows(xd, y)
     if train:
         m = xd.size // c
         mean = _channel_sum(xd) / m
-        mean_t = tile(mean)
-        sq = np.subtract(xv, mean_t)
+        (xv,), _, tile = _pixel_rows(xd)
+        sq = np.subtract(xv, tile(mean))
         var = _channel_sum(np.square(sq, out=sq).reshape(xd.shape)) / m
         del sq  # freed before y is written
         running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mean
         running_var.data = momentum * running_var.data + (1.0 - momentum) * var
     else:
         mean, var = running_mean.data, running_var.data
-        mean_t = tile(mean)
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    norm = [mean_t, *(tile(v) for v in (ivar, gd, beta.data))]
-    _deal_rows(blocks, yv.shape[1],
-               lambda s, buf: _activate(act, _normalize(xv[s], yv[s], *norm), buf),
-               act, xd.dtype)
+    y = np.empty(xd.shape, xd.dtype)
+    _epilogue("batch_norm", xd, y, bn=(mean, ivar, gd, beta.data), act=act)
     act_grad = _rectify_grad(act, y)
 
     if train:
@@ -580,7 +564,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                 return out
 
             # dx holds g * xhat for dgamma's sum, then the input gradient
-            _deal(None, blocks, lambda s, _: np.multiply(xhat(s), gv[s], out=dx[s]))
+            _deal(blocks, lambda s, _: np.multiply(xhat(s), gv[s], out=dx[s]))
             dgamma, dbeta = _channel_sum(dx.reshape(xd.shape)), _channel_sum(g)
             scale, shift, gain = tile(dgamma / m), tile(dbeta / m), tile(gd * ivar)
 
@@ -592,7 +576,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                 out *= gain
                 return out
 
-            _deal(None, blocks, grad)
+            _deal(blocks, grad)
             return dx.reshape(xd.shape), dgamma, dbeta
     else:
         def bwd(g):
@@ -603,16 +587,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
 # ---------------------------------------------------------------------------
 # activations
-
-
-def _rectify(act: str, xb: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
-    """relu or leaky_relu of the block xb into out, which may be xb itself;
-    leaky_relu also writes buf, which must not be xb. The standalone ops and
-    the fused forms in batch_norm and conv2d all run these float operations."""
-    if act == "relu":
-        return np.maximum(xb, 0, out=out)
-    # equals where(x > 0, x, LEAKY_SLOPE*x), the slope being in [0, 1]
-    return np.maximum(xb, np.multiply(xb, LEAKY_SLOPE, out=buf), out=out)
 
 
 def _rectify_grad(act: str | None, y: np.ndarray):
@@ -628,8 +602,7 @@ def _rectify_grad(act: str | None, y: np.ndarray):
 
 def _activation(act: str, x: Tensor) -> Tensor:
     y = np.empty(x.shape, x.dtype)
-    (xv, yv), blocks = _row_blocks(x.data, y)
-    _deal(act, blocks, lambda s, _: _rectify(act, xv[s], yv[s], yv[s]))
+    _epilogue(act, x.data, y, act=act)
     grad = _rectify_grad(act, y)
     return _emit(act, y, (x,), lambda g: (grad(g),), True)
 
@@ -745,6 +718,7 @@ def max_pool2d(x: Tensor) -> Tensor:
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     """Non-overlapping spatial mean pooling by an integer factor."""
+    _require(factor >= 1, "avg_pool2d", f"factor must be >= 1, got {factor}")
     xr, shape = _windows("avg_pool2d", x, factor)
     return _pool("avg_pool2d", x, xr, "mean", (2, 4), shape)
 
@@ -802,10 +776,10 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
         out *= wx0
         out += np.multiply(np.take(rows, j1, axis=2, out=cols, mode="clip"),
                            wx1, out=cols)
-        return out
+        guard_finite("bilinear_upsample", out)
 
     cap, blocks = _block_plan(n, oh, ow * c * xd.itemsize, _BLOCK_BYTES)
-    _deal("bilinear_upsample", blocks, interpolate, cap * (2 * w + ow) * c, xd.dtype)
+    _deal(blocks, interpolate, cap * (2 * w + ow) * c, xd.dtype)
 
     def bwd(g):
         ax = _interp_matrix(j0, j1, fx, w)

@@ -20,7 +20,7 @@ import pytest
 from mcads import ops
 from mcads.config import RunConfig
 from mcads.network import SegmentationModel
-from mcads.tensor import NumericError, Tape, Tensor, backward
+from mcads.tensor import NumericError, Tape, Tensor, backward, guard_finite
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
@@ -36,11 +36,10 @@ DENSE_SHAPE = (16, 1001, 64)  # dense to 128 wide: blocks of token rows
 
 def _blocks(name):
     """The blocks ops._deal gets for case `name`'s output."""
-    if name.startswith(("batch_norm", "conv_bn", "dense")):  # rows of k whole pixels
+    if name.startswith(("batch_norm", "conv_bn", "dense", "leaky_relu", "relu")):
+        # the epilogue's blocks of rows of k whole pixels
         shape = DENSE_SHAPE[:2] + (128,) if name == "dense" else ROWS_SHAPE
         return ops._pixel_rows(np.empty(shape, np.float32))[1]
-    if name in ("leaky_relu", "relu"):
-        return ops._row_blocks(np.empty(ROWS_SHAPE, np.float32))[1]
     n, h, w, c = DW_SHAPE
     return ops._block_plan(n, h, w * c * 4, ops._BLOCK_BYTES)[1]
 
@@ -183,10 +182,10 @@ def test_deal_returns_only_after_every_thread_is_done():
         inside.append(block)
         time.sleep(0.02)
         done.append(block)
-        return np.array([np.nan if block == 0 else 0.0])
+        guard_finite("probe", np.array([np.nan if block == 0 else 0.0]))
 
     with pytest.raises(NumericError, match="op 'probe'"):
-        ops._deal("probe", blocks, body)
+        ops._deal(blocks, body)
     assert sorted(done) == sorted(inside)
 
 

@@ -60,6 +60,21 @@ def test_conv2d_rejects_general_groups():
     assert macs["macs"] == 0
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("op, name, run", [
+    ("avg_pool2d", "factor", lambda x, v: ops.avg_pool2d(x, v)),
+    ("bilinear_upsample", "factor", lambda x, v: ops.bilinear_upsample(x, v)),
+    ("conv2d", "dilation",
+     lambda x, v: ops.conv2d(x, t(np.ones((3, 3, 2, 2))), t(np.zeros(2)), dilation=v)),
+], ids=["avg_pool2d", "bilinear_upsample", "conv2d"])
+def test_integer_arguments_below_one_rejected_before_compute(op, name, run, value):
+    x = t(np.ones((1, 4, 4, 2)))
+    with count_macs() as macs:
+        with pytest.raises(ValueError, match=f"^{op}: {name} must be >= 1, got {value}$"):
+            run(x, value)
+    assert macs["macs"] == 0
+
+
 def test_conv2d_dilation_matches_inserted_zeros():
     rng = np.random.default_rng(3)
     x = t(rng.normal(size=(1, 9, 9, 1)), dtype=np.float64)
@@ -358,7 +373,7 @@ def test_fused_batch_norm_equals_the_two_op_chain(act, train, dtype):
         runs.append((nodes, [y.data, x.grad, gamma.grad, beta.grad, mean.data, var.data]))
     (fused_nodes, fused), (chain_nodes, chain) = runs
     assert (fused_nodes, chain_nodes) == (1, 2)
-    assert len(ops._row_blocks(fused[0])[1]) >= 4 * ops._DEAL_MIN_BLOCKS
+    assert len(ops._pixel_rows(fused[0])[1]) >= 4 * ops._DEAL_MIN_BLOCKS
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
