@@ -72,8 +72,9 @@ class BatchNorm:
 class ConvBNAct:
     """conv -> BN -> act ("relu" or "leaky_relu"), the unit CB and the RSU
     are built from. Train mode runs the conv, then BN with the activation in
-    its pass (BN needs the whole map's batch statistics); eval mode runs
-    them all in the conv's bias pass, in place in the conv's one output."""
+    its pass (BN needs the whole map's batch statistics); eval mode hands
+    both to the conv: untaped, one pass in place in the conv's one output;
+    under a tape, the conv -> BN chain."""
 
     def __init__(self, conv: Conv2d, bn: BatchNorm, act: str):
         self.conv, self.bn, self.act = conv, bn, act

@@ -186,13 +186,17 @@ def synth_dataset(n: int, hw: int, rng: np.random.Generator):
 
 def paired_ids(dir_a, ext_a: str, dir_b, ext_b: str) -> list:
     """Sorted ids with both `dir_a/<id><ext_a>` and `dir_b/<id><ext_b>`; a
-    missing directory or an unpaired id raises FileNotFoundError naming it."""
+    missing directory, an unpaired id or no files on both sides raises
+    FileNotFoundError naming it."""
     sides = []
     for directory, ext in ((dir_a, ext_a), (dir_b, ext_b)):
         if not os.path.isdir(directory):
             raise FileNotFoundError(f"not a directory: {directory}")
         sides.append({f[:-len(ext)] for f in os.listdir(directory)
                       if f.endswith(ext)})
+    if not (sides[0] or sides[1]):
+        raise FileNotFoundError(f"no {ext_a} files in {dir_a} and no {ext_b} files "
+                                f"in {dir_b}")
     if sides[0] != sides[1]:
         raise FileNotFoundError(f"unpaired ids between {dir_a} and {dir_b}: "
                                 f"{sorted(sides[0] ^ sides[1])}")

@@ -184,9 +184,9 @@ def primitive_cases():
               lambda rng: rng.uniform(-0.02, 0.02, size=(3,)),
               _fixed(lambda rng: np.zeros(3)),
               _fixed(lambda rng: rng.uniform(0.5, 2.0, size=(3,))))
-    # conv2d's fused eval batch norm: a beta of either sign, beyond gamma
-    # times the normalized conv outputs, keeps each channel on one side of
-    # the activation's kink
+    # conv2d(bn=, act=) under a tape, which records the conv -> batch_norm
+    # chain: a beta of either sign, beyond gamma times the normalized conv
+    # outputs, keeps each channel on one side of the activation's kink
     conv_bn = (_normal(2, 5, 5, 4), _normal(4, scale=0.2),
                lambda rng: rng.uniform(0.05, 0.15, size=(4,)),
                lambda rng: rng.uniform(2.5, 3.5, size=(4,)) * rng.choice([-1.0, 1.0], size=4),

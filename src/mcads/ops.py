@@ -19,14 +19,15 @@ products. Train-mode batch norm uses the closed form of its gradient.
 Every bias, batch-norm and activation forward is one elementwise pass,
 y = act(bn(x + bias)) (_epilogue), over rows of whole pixels with tiled
 per-channel vectors (_pixel_rows): conv2d and dense add their bias in their
-own output, an eval conv fusing batch norm and relu or leaky_relu after it;
-batch_norm, with or without an activation, and relu and leaky_relu write
-one fresh output. A fused form runs the standalone ops' float operations and
-gives their gradients. Every op returns a C-contiguous array: a strided
-result changes the summation order of the BLAS calls downstream. This module
-is the one place for the numbers the architecture fixes, which no op takes
-as an argument: LeakyReLU slope 0.01, batch-norm eps 1e-3, BCE clamp 1e-7,
-2x2 max pooling, depth-to-space by block 2, and softmax over the last axis.
+own output, an untaped eval conv fusing batch norm and relu or leaky_relu
+after it (under a tape, the call is the conv -> batch_norm chain, so each
+gradient has one form); batch_norm, with or without an activation, and
+relu and leaky_relu write one fresh output. Every op returns a C-contiguous
+array: a strided result changes the summation order of the BLAS calls
+downstream. This module is the one place for the numbers the architecture
+fixes, which no op takes as an argument: LeakyReLU slope 0.01, batch-norm
+eps 1e-3, BCE clamp 1e-7, 2x2 max pooling, depth-to-space by block 2, and
+softmax over the last axis.
 
 The memory-bound kernels run block by block, the blocks (of _block_plan,
 sized for a core's L2 cache) dealt between the calling thread and one worker
@@ -53,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .tensor import Tensor, add_macs, guard_finite, record
+from .tensor import Tensor, add_macs, guard_finite, record, recording
 
 LEAKY_SLOPE = 0.01
 BN_EPS = 1e-3
@@ -415,41 +416,6 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def _bias_epilogue(op: str, x: Tensor, w: Tensor, b: Tensor, width: int, bias_grad,
-                   bn=None, act: str | None = None):
-    """Check the operands' dtypes, the (width,) bias of an affine op and the
-    eval batch norm `bn` it may feed before any compute. Returns
-    finish(y, bwd, again): the _epilogue of the bias, bn and act, in place
-    in the fresh output y, and y emitted; bwd(g) gives (dx, dw),
-    bias_grad(g) the bias gradient and again() the output before its bias,
-    which a taped backward through bn recomputes."""
-    _same_dtype(op, x, w, b)
-    _require(b.shape == (width,), op, f"bias shape {b.shape} != ({width},)")
-    norm = ()
-    if bn is not None:
-        _check_bn(width, x, *bn, act)
-        gamma, beta, mean, var = (t.data for t in bn)
-        norm = (mean, 1.0 / np.sqrt(var + BN_EPS), gamma, beta)
-
-    def finish(y, bwd, again=None):
-        _epilogue(op, y, y, b.data, norm, act)
-        if not norm:
-            return _emit(op, y, (x, w, b), lambda g: (*bwd(g), bias_grad(g)), True)
-        act_grad = _rectify_grad(act, y)
-
-        def fused_bwd(g):
-            # the pre-BN map never sits beside y: recomputed from the input
-            # the conv keeps anyway, bit for bit
-            z = again()
-            z += b.data
-            dz, dgamma, dbeta = _eval_bn_grad(act_grad(g), z, *norm[:3])
-            return (*bwd(dz), bias_grad(dz), dgamma, dbeta)
-
-        return _emit(op, y, (x, w, b, *bn[:2]), fused_bwd, True)
-
-    return finish
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
            groups: int = 1, bn=None, act: str | None = None) -> Tensor:
     """Stride-1 2D convolution with 'same' padding, NHWC input,
@@ -459,10 +425,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
     C_out == C_in); the model uses no other grouping.
 
     bn, the (gamma, beta, running_mean, running_var) of the eval-mode batch
-    norm the output feeds, and act, "relu" or "leaky_relu" after it, are
-    applied block by block in the bias's pass, in place in the output: the
-    values, errors and gradients of conv2d then batch_norm(train=False,
-    act=act), bit for bit, with one map and one tape node instead of two.
+    norm the output feeds, and act, "relu" or "leaky_relu" after it, give
+    conv2d then batch_norm(train=False, act=act), bit for bit. Untaped (an
+    inference-only form), they run block by block in the bias's pass, in
+    place in the output: one map instead of two. Under a tape with a tracked
+    input, the call is that chain, its two nodes and their gradients.
     """
     _require(x.ndim == 4, "conv2d", f"input must be NHWC, got ndim {x.ndim}")
     _require(w.ndim == 4, "conv2d", f"weights must be rank 4, got {w.ndim}")
@@ -477,21 +444,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, dilation: int = 1,
              f"kernel sides must be odd, got weights {w.shape}")
     _require(dilation >= 1, "conv2d", f"dilation must be >= 1, got {dilation}")
     _require(act is None or bn is not None, "conv2d", f"act {act!r} needs bn")
-    finish = _bias_epilogue("conv2d", x, w, b, cout, _channel_sum, bn, act)
+    _same_dtype("conv2d", x, w, b)
+    _require(b.shape == (cout,), "conv2d", f"bias shape {b.shape} != ({cout},)")
+    norm = ()
+    if bn is not None:
+        _check_bn(cout, x, *bn, act)
+        if recording((x, w, b, *bn[:2])):
+            return batch_norm(conv2d(x, w, b, dilation=dilation, groups=groups), *bn,
+                              train=False, act=act)
+        gamma, beta, mean, var = (t.data for t in bn)
+        norm = (mean, 1.0 / np.sqrt(var + BN_EPS), gamma, beta)
     xd, wd = x.data, w.data
     pad_h, pad_w = _conv_axis(kh, dilation), _conv_axis(kw, dilation)
-
-    def correlate():
-        return _conv(_canvas(xd, pad_h, pad_w), wd, dilation, depthwise)
-
-    y = correlate()
+    y = _conv(_canvas(xd, pad_h, pad_w), wd, dilation, depthwise)
     add_macs(n * h * wdt * kh * kw * cg * cout)
+    _epilogue("conv2d", y, y, b.data, norm, act)
     # the backward rebuilds x's canvas rather than keep it alive on the tape
     wf = wd[::-1, ::-1] if depthwise else wd[::-1, ::-1].transpose(0, 1, 3, 2)
-    return finish(y, lambda g: (
+    return _emit("conv2d", y, (x, w, b), lambda g: (
         _conv(_canvas(g, pad_h, pad_w), wf, dilation, depthwise),
-        _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation,
-                          depthwise)), correlate)
+        _conv_weight_grad(_canvas(xd, pad_h, pad_w), g, kh, kw, dilation, depthwise),
+        _channel_sum(g)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +480,6 @@ def _check_bn(c: int, x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tens
                     ("running_mean", running_mean), ("running_var", running_var)):
         _require(t.shape == (c,), "batch_norm", f"{name} shape {t.shape} != ({c},)")
     _same_dtype("batch_norm", x, gamma, beta, running_mean, running_var)
-
-
-def _eval_bn_grad(g: np.ndarray, z: np.ndarray, mean, ivar, gamma):
-    """Eval batch norm's (dz, dgamma, dbeta) at its input z, given the
-    gradient g at its output."""
-    xhat = (z - mean) * ivar
-    return g * (gamma * ivar), (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
@@ -580,7 +546,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             return dx.reshape(xd.shape), dgamma, dbeta
     else:
         def bwd(g):
-            return _eval_bn_grad(act_grad(g), xd, mean, ivar, gd)
+            g = act_grad(g)
+            xhat = (xd - mean) * ivar
+            return g * (gd * ivar), (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
 
     return _emit("batch_norm", y, (x, gamma, beta), bwd, True)
 
@@ -828,13 +796,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _require(w.ndim == 2, "dense", f"weights must be rank 2, got {w.ndim}")
     _require(x.shape[-1] == w.shape[0], "dense",
              f"input width {x.shape[-1]} != weight rows {w.shape[0]}")
+    _same_dtype("dense", x, w, b)
+    _require(b.shape == w.shape[1:], "dense", f"bias shape {b.shape} != ({w.shape[1]},)")
     lead = tuple(range(x.ndim - 1))
-    finish = _bias_epilogue("dense", x, w, b, w.shape[1],
-                            lambda g: g.sum(axis=lead))
     xd, wd = x.data, w.data
     y = xd @ wd
     add_macs(x.size // x.shape[-1] * w.shape[0] * w.shape[1])
-    return finish(y, lambda g: (g @ wd.T, np.tensordot(xd, g, axes=(lead, lead))))
+    _epilogue("dense", y, y, b.data)
+    return _emit("dense", y, (x, w, b), lambda g: (
+        g @ wd.T, np.tensordot(xd, g, axes=(lead, lead)), g.sum(axis=lead)), True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -152,18 +152,23 @@ class Tape:
         return False
 
 
+def recording(inputs) -> bool:
+    """Whether a tape is active and some input is tracked (record's test)."""
+    return _TAPE.get() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, out: Tensor, inputs, backward) -> Tensor:
     """Register one executed primitive `op` on the active tape.
 
     `backward` maps the output gradient to a tuple of per-input gradients
-    (None for inputs that get nothing). No-op unless a tape is active and
-    some input is tracked. The node keeps no Tensor: `out` gets a fresh
-    slot, and each input is targeted through its slot if this tape produced
-    it, as itself if it is a tracked leaf, and not at all otherwise.
+    (None for inputs that get nothing). No-op unless recording(inputs).
+    The node keeps no Tensor: `out` gets a fresh slot, and each input is
+    targeted through its slot if this tape produced it, as itself if it is
+    a tracked leaf, and not at all otherwise.
     """
-    tape = _TAPE.get()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if not recording(inputs):
         return out
+    tape = _TAPE.get()
     out.requires_grad = True
     out.tape = tape
     out.slot = _Slot()

@@ -1,6 +1,7 @@
 """Tape mechanics, parameter store, Adam, checkpoints, and gradient checks."""
 
 import collections
+import contextlib
 import gc
 import inspect
 import math
@@ -22,7 +23,7 @@ from mcads.network import SegmentationModel
 from mcads.params import (MAGIC, CheckpointMismatch, Parameter, ParameterStore,
                           adam_step, he_uniform, load_checkpoint,
                           save_checkpoint)
-from mcads.tensor import Tape, Tensor, backward, count_macs, record
+from mcads.tensor import Tape, Tensor, backward, count_macs, record, recording
 
 
 def t(arr, grad=True, dtype=np.float64):
@@ -169,6 +170,18 @@ def test_untracked_inputs_not_recorded():
     with Tape() as tape:
         ops.mul(x, x)
     assert len(tape) == 0
+
+
+@pytest.mark.parametrize("taped, tracked", [(False, True), (True, False), (True, True)],
+                         ids=["no-tape", "untracked", "tracked-leaf"])
+def test_recording_says_whether_record_appends_a_node(taped, tracked):
+    inputs = (Tensor(np.ones(3)), Tensor(np.ones(3), requires_grad=tracked))
+    with Tape() if taped else contextlib.nullcontext() as tape:
+        said = recording(inputs)
+        out = record("probe", Tensor(np.ones(3)), inputs, lambda g: (g, g))
+    assert said == (taped and tracked) == out.requires_grad
+    if taped:
+        assert len(tape) == said
 
 
 def test_grad_dtype_follows_tensor():

@@ -501,6 +501,29 @@ def test_missing_files_exit_2(desk_json, tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_with_no_masks_exits_2(tmp_path, capsys):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    (pred_dir / "notes.txt").write_text("not a mask\n")
+    code, out, err = run(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"data error: no .pgm files in {pred_dir} and no .pgm files "
+                   f"in {gt_dir}\n")
+
+
+def test_train_on_an_empty_data_root_exits_2_before_writing(desk_json, tmp_path,
+                                                            capsys):
+    root, out_dir = tmp_path / "ds", tmp_path / "run"
+    (root / "images").mkdir(parents=True), (root / "masks").mkdir()
+    code, out, err = run(["train", "--config", desk_json, "--out", str(out_dir),
+                          "--set", f'data.root="{root}"'], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"data error: no .ppm files in {root / 'images'} and no .pgm "
+                   f"files in {root / 'masks'}\n")
+    assert not out_dir.exists()
+
+
 def _one_sample_dataset(root, channels=3, mask=None):
     """Sample g, 64x64; a one-channel image is a P5 file named .ppm."""
     (root / "images").mkdir(parents=True), (root / "masks").mkdir()

@@ -1,10 +1,12 @@
 """Forward semantics of the tensor primitives."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from mcads import ops
-from mcads.tensor import NumericError, Tape, Tensor, backward, count_macs
+from mcads.tensor import NumericError, Tape, Tensor, backward, count_macs, record
 
 
 def t(arr, grad=False, dtype=np.float32):
@@ -403,17 +405,23 @@ def test_batch_norm_rejects_an_unknown_activation():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["kxk", "1x1", "dw"])
 @pytest.mark.parametrize("act", ["relu", "leaky_relu"])
-def test_fused_conv_epilogue_equals_the_chain(act, kind, dtype):
-    """conv2d(..., bn=, act=) gives the output of conv2d then eval
-    batch_norm(act=), bit for bit, with no tape and under one, where every
-    gradient matches too, from one tape node against two; over a map dealt
-    over two cores."""
+def test_fused_conv_epilogue_equals_the_chain(act, kind, dtype, monkeypatch):
+    """Untaped, conv2d(..., bn=, act=) gives the output of conv2d then eval
+    batch_norm(act=), bit for bit, over a map dealt over two cores; under a
+    tape it records that chain's two nodes, and every gradient matches."""
     rng = np.random.default_rng(17)
     shape, c = (4, 128, 65, 32), 32
     kernel, cg, groups = {"kxk": (3, c, 1), "1x1": (1, c, 1), "dw": (3, 1, c)}[kind]
     arrays = [rng.normal(size=shape), rng.normal(size=(kernel, kernel, cg, c)) * 0.3,
               *(rng.normal(size=c) for _ in range(4)), rng.uniform(0.1, 2.0, size=c)]
     probe = Tensor(rng.normal(size=shape).astype(dtype))
+    recorded = []
+
+    def spy(op, out, inputs, bwd):
+        recorded.append(op)
+        return record(op, out, inputs, bwd)
+
+    monkeypatch.setattr(ops, "record", spy)
     runs = []
     for fused in (True, False):
         x, w, b, gamma, beta = (t(a, True, dtype) for a in arrays[:5])
@@ -427,15 +435,16 @@ def test_fused_conv_epilogue_equals_the_chain(act, kind, dtype):
                                   var, train=False, act=act)
 
         untaped = forward().data
+        recorded.clear()
         with Tape() as tape:
             y = forward()
-            nodes = len(tape)
+            nodes = (len(tape), tuple(recorded))
             loss = ops.reduce_sum(ops.mul(y, probe))
         backward(tape, loss)
         runs.append((nodes, [untaped, y.data, x.grad, w.grad, b.grad, gamma.grad,
                              beta.grad]))
     (fused_nodes, fused), (chain_nodes, chain) = runs
-    assert (fused_nodes, chain_nodes) == (1, 2)
+    assert fused_nodes == chain_nodes == (2, ("conv2d", "batch_norm"))
     assert len(ops._pixel_rows(fused[0])[1]) >= 2 * ops._DEAL_MIN_BLOCKS
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype == dtype
@@ -445,17 +454,24 @@ def test_fused_conv_epilogue_equals_the_chain(act, kind, dtype):
 def test_fused_conv_epilogue_raises_each_ops_error():
     """A non-finite conv output raises conv2d's error before batch norm runs
     on it; a finite one that batch norm overflows to -inf raises
-    batch_norm's, though relu would turn it into 0."""
+    batch_norm's, though relu would turn it into 0: untaped in the fused
+    pass, and under a tape with tracked inputs in the chain it records."""
     x = np.zeros((1, 4, 4, 1), np.float32)
     x[0, 0, 0, 0] = -4.0
-    w = t(np.ones((1, 1, 1, 1)))
-    bn = (t([1e38]), t([0.0]), t([0.0]), t([1.0]))  # scales -4 past float32's range
-    with np.errstate(over="ignore"):  # the overflows are the point of the test
-        with pytest.raises(NumericError, match=r"^non-finite value produced by op 'conv2d'$"):
-            ops.conv2d(t(x), t(np.full((1, 1, 1, 1), 1e38)), t([0.0]), bn=bn, act="relu")
-        with pytest.raises(NumericError,
-                           match=r"^non-finite value produced by op 'batch_norm'$"):
-            ops.conv2d(t(x), w, t([0.0]), bn=bn, act="relu")
+    for taped in (False, True):
+        w = t(np.ones((1, 1, 1, 1)), taped)
+        bn = (t([1e38], taped), t([0.0]), t([0.0]), t([1.0]))  # -4 past float32's range
+        with Tape() if taped else contextlib.nullcontext() as tape, \
+                np.errstate(over="ignore"):  # the overflows are the point of the test
+            with pytest.raises(NumericError,
+                               match=r"^non-finite value produced by op 'conv2d'$"):
+                ops.conv2d(t(x, taped), t(np.full((1, 1, 1, 1), 1e38), taped), t([0.0]),
+                           bn=bn, act="relu")
+            with pytest.raises(NumericError,
+                               match=r"^non-finite value produced by op 'batch_norm'$"):
+                ops.conv2d(t(x, taped), w, t([0.0]), bn=bn, act="relu")
+        if taped:  # the chain's conv node, recorded before batch norm raised
+            assert len(tape) == 1
 
 
 def test_fused_conv_epilogue_rejects_what_batch_norm_rejects():
