@@ -46,16 +46,21 @@ def _add_config(p):
 
 
 def _check_out_dirs(*paths) -> None:
-    """Raise naming the first output path whose directory is missing."""
+    """Raise naming the first output file path whose directory is missing
+    or that is a directory."""
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"{path}: parent directory does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
 
 
 def cmd_train(args) -> int:
     seeds = [] if args.seed is None else [f"train.seed={args.seed}",
                                           f"model.seed={args.seed}"]
     cfg = load_config(args.config, args.set + seeds)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise NotADirectoryError(f"{args.out}: exists and is not a directory")
     result = run_training(cfg, args.out)
     print(f"{result.steps} steps, final loss {result.final_loss:.6f}, "
           f"best {result.best_loss:.6f}")

@@ -120,12 +120,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return list(self._params)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mcads
-from mcads import cli, netpbm, params
+from mcads import cli, data, netpbm, params
 from mcads.cli import build_parser, main
 from mcads.config import (MAX_INPUT_SIDE, MAX_RLAB_ITERATIONS, MAX_STAGE_FILTERS,
                           MAX_SYNTH_N, ConfigError, RunConfig, _apply_dict,
@@ -456,12 +456,13 @@ def test_network_takes_model_config_from_config():
     assert mcads.ModelConfig is mcads.network.ModelConfig is mcads.config.ModelConfig
 
 
-@pytest.mark.parametrize("bad", ["out", "prob", "checkpoint", "huge"])
+@pytest.mark.parametrize("bad", ["out", "prob", "prob_dir", "checkpoint", "huge"])
 def test_predict_checks_its_paths_before_building_the_model(
         bad, desk_json, tmp_path, capsys, monkeypatch):
-    """A missing directory for --out or --prob, a missing --checkpoint, or
-    a huge one, whose header extents overflow int64, exits 2 naming the
-    path before the model is built, writing nothing."""
+    """A missing directory for --out or --prob, a --prob that is a
+    directory, a missing --checkpoint, or a huge one, whose header extents
+    overflow int64, exits 2 naming the path before the model is built,
+    writing nothing: no mask either."""
     cfg = load_config(desk_json)
     paths = {"out": tmp_path / "m.pgm", "prob": tmp_path / "p.pgm",
              "checkpoint": tmp_path / "init.mct"}
@@ -472,6 +473,9 @@ def test_predict_checks_its_paths_before_building_the_model(
     if bad == "huge":  # one float32 record "w" of shape (2**32 - 1, 2**32 - 1)
         paths["huge"] = paths["checkpoint"]
         paths["huge"].write_bytes(b"MCT1\1\0\0\0\1\0w\2" + b"\xff" * 8 + b"\0")
+    elif bad == "prob_dir":
+        paths["prob_dir"] = paths["prob"] = tmp_path / "pdir"
+        paths["prob"].mkdir()
     else:
         paths[bad] = tmp_path / "nodir" / paths[bad].name
     before = sorted(os.listdir(tmp_path))
@@ -612,12 +616,18 @@ def test_dataset_pair_mismatch_names_the_sample(desk_json, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys):
+def test_train_out_is_a_file_exits_2(desk_json, tmp_path, capsys, monkeypatch):
+    """The --out check runs before any sample is synthesized."""
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    code, _, err = run(["train", "--config", desk_json,
-                        "--set", "train.epochs=0", "--out", str(taken)], capsys)
-    assert code == 2
+
+    def no_synth(*args, **kwargs):
+        raise AssertionError("samples were synthesized")
+
+    monkeypatch.setattr(data, "synth_dataset", no_synth)
+    code, out, err = run(["train", "--config", desk_json,
+                          "--set", "train.epochs=0", "--out", str(taken)], capsys)
+    assert (code, out) == (2, "")
     assert err.startswith("data error:") and str(taken) in err
 
 
@@ -635,23 +645,8 @@ def test_allocation_failure_exits_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_eval_out_is_a_directory_exits_2(tmp_path, capsys):
-    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
-    pred_dir.mkdir(), gt_dir.mkdir()
-    box = np.zeros((8, 8, 1), np.float32)
-    box[2:6, 2:6] = 1.0
-    netpbm.write_mask(pred_dir / "a.pgm", box)
-    netpbm.write_mask(gt_dir / "a.pgm", box)
-    code, _, err = run(["eval", "--pred", str(pred_dir),
-                        "--gt", str(gt_dir), "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert err.startswith("data error:") and str(tmp_path) in err
-
-
-def test_eval_out_in_missing_dir_exits_2_before_scoring(tmp_path, capsys,
-                                                        monkeypatch):
+def _eval_out_exits_2_before_scoring(target, tmp_path, capsys, monkeypatch):
     pred_dir, gt_dir = _eval_dirs(tmp_path)
-    target = tmp_path / "nodir" / "r.json"
     before = sorted(os.listdir(tmp_path))
 
     def no_read(*args, **kwargs):
@@ -665,20 +660,31 @@ def test_eval_out_in_missing_dir_exits_2_before_scoring(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_eval_out_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    _eval_out_exits_2_before_scoring(tmp_path, tmp_path, capsys, monkeypatch)
+
+
+def test_eval_out_in_missing_dir_exits_2_before_scoring(tmp_path, capsys,
+                                                        monkeypatch):
+    _eval_out_exits_2_before_scoring(tmp_path / "nodir" / "r.json", tmp_path,
+                                     capsys, monkeypatch)
+
+
 def test_summary_json_in_missing_dir_exits_2_before_the_report(
         desk_json, tmp_path, capsys, monkeypatch):
-    target = tmp_path / "nodir" / "s.json"
+    """A --json in a missing directory, or one that is a directory."""
     before = sorted(os.listdir(tmp_path))
 
     def no_report(*args, **kwargs):
         raise AssertionError("the report was built")
 
     monkeypatch.setattr(cli.summary, "summary_report", no_report)
-    code, out, err = run(["summary", "--config", desk_json,
-                          "--json", str(target)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("data error:") and str(target) in err
-    assert sorted(os.listdir(tmp_path)) == before
+    for target in (tmp_path / "nodir" / "s.json", tmp_path):
+        code, out, err = run(["summary", "--config", desk_json,
+                              "--json", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("data error:") and str(target) in err
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_train_epoch_zero_checkpoint_is_init(desk_json, tmp_path, capsys):

@@ -9,6 +9,7 @@ so ops._deal runs every block in the calling thread there.
 
 import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from mcads.tensor import NumericError, Tape, Tensor, backward, guard_finite
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
+FINGERPRINT = os.path.join(HERE, os.pardir, "tools", "fingerprint.py")
 
 # Inputs whose outputs span enough blocks of ops._BLOCK_BYTES to be dealt
 # over up to 4 cores, the last block holding one row more than the first (a
@@ -132,6 +134,16 @@ def test_cases_span_every_core_and_end_ragged(name):
     assert len(blocks) >= ops._DEAL_MIN_BLOCKS * 4
     sizes = _sizes(blocks)
     assert sizes[-1] == sizes[0] + 1
+
+
+def test_fingerprint_dealt_maps_span_two_cores():
+    """tools/fingerprint.py's dealt_eval and dealt_train check the dealt
+    kernels only if their first-stage maps are dealt over two cores."""
+    fp = runpy.run_path(FINGERPRINT)
+    shape = (fp["BATCH"], fp["DEALT_SIDE"], fp["DEALT_SIDE"],
+             fp["dealt_config"]().encoder.stage_filters[0])
+    blocks = ops._pixel_rows(np.empty(shape, np.float32))[1]
+    assert len(blocks) >= 2 * ops._DEAL_MIN_BLOCKS
 
 
 @needs_affinity

@@ -122,7 +122,7 @@ def test_encoder_full_width_registry():
     store = ParameterStore(seed=0)
     Encoder(store, EncoderConfig(), CFG)
     assert store.count() > 10_000_000
-    assert "encoder.bridge.rsu.convin.conv.w" in store
+    assert "encoder.bridge.rsu.convin.conv.w" in store.names()
 
 
 def test_encoder_needs_six_stages():
