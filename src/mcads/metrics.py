@@ -14,10 +14,15 @@ pooled directed nearest-boundary distances in both directions; ASD is the
 mean of the same pool. Both are symmetric by construction. A boundary pixel
 that is also on the other mask's boundary is at distance 0 without a
 query; every other one gets its exact nearest distance from a KD-tree.
+The two directed sets (pred boundary to gt tree, and back) are dealt over
+two threads by ops._deal, each with its own H x W scratch mask and slice of
+the pool, so any core count gives the same bytes; only numpy and cKDTree
+run off the calling thread. A `spacing` must be finite and > 0.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,16 +108,22 @@ def boundary_pixels(mask) -> np.ndarray:
 
 
 def surface_metrics(pred, gt, spacing: float = 1.0) -> dict:
+    if not isinstance(spacing, numbers.Real) or not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be a finite number > 0, got {spacing!r}")
     # imported here, so commands that score no surface never load scipy.spatial
     from scipy.spatial import cKDTree
+
+    from .ops import _deal
 
     p, g = _pair(pred, gt)
     pb, gb = boundary_pixels(p), boundary_pixels(g)
     if len(pb) == 0 or len(gb) == 0:
         raise EmptyMaskError("surface distance undefined for an empty mask")
     pooled = np.zeros(len(pb) + len(gb))  # shared boundary pixels stay 0
-    on_other = np.empty(p.shape, bool)
-    for pts, other, out in ((pb, gb, pooled[:len(pb)]), (gb, pb, pooled[len(pb):])):
+
+    def direction(block, on_other):  # numpy and cKDTree only: no traced call
+        pts, other, out = block
+        on_other = on_other.reshape(p.shape)
         on_other.fill(False)
         on_other[other[:, 0], other[:, 1]] = True
         off = ~on_other[pts[:, 0], pts[:, 1]]
@@ -120,6 +131,9 @@ def surface_metrics(pred, gt, spacing: float = 1.0) -> dict:
             # sliding-midpoint splits build about twice as fast; queries stay exact
             tree = cKDTree(other, balanced_tree=False, compact_nodes=False)
             out[off] = tree.query(pts[off])[0]
+
+    _deal([(pb, gb, pooled[:len(pb)]), (gb, pb, pooled[len(pb):])], direction,
+          p.size, bool, min_blocks=1)
     pooled *= spacing
     return {
         "hd95": float(np.percentile(pooled, 95)),

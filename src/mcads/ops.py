@@ -42,8 +42,11 @@ is done. Each output element gets the same float32 operations in the same
 order whichever thread runs it, so results are byte-identical to one core.
 Three things stay serial: the depthwise weight gradient and train-mode batch
 norm's channel statistics, whose sums run across blocks in a fixed order,
-and everything that calls BLAS, which already runs its own threads. Maps too
-small to give every thread several blocks run in the caller.
+and everything that calls BLAS, which already runs its own threads. A map
+is dealt over only as many threads as get _DEAL_MIN_BLOCKS blocks each, so
+a small one runs in the caller. Outside this module, one caller deals with
+min_blocks=1: metrics.surface_metrics, whose two blocks are a mask pair's
+two directed KD-tree distance sets.
 """
 
 from __future__ import annotations
@@ -133,15 +136,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
 
 
-def _deal(blocks, body, scratch: int = 0, dtype=None) -> None:
-    """Run body(block, buf) for every block, each in one thread: in this one
-    alone when there are fewer than _DEAL_MIN_BLOCKS per thread, else dealt,
-    one at a time as each thread comes free, between this thread and the
-    pool's workers. Each thread passes every block it takes the same `buf`,
-    an np.empty(scratch, dtype) made here (None when scratch is 0). A body
-    that finishes an op's output guards what it wrote, while it is still in
-    cache. Returns, or raises the first failure, only once every thread is
-    done, so no worker still writes into an output its caller has dropped.
+def _deal(blocks, body, scratch: int = 0, dtype=None,
+          min_blocks: int = _DEAL_MIN_BLOCKS) -> None:
+    """Run body(block, buf) for every block, each in one thread: dealt, one
+    at a time as each thread comes free, between this thread and as many of
+    the pool's workers as leave each thread at least `min_blocks` blocks; in
+    this one alone when that is none of them. Every kernel here keeps the
+    default; metrics.surface_metrics passes min_blocks=1 for its two
+    directed distance sets. Each thread passes every block it takes the same
+    `buf`, an np.empty(scratch, dtype) made here (None when scratch is 0). A
+    body that finishes an op's output guards what it wrote, while it is
+    still in cache. Returns, or raises the first failure, only once every
+    thread is done, so no worker still writes into an output its caller has
+    dropped.
 
     A body must compute each output element from its inputs alone, so the
     results do not depend on which thread ran which block: work that sums
@@ -149,8 +156,7 @@ def _deal(blocks, body, scratch: int = 0, dtype=None) -> None:
     serial, and so does BLAS, which runs its own threads.
     """
     pool, workers = _executor()
-    dealt = pool is not None and len(blocks) >= _DEAL_MIN_BLOCKS * (workers + 1)
-    parts = workers + 1 if dealt else 1
+    parts = max(1, min(workers + 1, len(blocks) // min_blocks))
     bufs = [np.empty(scratch, dtype) if scratch else None for _ in range(parts)]
     lock, todo = threading.Lock(), iter(blocks)
 

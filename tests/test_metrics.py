@@ -1,14 +1,18 @@
 """Pixel and surface metrics against closed-form fixtures and brute force."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from mcads import netpbm
+from mcads import metrics, netpbm, ops
 from mcads.metrics import (ConfusionCounts, EmptyMaskError, boundary_pixels,
                            confusion, pixel_metrics, report, surface_metrics,
                            threshold)
@@ -190,6 +194,14 @@ def test_asd_bounded_by_directed_means():
     assert min(d_pg, d_gp) - 1e-12 <= got <= max(d_pg, d_gp) + 1e-12
 
 
+@pytest.mark.parametrize("spacing", [-1.0, 0.0, np.nan, np.inf, "1"])
+def test_surface_rejects_a_spacing_not_finite_and_positive(spacing):
+    a = np.zeros((6, 6), np.float32)
+    a[1, 1] = 1.0
+    with pytest.raises(ValueError, match="^spacing must be a finite number > 0"):
+        surface_metrics(a, a[::-1], spacing=spacing)
+
+
 def test_surface_raises_on_empty():
     empty = np.zeros((4, 4), np.float32)
     full = np.ones((4, 4), np.float32)
@@ -342,3 +354,64 @@ def test_boundary_pixels_match_argwhere_order():
         got, want = boundary_pixels(mask), reference_boundary(mask)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def dealt_pairs():
+    """Eight seeded 256x256 blob pairs, two of each kind, for report()."""
+    rng = np.random.default_rng(31)
+    kinds = ("shift", "dilate", "erode", "drop_add") * 2
+    return [(f"pair{i}", *blob_pair(rng, 256, kind)) for i, kind in enumerate(kinds)]
+
+
+def _cores():
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_dealt_report_equals_a_one_core_run(tmp_path):
+    """Each pair's two directed distance sets are dealt over two threads
+    here; a child pinned to one core scores them both in its one thread."""
+    if _cores() < 2:
+        pytest.skip("one core: both sides would run in one thread")
+    assert ops._executor()[1] == _cores() - 1
+    path = tmp_path / "one_core.json"
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
+    child = ("import os, json\n"
+             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "import test_metrics as t\n"
+             "from mcads import metrics, ops\n"
+             "assert ops._executor() == (None, 0)\n"
+             f"open({str(path)!r}, 'w').write(json.dumps(metrics.report(t.dealt_pairs())))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+    subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=300)
+    assert json.dumps(report(dealt_pairs())) == path.read_text()
+
+
+def test_traced_functions_stay_on_the_calling_thread(monkeypatch):
+    """A tracer keeping one span stack per process sees every metrics
+    function entered on the calling thread; only cKDTree (and numpy) runs
+    on the pool's worker, which takes one direction of each pair."""
+    off_main, query_threads = [], set()
+
+    def on_main(fn):
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class SpyTree(cKDTree):
+        def query(self, *args, **kwargs):
+            query_threads.add(threading.get_ident())
+            return super().query(*args, **kwargs)
+
+    for name in ("report", "pixel_metrics", "surface_metrics", "boundary_pixels"):
+        monkeypatch.setattr(metrics, name, on_main(getattr(metrics, name)))
+    monkeypatch.setattr("scipy.spatial.cKDTree", SpyTree)
+    pairs = dealt_pairs()
+    assert json.dumps(metrics.report(pairs)) == json.dumps(report(pairs))
+    assert off_main == []
+    if _cores() >= 2:  # on more cores, pairs may reach different workers
+        assert len(query_threads) >= 2

@@ -15,7 +15,10 @@ when their lines match:
 - dealt_train: desk_train's three steps at dealt_eval's widths on 4x128x128
   batches, whose largest maps are dealt in the forward and backward;
 - gradcheck: the (name, max_rel_err) row of every gradcheck.run_suite()
-  case.
+  case;
+- eval_report: the JSON of metrics.report() over seeded 256x256 blob mask
+  pairs, whose two directed surface-distance sets are dealt over two
+  threads.
 
 Both eval items first run one untaped train-mode forward of the same
 images at BN momentum 0, which sets the running statistics to that batch's:
@@ -36,10 +39,11 @@ print the same lines:
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
-from mcads import gradcheck
+from mcads import gradcheck, metrics
 from mcads.config import RunConfig
 from mcads.decoder import HEAD_ORDER
 from mcads.network import SegmentationModel
@@ -50,6 +54,7 @@ BATCH = 4
 TRAIN_STEPS = 3
 DESK_SIDE = 64
 DEALT_SIDE = 128  # first-stage maps span two cores' blocks (test_dealt_blocks)
+EVAL_SIDE = 256
 
 
 def dealt_config():
@@ -123,10 +128,36 @@ def gradcheck_rows() -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+def _blobs(rng, count: int) -> np.ndarray:
+    yy, xx = np.mgrid[:EVAL_SIDE, :EVAL_SIDE]
+    mask = np.zeros((EVAL_SIDE, EVAL_SIDE), bool)
+    for _ in range(count):
+        cy, cx = rng.uniform(0, EVAL_SIDE, size=2)
+        a, b = rng.uniform(0.03 * EVAL_SIDE, 0.2 * EVAL_SIDE, size=2)
+        mask |= ((yy - cy) / a) ** 2 + ((xx - cx) / b) ** 2 <= 1.0
+    return mask
+
+
+def eval_report() -> str:
+    """metrics.report over 8 seeded pairs: a ground truth of random
+    ellipses, and a prediction that shifts it or drops and adds blobs."""
+    rng = np.random.default_rng(7)
+    entries = []
+    for i in range(8):
+        count = int(rng.integers(1, 12))
+        gt = _blobs(rng, count)
+        if i % 2:
+            pred = gt & ~_blobs(rng, count // 2 + 1) | _blobs(rng, 2)
+        else:
+            pred = np.roll(gt, tuple(int(s) for s in rng.integers(-6, 7, size=2)), (0, 1))
+        entries.append((f"pair{i}", pred, gt))
+    return hashlib.sha256(json.dumps(metrics.report(entries)).encode()).hexdigest()
+
+
 def main() -> None:
     for name, item in (("desk_eval", desk_eval), ("desk_train", desk_train),
                        ("dealt_eval", dealt_eval), ("dealt_train", dealt_train),
-                       ("gradcheck", gradcheck_rows)):
+                       ("gradcheck", gradcheck_rows), ("eval_report", eval_report)):
         print(f"{name:<11} {item()}", flush=True)
 
 
