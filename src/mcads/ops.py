@@ -44,13 +44,15 @@ Three things stay serial: the depthwise weight gradient and train-mode batch
 norm's channel statistics, whose sums run across blocks in a fixed order,
 and everything that calls BLAS, which already runs its own threads. A map
 is dealt over only as many threads as get _DEAL_MIN_BLOCKS blocks each, so
-a small one runs in the caller. Outside this module, one caller deals with
-min_blocks=1: metrics.surface_metrics, whose two blocks are a mask pair's
-two directed KD-tree distance sets.
+a small one (every map of the desk model) runs in the caller, as a plain
+loop that touches neither the pool nor a lock. Outside this module, one
+caller deals with min_blocks=1: metrics.surface_metrics, whose two blocks
+are a mask pair's two directed KD-tree distance sets.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -141,9 +143,10 @@ def _deal(blocks, body, scratch: int = 0, dtype=None,
     """Run body(block, buf) for every block, each in one thread: dealt, one
     at a time as each thread comes free, between this thread and as many of
     the pool's workers as leave each thread at least `min_blocks` blocks; in
-    this one alone when that is none of them. Every kernel here keeps the
-    default; metrics.surface_metrics passes min_blocks=1 for its two
-    directed distance sets. Each thread passes every block it takes the same
+    this one alone, in order, as a plain loop (no lock, no futures), when
+    that is none of them. Every kernel here keeps the default;
+    metrics.surface_metrics passes min_blocks=1 for its two directed
+    distance sets. Each thread passes every block it takes the same
     `buf`, an np.empty(scratch, dtype) made here (None when scratch is 0). A
     body that finishes an op's output guards what it wrote, while it is
     still in cache. Returns, or raises the first failure, only once every
@@ -158,6 +161,10 @@ def _deal(blocks, body, scratch: int = 0, dtype=None,
     pool, workers = _executor()
     parts = max(1, min(workers + 1, len(blocks) // min_blocks))
     bufs = [np.empty(scratch, dtype) if scratch else None for _ in range(parts)]
+    if parts == 1:
+        for block in blocks:
+            body(block, bufs[0])
+        return
     lock, todo = threading.Lock(), iter(blocks)
 
     def part(buf):
@@ -303,20 +310,21 @@ def _even_runs(total: int, most: int):
     return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
 
+@functools.lru_cache(maxsize=256)
 def _block_plan(n: int, oh: int, row_bytes: int, budget: int):
     """Split an (n, oh, ...) output into blocks of at most about `budget`
     bytes, one output row costing `row_bytes`: runs of whole images when one
     image fits, else runs of rows of one image, split evenly so no block is
     a short remainder. Returns (the most output rows a block holds, at most
     n * oh; the blocks as (first image, images, first row, rows)); an empty
-    output has no blocks."""
+    output has no blocks. Memoized: the plans are shared tuples."""
     if not n * oh * row_bytes:
-        return 0, []
+        return 0, ()
     rows = max(1, budget // row_bytes)
     if rows >= oh:
-        blocks = [(i, bn, 0, oh) for i, bn in _even_runs(n, rows // oh)]
+        blocks = tuple((i, bn, 0, oh) for i, bn in _even_runs(n, rows // oh))
     else:
-        blocks = [(i, 1, r, br) for i in range(n) for r, br in _even_runs(oh, rows)]
+        blocks = tuple((i, 1, r, br) for i in range(n) for r, br in _even_runs(oh, rows))
     return max(bn * br for _, bn, _, br in blocks), blocks
 
 
@@ -338,11 +346,19 @@ def _dw_taps(xp: np.ndarray, block, kh: int, kw: int, ow: int, dilation: int):
             yield u, v, xp[i:i + bn, h0:h0 + br, w0:w0 + ow]
 
 
+@functools.lru_cache(maxsize=32)
+def _ones(n: int, dtype) -> np.ndarray:
+    """A read-only vector of n ones, shared by every caller."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def _channel_sum(a: np.ndarray) -> np.ndarray:
     """Sum an NHWC array over N, H, W: one matrix-vector product, several
     times faster than a ufunc reduction over the leading axes."""
     c = a.shape[-1]
-    return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
+    return _ones(a.size // c, a.dtype) @ a.reshape(-1, c)
 
 
 def _conv(xp: np.ndarray, wd: np.ndarray, dilation: int,

@@ -13,11 +13,15 @@ queue in creation order, so the weights are those an eager draw would give.
 A load_state that passes its checks drops the queue undrawn and takes
 ownership of the arrays it is given (load_checkpoint's fresh ones, never
 copied); state() returns copies.
+
+Adam's moments are views into flat buffers per dtype, which adam_step walks
+in runs of neighbouring parameters; data and gradients stay where they are.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 import threading
@@ -58,7 +62,7 @@ class Parameter(Tensor):
     """A named tensor with Adam state. Non-trainable parameters (BN running
     stats) are carried for checkpointing but never receive gradients."""
 
-    __slots__ = ("name", "trainable", "m", "v", "step", "_array", "_init")
+    __slots__ = ("name", "trainable", "m", "v", "flat", "step", "_array", "_init")
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
@@ -66,6 +70,7 @@ class Parameter(Tensor):
         self.trainable = trainable
         self.m = None  # first/second Adam moments, allocated on first step
         self.v = None
+        self.flat = None  # (flat m, flat v, offset) that m and v are views of
         self.step = 0
         self._init = None  # the store's _PendingInit until the first read
 
@@ -177,49 +182,80 @@ class ParameterStore:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 1 << 18  # most elements in one adam_step run, but one larger parameter
 
 
 def adam_step(params, lr: float) -> None:
     """One bias-corrected Adam update over trainable parameters with grads.
 
-    Updates each parameter's data and moments in place through two scratch
-    buffers shared by all parameters, so a step allocates nothing the size
-    of the model. The arithmetic is the textbook formula operation for
-    operation, so the results are bit-identical to it.
+    A first step gives its parameters zeroed moments, views in list order
+    into one flat m and one flat v buffer per dtype. Each step walks runs:
+    neighbours in one buffer at one step, at most ADAM_CHUNK elements, or
+    one larger parameter. The textbook formula runs once per run, operation
+    for operation, so the results are bit-identical to it, over its moments
+    and its gradients copied into one buffer (a gradient not of its
+    parameter's dtype runs alone, as is). Scratch is that ADAM_CHUNK buffer
+    and two of at most max(ADAM_CHUNK, the largest parameter) elements.
 
-    Raises, before updating anything, if any trainable parameter is missing
-    its gradient: every parameter is supposed to be reached by the loss.
+    Raises, before changing anything, if lr is not a finite real > 0 or a
+    trainable parameter is missing its gradient: every parameter is
+    supposed to be reached by the loss.
     """
+    if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+        raise ValueError(f"adam_step: lr must be a finite real > 0, got {lr!r}")
     live = [p for p in params if p.trainable]
     for p in live:
         if p.grad is None:
             raise ValueError(f"adam_step: missing gradient for {p.name!r}")
-    size = max((p.size for p in live), default=0)
-    scratch = {}
+    for dtype in {p.dtype for p in live if p.m is None}:
+        fresh = [p for p in live if p.m is None and p.dtype == dtype]
+        m, v = (np.zeros(sum(p.size for p in fresh), dtype) for _ in "mv")
+        o = 0
+        for p in fresh:
+            p.m, p.v = (a[o:o + p.size].reshape(p.shape) for a in (m, v))
+            p.flat, o = (m, v, o), o + p.size
+    runs = []  # [params, flat m, flat v, offset, elements]
     for p in live:
-        if p.dtype not in scratch:
-            scratch[p.dtype] = (np.empty(size, p.dtype), np.empty(size, p.dtype))
-        a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[p.dtype])
-        g = p.grad
-        if p.m is None:
-            p.m = np.zeros_like(p.data)
-            p.v = np.zeros_like(p.data)
-        p.step += 1
+        m, v, o = p.flat
+        r, q = (runs[-1], runs[-1][0][-1]) if runs else (None, None)
+        if (r and r[1] is m and r[3] + r[4] == o and q.step == p.step
+                and r[4] + p.size <= ADAM_CHUNK
+                and q.grad.dtype == p.grad.dtype == m.dtype):
+            r[0].append(p)
+            r[4] += p.size
+        else:
+            runs.append([[p], m, v, o, p.size])
+    width = max((r[4] for r in runs), default=0)
+    scratch = {}
+    for group, m, v, o, n in runs:
+        if m.dtype not in scratch:
+            scratch[m.dtype] = [np.empty(k, m.dtype)
+                                for k in (min(width, ADAM_CHUNK), width, width)]
+        g, a, b = scratch[m.dtype]
+        a, b, m, v = a[:n], b[:n], m[o:o + n], v[o:o + n]
+        grads = [p.grad.reshape(-1) for p in group]
+        g = grads[0] if len(grads) == 1 else np.concatenate(grads, out=g[:n])
+        step = group[0].step + 1
+        for p in group:
+            p.step = step
         np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        p.m *= ADAM_BETA1
-        p.m += a                                      # m = b1*m + (1-b1)*g
+        m *= ADAM_BETA1
+        m += a                                        # m = b1*m + (1-b1)*g
         np.multiply(g, g, out=a)
         a *= 1.0 - ADAM_BETA2
-        p.v *= ADAM_BETA2
-        p.v += a                                      # v = b2*v + (1-b2)*g*g
-        np.divide(p.v, 1.0 - ADAM_BETA2 ** p.step, out=b)
+        v *= ADAM_BETA2
+        v += a                                        # v = b2*v + (1-b2)*g*g
+        np.divide(v, 1.0 - ADAM_BETA2 ** step, out=b)
         np.sqrt(b, out=b)
         b += ADAM_EPS                                 # sqrt(vhat) + eps
-        np.divide(p.m, 1.0 - ADAM_BETA1 ** p.step, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1 ** step, out=a)
         a *= lr
         a /= b                                        # lr * mhat / (...)
         guard_finite("adam_step", a)
-        p.data -= a
+        o = 0
+        for p in group:
+            p.data -= a[o:o + p.size].reshape(p.shape)
+            o += p.size
 
 
 # ---------------------------------------------------------------------------

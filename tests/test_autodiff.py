@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mcads import ops, summary
+from mcads import ops, params, summary
 from mcads.config import RunConfig
 from mcads.gradcheck import PRIMITIVE_TOL, check_gradients, primitive_cases
 from mcads.network import SegmentationModel
@@ -428,6 +428,92 @@ def test_adam_checks_every_gradient_before_updating():
         adam_step([a, b], lr=0.1)
     np.testing.assert_array_equal(a.data, np.zeros(2))
     assert a.m is None and a.step == 0
+
+
+@pytest.mark.parametrize("lr", [-0.1, 0.0, math.nan, math.inf, "0.1", 1j])
+def test_adam_rejects_a_bad_lr_before_anything(lr):
+    a = Parameter("a", np.zeros(2, dtype=np.float32))
+    b = Parameter("b", np.zeros(2, dtype=np.float32))  # no gradient
+    a.grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(ValueError, match="adam_step: lr must be"):
+        adam_step([a, b], lr=lr)
+    np.testing.assert_array_equal(a.data, np.zeros(2))
+    assert a.m is None and a.step == 0 and b.step == 0
+
+
+def test_adam_runs_match_textbook_per_parameter():
+    """Adam walking the flat moment buffers in runs is bit-identical to the
+    textbook formula applied parameter by parameter: float32 and float64
+    parameters mixed, a frozen one between two that share a run, calls on
+    every other parameter (so neighbours in a buffer later split on step),
+    and one parameter larger than a run."""
+    rng = np.random.default_rng(11)
+    f32, f64 = np.float32, np.float64
+    specs = [((3, 3, 2, 4), f32), ((4,), f32), ((), f64),
+             ((params.ADAM_CHUNK + 3,), f32), ((5, 7), f32), ((6,), f32),
+             ((2, 2), f64), ((3,), f64)]
+    live = [Parameter(f"p{i}", np.asarray(rng.normal(size=shape), dtype))
+            for i, (shape, dtype) in enumerate(specs)]
+    frozen = Parameter("stats", np.ones(3, dtype=np.float32), trainable=False)
+    everyone = live[:1] + [frozen] + live[1:]
+    ref = {p.name: {"data": p.data.copy(), "m": np.zeros_like(p.data),
+                    "v": np.zeros_like(p.data), "step": 0} for p in live}
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for call in (everyone, everyone[::2], everyone, everyone[1::2], everyone):
+        for p in call:
+            if not p.trainable:
+                continue
+            p.grad = np.asarray(rng.normal(size=p.shape), p.dtype)
+            r, g = ref[p.name], p.grad
+            r["step"] += 1
+            r["m"] = b1 * r["m"] + (1.0 - b1) * g
+            r["v"] = b2 * r["v"] + (1.0 - b2) * (g * g)
+            mhat = r["m"] / (1.0 - b1 ** r["step"])
+            vhat = r["v"] / (1.0 - b2 ** r["step"])
+            r["data"] = r["data"] - lr * mhat / (np.sqrt(vhat) + eps)
+        adam_step(call, lr)
+        for p in live:
+            r = ref[p.name]
+            assert p.step == r["step"]
+            for key in ("data", "m", "v"):
+                got = p.data if key == "data" else getattr(p, key)
+                assert got.dtype == p.dtype and got.shape == p.shape
+                assert np.array_equal(got, r[key]), (p.name, key, r["step"])
+    np.testing.assert_array_equal(frozen.data, np.ones(3))
+    assert frozen.m is None
+
+
+def test_adam_reads_a_float64_gradient_of_a_float32_parameter_as_is():
+    """Such a gradient never joins a run, where it would be rounded to
+    float32 before the formula: a step over the list equals a step per
+    parameter."""
+    rng = np.random.default_rng(12)
+    init = [rng.normal(size=4).astype(np.float32) for _ in range(3)]
+    grads = [rng.normal(size=4) for _ in range(3)]
+    together = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(init)]
+    alone = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(init)]
+    for p, q, g in zip(together, alone, grads):
+        p.grad, q.grad = g, g
+        adam_step([q], lr=0.1)
+    adam_step(together, lr=0.1)
+    for p, q in zip(together, alone):
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, q.data) and np.array_equal(p.v, q.v)
+
+
+def test_adam_updates_a_store_in_one_run(monkeypatch):
+    """A store's small parameters get their moments as views of one flat
+    buffer, and one step over them is one run: one finite guard."""
+    s = ParameterStore(seed=0)
+    ps = [s.create(f"w{i}", (3, i + 1), "he", fan_in=3) for i in range(4)]
+    for p in ps:
+        p.grad = np.ones(p.shape, dtype=np.float32)
+    guards = []
+    monkeypatch.setattr(params, "guard_finite", lambda op, a: guards.append(op))
+    adam_step(s.parameters(), lr=0.1)
+    assert len({id(p.m.base) for p in ps} | {id(p.v.base) for p in ps}) == 2
+    assert ps[0].m.base is ps[0].flat[0] and ps[0].v.base is ps[0].flat[1]
+    assert guards == ["adam_step"]
 
 
 def test_first_adam_step_moves_by_lr():

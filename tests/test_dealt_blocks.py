@@ -201,6 +201,44 @@ def test_deal_returns_only_after_every_thread_is_done():
     assert sorted(done) == sorted(inside)
 
 
+def test_one_part_deal_runs_every_block_here_in_order():
+    """A map too small to deal runs each block on the calling thread, in
+    plan order, with one scratch buffer, and a body's exception propagates
+    as it is."""
+    blocks = list(range(2 * ops._DEAL_MIN_BLOCKS - 1))
+    seen = []
+
+    def body(block, buf):
+        seen.append((block, threading.get_ident(), buf))
+
+    ops._deal(blocks, body, scratch=5, dtype=np.float32)
+    assert [block for block, _, _ in seen] == blocks
+    assert {ident for _, ident, _ in seen} == {threading.get_ident()}
+    buf = seen[0][2]
+    assert buf.shape == (5,) and buf.dtype == np.float32
+    assert all(b is buf for _, _, b in seen)
+
+    def fail(block, _):
+        if block == 3:
+            raise KeyError("block 3")
+
+    with pytest.raises(KeyError, match="block 3"):
+        ops._deal(blocks, fail)
+
+
+def test_two_part_deal_runs_on_two_threads():
+    if ops._executor()[1] == 0:
+        pytest.skip("one core: every map runs in the calling thread")
+    threads = set()
+
+    def body(block, _):
+        threads.add(threading.get_ident())
+        time.sleep(0.005)
+
+    ops._deal(list(range(2 * ops._DEAL_MIN_BLOCKS)), body)
+    assert len(threads) == 2 and threading.get_ident() in threads
+
+
 def _leaky_in_child(x, want, conn):
     fresh = ops._EXECUTOR is None
     conn.send(fresh and ops.leaky_relu(Tensor(x)).data.tobytes() == want)
